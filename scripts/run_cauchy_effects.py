@@ -7,10 +7,7 @@ prints the correlation of the response with each transformed version.
 """
 
 import argparse
-import csv
 from pathlib import Path
-
-import numpy as np
 
 from qmatch import (
     AlphaBeta,
@@ -25,26 +22,14 @@ from qmatch import (
     reduced_profile_loglik,
     simulate,
 )
+from qmatch.cli import write_correlations, write_curve
 
 
-def write_curve(path, curve):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["param", "value", "det_term", "jacobian_term"])
-        for i in range(curve.grid.size):
-            w.writerow([
-                format(curve.grid[i], ".17g"),
-                format(curve.values[i], ".17g"),
-                format(curve.det_terms[i], ".17g"),
-                format(curve.jacobian_terms[i], ".17g"),
-            ])
-
-
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=2)
     ap.add_argument("--outdir", type=Path, default=Path("out_cauchy_effects"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     out = simulate(SimConfig(effect_dist="cauchy", seed=args.seed))
@@ -80,11 +65,7 @@ def main():
     width = max(len(label) for label in rep.labels)
     for label, c in zip(rep.labels, rep.correlations):
         print(f"    {label:<{width}}  {c:7.4f}")
-    with open(args.outdir / "correlations.csv", "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["target", "correlation"])
-        for label, c in zip(rep.labels, rep.correlations):
-            w.writerow([label, format(c, ".17g")])
+    write_correlations(args.outdir / "correlations.csv", rep)
     print(f"curves written to {args.outdir}/")
 
 

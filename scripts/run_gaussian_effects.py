@@ -7,10 +7,7 @@ fixed-over-random gap.  Curves are written as CSV for plotting.
 """
 
 import argparse
-import csv
 from pathlib import Path
-
-import numpy as np
 
 from qmatch import (
     Gaussian,
@@ -22,26 +19,14 @@ from qmatch import (
     profile_student_t,
     simulate,
 )
+from qmatch.cli import write_curve
 
 
-def write_curve(path, curve):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["param", "value", "det_term", "jacobian_term"])
-        for i in range(curve.grid.size):
-            w.writerow([
-                format(curve.grid[i], ".17g"),
-                format(curve.values[i], ".17g"),
-                format(curve.det_terms[i], ".17g"),
-                format(curve.jacobian_terms[i], ".17g"),
-            ])
-
-
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--outdir", type=Path, default=Path("out_gaussian_effects"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     out = simulate(SimConfig(effect_dist="gaussian", seed=args.seed))

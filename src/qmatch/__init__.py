@@ -21,8 +21,6 @@ from .linmodel import (
     fit,
     fit_fixed,
     fit_random_balanced,
-    fit_random_numeric,
-    quadratic_form,
 )
 from .percentile import PercentileVector, percentiles, quantile_match
 from .simdesign import SimConfig, SimOutput, cauchy_draw, simulate
@@ -60,7 +58,6 @@ __all__ = [
     "PercentileVector", "percentiles", "quantile_match",
     "DesignSpec", "ModelKind", "ModelFit", "ProjectionDecomposition",
     "decompose", "fit", "fit_fixed", "fit_random_balanced",
-    "fit_random_numeric", "quadratic_form",
     "ReducedProfileLoglik", "ProfileCurve", "GaussianUniformDiagnostics",
     "EntropyQuadrature", "CorrelationReport",
     "reduced_profile_loglik", "loglik_ratio",

@@ -37,10 +37,10 @@ from .translik import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BOXCOX_GRID,
     DEFAULT_T_GRID,
+    _gaussian_uniform_diagnostics,
     boxcox_profile,
     correlation_report,
     loglik_ratio,
-    lr_diagnostics_gaussian_uniform,
     profile_alpha,
     profile_student_t,
     reduced_profile_loglik,
@@ -146,6 +146,35 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_curve(path, curve):
+    """Write a profile curve as CSV (param,value,det_term,jacobian_term).
+
+    A failed grid point is written as empty cells.
+    """
+
+    def cell(v):
+        return _fmt(v) if np.isfinite(v) else ""
+
+    _write_csv(
+        path,
+        ["param", "value", "det_term", "jacobian_term"],
+        (
+            [_fmt(curve.grid[i]), cell(curve.values[i]),
+             cell(curve.det_terms[i]), cell(curve.jacobian_terms[i])]
+            for i in range(curve.grid.size)
+        ),
+    )
+
+
+def write_correlations(path, report):
+    """Write a correlation report as CSV (target,correlation)."""
+    _write_csv(
+        path,
+        ["target", "correlation"],
+        ([label, _fmt(c)] for label, c in zip(report.labels, report.correlations)),
+    )
 
 
 def read_data_csv(path):
@@ -254,18 +283,7 @@ def cmd_profile(args) -> int:
             "identity_value": -0.5 * fit(y, design).log_det_sigma_hat,
         }
 
-    def cell(v):
-        return _fmt(v) if np.isfinite(v) else ""
-
-    _write_csv(
-        args.out,
-        ["param", "value", "det_term", "jacobian_term"],
-        (
-            [_fmt(curve.grid[i]), cell(curve.values[i]),
-             cell(curve.det_terms[i]), cell(curve.jacobian_terms[i])]
-            for i in range(curve.grid.size)
-        ),
-    )
+    write_curve(args.out, curve)
     summary = {
         "family": args.family,
         "model": design.model.value,
@@ -314,7 +332,8 @@ def cmd_compare(args) -> int:
             "lr": (side_a.det_term - side_b.det_term) + n * (entropy_a - entropy_b),
         }
     if kinds == {"gaussian", "uniform"}:
-        diag = lr_diagnostics_gaussian_uniform(y, design)
+        gauss, unif = (side_a, side_b) if dist_a.kind == "gaussian" else (side_b, side_a)
+        diag = _gaussian_uniform_diagnostics(gauss, unif, n)
         report["gaussian_uniform_diagnostics"] = {
             "orientation": "gaussian_minus_uniform",
             "det_term": diag.det_term,
@@ -339,11 +358,7 @@ def cmd_correlate(args) -> int:
     dists = parse_target_list(args.targets)
     report = correlation_report(y, dists)
     if args.out:
-        _write_csv(
-            args.out,
-            ["target", "correlation"],
-            ([label, _fmt(c)] for label, c in zip(report.labels, report.correlations)),
-        )
+        write_correlations(args.out, report)
         _write_json(args.out + ".manifest.json", _manifest("correlate", {
             "input": args.input, "targets": args.targets, "out": args.out,
         }))

@@ -37,9 +37,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
-from .errors import DegenerateFitError, DomainError, NumericError
+from .errors import DegenerateFitError, DomainError
 
 # Interaction variation below this share of the total is treated as an
 # unbounded-likelihood (perfectly additive) transformation.
@@ -117,7 +116,6 @@ class ModelFit:
     sigma2: float
     sigma2_row: float | None
     sigma2_col: float | None
-    mu_hat: np.ndarray
     max_loglik_core: float
 
 
@@ -166,15 +164,10 @@ def _check_not_degenerate(z, dec: ProjectionDecomposition):
 
 def fit_fixed(z, design: DesignSpec) -> ModelFit:
     """ML fit of the additive fixed-effects model with spherical errors."""
-    g = _grid(z, design)
     dec = decompose(z, design)
     _check_not_degenerate(z, dec)
     n = design.n
     sigma2 = dec.s_err / n
-    rm = g.mean(axis=1)
-    cm = g.mean(axis=0)
-    mu_grid = rm[:, None] + cm[None, :] - dec.grand_mean
-    rows, cols = design.rows_cols()
     log_det = n * math.log(sigma2)
     return ModelFit(
         kind=ModelKind.FIXED_EFFECTS,
@@ -182,7 +175,6 @@ def fit_fixed(z, design: DesignSpec) -> ModelFit:
         sigma2=sigma2,
         sigma2_row=None,
         sigma2_col=None,
-        mu_hat=mu_grid[rows, cols],
         max_loglik_core=-0.5 * (log_det + n * (1.0 + math.log(2.0 * math.pi))),
     )
 
@@ -312,7 +304,7 @@ def _solve_eigenvalues(dec: ProjectionDecomposition):
     return best * scale
 
 
-def _random_fit_from_eigenvalues(z, design, dec, lam):
+def _random_fit_from_eigenvalues(design, dec, lam):
     lam_r, lam_c, lam_e = lam
     n = design.n
     log_det = (
@@ -327,7 +319,6 @@ def _random_fit_from_eigenvalues(z, design, dec, lam):
         sigma2=lam_e,
         sigma2_row=max((lam_r - lam_e) / design.ncols, 0.0),
         sigma2_col=max((lam_c - lam_e) / design.nrows, 0.0),
-        mu_hat=np.full(n, dec.grand_mean),
         max_loglik_core=-0.5 * (log_det + n * (1.0 + math.log(2.0 * math.pi))),
     )
 
@@ -337,45 +328,7 @@ def fit_random_balanced(z, design: DesignSpec) -> ModelFit:
     dec = decompose(z, design)
     _check_not_degenerate(z, dec)
     lam = _solve_eigenvalues(dec)
-    return _random_fit_from_eigenvalues(z, design, dec, lam)
-
-
-def fit_random_numeric(z, design: DesignSpec) -> ModelFit:
-    """Same model as fit_random_balanced via a derivative-free optimizer.
-
-    Kept as an independent route for cross-checking the active-set solver.
-    """
-    dec = decompose(z, design)
-    _check_not_degenerate(z, dec)
-    total = dec.s_row + dec.s_col + dec.s_err
-    n = design.n
-    scale = total / n
-    sdec = ProjectionDecomposition(
-        s_row=dec.s_row / scale, s_col=dec.s_col / scale, s_err=dec.s_err / scale,
-        d_row=dec.d_row, d_col=dec.d_col, d_err=dec.d_err, grand_mean=0.0,
-    )
-    r, c = design.nrows, design.ncols
-
-    def neg2ll(x):
-        s2, s2r, s2c = x
-        lam = np.array([s2 + c * s2r, s2 + r * s2c, s2])
-        return _objective(lam, sdec)
-
-    x0 = np.array([
-        sdec.s_err / sdec.d_err,
-        max(sdec.s_row / sdec.d_row - sdec.s_err / sdec.d_err, 0.0) / c,
-        max(sdec.s_col / sdec.d_col - sdec.s_err / sdec.d_err, 0.0) / r,
-    ])
-    res = optimize.minimize(
-        neg2ll, x0, method="Nelder-Mead",
-        bounds=[(1e-14, None), (0.0, None), (0.0, None)],
-        options={"xatol": 1e-13, "fatol": 1e-13, "maxfev": 40000},
-    )
-    if not res.success:
-        raise NumericError("variance-component optimizer did not converge", best=res.x)
-    s2, s2r, s2c = res.x
-    lam = np.array([s2 + c * s2r, s2 + r * s2c, s2]) * scale
-    return _random_fit_from_eigenvalues(z, design, dec, lam)
+    return _random_fit_from_eigenvalues(design, dec, lam)
 
 
 def fit(z, design: DesignSpec) -> ModelFit:
@@ -383,40 +336,3 @@ def fit(z, design: DesignSpec) -> ModelFit:
     if design.model == ModelKind.FIXED_EFFECTS:
         return fit_fixed(z, design)
     return fit_random_balanced(z, design)
-
-
-def quadratic_form(z, fit: ModelFit, design: DesignSpec) -> float:
-    """(z - mu_hat)' Sigma^{-1} (z - mu_hat) for the fit's parameters.
-
-    Evaluated in the eigenbasis: each contrast subspace contributes its
-    squared projection divided by its eigenvalue.  At an interior MLE this
-    equals n.
-    """
-    z = np.asarray(z, dtype=float)
-    resid = z - fit.mu_hat
-    dec = decompose(resid, design)
-    if fit.kind == ModelKind.FIXED_EFFECTS:
-        lam_r = lam_c = lam_e = fit.sigma2
-    else:
-        lam_e = fit.sigma2
-        lam_r = fit.sigma2 + design.ncols * fit.sigma2_row
-        lam_c = fit.sigma2 + design.nrows * fit.sigma2_col
-    lam0 = lam_r + lam_c - lam_e
-    if min(lam_r, lam_c, lam_e, lam0) <= 0.0:
-        raise DomainError("quadratic form needs strictly positive eigenvalues")
-    mean_part = design.n * dec.grand_mean**2 / lam0
-    return float(
-        mean_part + dec.s_row / lam_r + dec.s_col / lam_c + dec.s_err / lam_e
-    )
-
-
-def dense_covariance(design: DesignSpec, sigma2, sigma2_row, sigma2_col) -> np.ndarray:
-    """Assemble the n x n covariance explicitly (test oracle for small n)."""
-    rows, cols = design.rows_cols()
-    same_row = rows[:, None] == rows[None, :]
-    same_col = cols[:, None] == cols[None, :]
-    return (
-        sigma2 * np.eye(design.n)
-        + sigma2_row * same_row
-        + sigma2_col * same_col
-    )

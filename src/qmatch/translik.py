@@ -116,17 +116,22 @@ def loglik_ratio(y, dist_a: TargetDistribution, dist_b: TargetDistribution,
 
 def lr_diagnostics_gaussian_uniform(y, design: DesignSpec) -> GaussianUniformDiagnostics:
     pc = percentiles(y)
-    a = _reduced(pc, Gaussian(), design)
-    b = _reduced(pc, Uniform(), design)
-    n = pc.n
-    det = a.det_term - b.det_term
+    return _gaussian_uniform_diagnostics(
+        _reduced(pc, Gaussian(), design), _reduced(pc, Uniform(), design), pc.n
+    )
+
+
+def _gaussian_uniform_diagnostics(gauss: ReducedProfileLoglik, unif: ReducedProfileLoglik,
+                                  n: int) -> GaussianUniformDiagnostics:
+    """Diagnostics from the already evaluated gaussian and uniform sides."""
+    det = gauss.det_term - unif.det_term
     return GaussianUniformDiagnostics(
         n=n,
         det_term=det,
         det_term_linear=-1.242 * n,
-        correction_term=a.jacobian_term,
+        correction_term=gauss.jacobian_term,
         correction_linear=1.419 * n,
-        lr=det + a.jacobian_term,
+        lr=det + gauss.jacobian_term,
     )
 
 
@@ -241,17 +246,17 @@ def boxcox_profile(y, design: DesignSpec, grid=None) -> ProfileCurve:
         grid = DEFAULT_BOXCOX_GRID
     slog = float(np.sum(np.log(y)))
 
-    @dataclass(frozen=True)
-    class _Point:
-        value: float
-        det_term: float
-        jacobian_term: float
-
     def evaluate(g):
         z = np.log(y) if g == 0.0 else (np.power(y, g) - 1.0) / g
         det_term = -0.5 * fit(z, design).log_det_sigma_hat
         jac = (g - 1.0) * slog
-        return _Point(value=det_term + jac, det_term=det_term, jacobian_term=jac)
+        return ReducedProfileLoglik(
+            target_label=f"boxcox(g={g:g})",
+            model=design.model,
+            det_term=det_term,
+            jacobian_term=jac,
+            value=det_term + jac,
+        )
 
     return _sweep("boxcox", grid, evaluate, design, refine=False)
 

@@ -13,6 +13,7 @@ import pytest
 from scipy import special as sc
 
 from conftest import bench, fixed_design, random_design
+from oracles import dense_covariance, fit_random_numeric, quadratic_form
 from qmatch import (
     AlphaBeta,
     DesignSpec,
@@ -26,16 +27,13 @@ from qmatch import (
     entropy_quadrature,
     fit_fixed,
     fit_random_balanced,
-    fit_random_numeric,
     loglik_ratio,
     lr_diagnostics_gaussian_uniform,
     percentiles,
     profile_alpha,
     profile_student_t,
-    quadratic_form,
     reduced_profile_loglik,
 )
-from qmatch.linmodel import dense_covariance
 
 SEEDS = range(10)
 

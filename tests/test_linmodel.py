@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_covariance, fit_random_numeric, quadratic_form
 from qmatch import (
     DegenerateFitError,
     DesignSpec,
@@ -22,10 +23,7 @@ from qmatch import (
     decompose,
     fit_fixed,
     fit_random_balanced,
-    fit_random_numeric,
-    quadratic_form,
 )
-from qmatch.linmodel import dense_covariance
 
 
 def design(r, c, model=ModelKind.FIXED_EFFECTS):
