@@ -10,11 +10,8 @@ import argparse
 from pathlib import Path
 
 from qmatch import (
-    Gaussian,
     ModelKind,
     SimConfig,
-    Uniform,
-    loglik_ratio,
     lr_diagnostics_gaussian_uniform,
     profile_student_t,
     simulate,
@@ -52,8 +49,6 @@ def main(argv=None):
     print(f"    det term        {diag.det_term:10.1f}   (linear prediction {diag.det_term_linear:.1f})")
     print(f"    correction term {diag.correction_term:10.1f}   (linear prediction {diag.correction_linear:.1f})")
     print(f"    log LR          {diag.lr:10.1f}")
-    check = loglik_ratio(out.y, Gaussian(), Uniform(), design)
-    assert abs(check - diag.lr) < 1e-8
     print(f"curves written to {args.outdir}/")
 
 

@@ -9,9 +9,9 @@ Subcommands:
 * ``correlate`` -- correlations of the response with each transformed
   version, as CSV and an aligned text table.
 
-Target specs use the grammar ``name[:key=value,...]``, e.g. ``gaussian``,
-``uniform``, ``logistic``, ``t:nu=6.67``, ``t:inv_nu=0.15``,
-``alpha:a=-0.05,b=-0.05``.
+Target specs are read by ``targetdist.parse_target``; their grammar is
+``targetdist.TARGET_GRAMMAR``.  The label each result reports is a spec
+that parses back to the same target.
 
 Exit codes: 0 success, 2 usage error, 3 domain/data error, 4 numeric
 failure, 1 I/O error.
@@ -23,16 +23,24 @@ import argparse
 import csv
 import json
 import math
+import platform
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, UsageError
 from .linmodel import DesignSpec, ModelKind, fit
 from .simdesign import SimConfig, simulate
-from .targetdist import AlphaBeta, Gaussian, Logistic, StudentT, Uniform
+from .targetdist import (
+    TARGET_GRAMMAR,
+    Gaussian,
+    Logistic,
+    parse_target,
+    parse_target_list,
+)
 from .translik import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BOXCOX_GRID,
@@ -46,83 +54,9 @@ from .translik import (
     reduced_profile_loglik,
 )
 
-TARGET_GRAMMAR = (
-    "target spec grammar: name[:key=value,...] where name is one of "
-    "gaussian | uniform | logistic | t | alpha; "
-    "t takes nu=<real >= 1> or inv_nu=<real in [0,1]>; "
-    "alpha takes a=<real in [-1,1]>, b=<real in [-1,1]> (b defaults to a)"
-)
-
-
-class UsageError(Exception):
-    pass
-
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
-
-
-def parse_target(spec: str):
-    spec = spec.strip()
-    name, _, rest = spec.partition(":")
-    name = name.strip().lower()
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise UsageError(f"malformed parameter {item!r} in target {spec!r}")
-            try:
-                params[key.strip().lower()] = float(value)
-            except ValueError:
-                raise UsageError(f"non-numeric value in target {spec!r}") from None
-    try:
-        if name == "gaussian":
-            dist = Gaussian()
-        elif name == "uniform":
-            dist = Uniform()
-        elif name == "logistic":
-            dist = Logistic()
-        elif name in ("t", "student_t"):
-            if "inv_nu" in params:
-                dist = StudentT(params.pop("inv_nu"))
-            elif "nu" in params:
-                dist = StudentT.from_nu(params.pop("nu"))
-            else:
-                raise UsageError(f"target {spec!r} needs nu= or inv_nu=")
-        elif name in ("alpha", "alpha_beta"):
-            if "a" not in params and "alpha" not in params:
-                raise UsageError(f"target {spec!r} needs a=")
-            a = params.pop("a", None)
-            if a is None:
-                a = params.pop("alpha")
-            b = params.pop("b", params.pop("beta", a))
-            dist = AlphaBeta(a, b)
-        else:
-            raise UsageError(f"unknown target {name!r}")
-    except DomainError as exc:
-        raise UsageError(f"invalid parameters in target {spec!r}: {exc}") from None
-    if params:
-        raise UsageError(f"unknown parameters {sorted(params)} in target {spec!r}")
-    return dist
-
-
-def parse_target_list(text: str):
-    """Split a comma-separated list of target specs.
-
-    Commas also separate key=value pairs inside a spec, so a token that
-    contains '=' but no ':' continues the previous spec.
-    """
-    specs = []
-    for token in text.split(","):
-        if "=" in token and ":" not in token and specs:
-            specs[-1] += "," + token
-        else:
-            specs.append(token)
-    specs = [s for s in (s.strip() for s in specs) if s]
-    if not specs:
-        raise UsageError("empty target list")
-    return [parse_target(s) for s in specs]
 
 
 def _manifest(command: str, config: dict, seed=None) -> dict:
@@ -130,6 +64,10 @@ def _manifest(command: str, config: dict, seed=None) -> dict:
         "command": command,
         "config": config,
         "tool_version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

@@ -1,13 +1,18 @@
 """Error taxonomy shared across the package.
 
-The split mirrors the CLI exit codes: domain errors are problems with the
-data or the requested parameters (exit 3), numeric errors are failures of
-an otherwise well-posed computation (exit 4).
+The split mirrors the CLI exit codes: usage errors are malformed command
+input such as a bad target spec (exit 2), domain errors are problems with
+the data or the requested parameters (exit 3), numeric errors are failures
+of an otherwise well-posed computation (exit 4).
 """
 
 
 class QmatchError(Exception):
     """Base class for all package errors."""
+
+
+class UsageError(QmatchError):
+    """Malformed command input, such as a target spec that does not parse."""
 
 
 class DomainError(QmatchError, ValueError):

@@ -28,28 +28,33 @@ logistic code.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _as_prob(p):
-    """Validate probabilities and return (array, was_scalar)."""
-    arr = np.asarray(p, dtype=float)
-    bad = ~np.isfinite(arr) | (arr <= 0.0) | (arr >= 1.0)
-    if np.any(bad):
-        raise DomainError("probabilities must lie strictly inside (0, 1)")
-    return arr, arr.ndim == 0
+def _array_method(method):
+    """Scalar/array plumbing: the method gets its argument as a float array,
+    checked to lie strictly inside (0, 1) unless the method is ``cdf``, and
+    a scalar argument gets a float back."""
+    probabilities = method.__name__ != "cdf"
 
+    @functools.wraps(method)
+    def wrapper(self, x):
+        arr = np.asarray(x, dtype=float)
+        if probabilities and np.any(~np.isfinite(arr) | (arr <= 0.0) | (arr >= 1.0)):
+            raise DomainError("probabilities must lie strictly inside (0, 1)")
+        out = method(self, arr)
+        return float(out) if arr.ndim == 0 else out
 
-def _ret(out, scalar):
-    return float(out) if scalar else out
+    return wrapper
 
 
 # Shared closed forms.  Logistic and the alpha=beta=0 member of the
@@ -72,16 +77,16 @@ def student_t_log_density(inv_nu, x):
     """Log density of the Student-t law with nu = 1/inv_nu degrees of freedom.
 
     Requires inv_nu > 0; the Gaussian limit has its own closed form and is
-    not evaluated through this routine.
+    not evaluated through this routine.  The constant uses betaln because
+    the equivalent gammaln difference cancels catastrophically as nu grows.
     """
     if not (0.0 < inv_nu <= 1.0):
         raise DomainError("student_t_log_density requires 0 < inv_nu <= 1")
     x = np.asarray(x, dtype=float)
     nu = 1.0 / inv_nu
     out = (
-        sc.gammaln((nu + 1.0) / 2.0)
-        - sc.gammaln(nu / 2.0)
-        - 0.5 * math.log(nu * math.pi)
+        -sc.betaln(0.5, nu / 2.0)
+        - 0.5 * math.log(nu)
         - (nu + 1.0) / 2.0 * np.log1p(x * x / nu)
     )
     return float(out) if out.ndim == 0 else out
@@ -91,6 +96,13 @@ class TargetDistribution:
     """Common interface: quantile, log_quantile_derivative, cdf, entropy."""
 
     kind = "abstract"
+    bounds: dict[str, tuple[float, float]] = {}  # each field's range, checked on construction
+
+    def __post_init__(self):
+        for name, (lo, hi) in self.bounds.items():
+            v = getattr(self, name)
+            if not (np.isfinite(v) and lo <= v <= hi):
+                raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}]")
 
     def quantile(self, p):
         raise NotImplementedError
@@ -106,25 +118,27 @@ class TargetDistribution:
         return None
 
     def label(self):
-        return self.kind
+        """The target spec ``kind[:field=value,...]``, which ``parse_target``
+        reads back to an equal target."""
+        params = ",".join(f"{name}={float(getattr(self, name))!r}" for name in self.bounds)
+        return f"{self.kind}:{params}" if params else self.kind
 
 
 @dataclass(frozen=True)
 class Gaussian(TargetDistribution):
     kind = "gaussian"
 
+    @_array_method
     def quantile(self, p):
-        p, s = _as_prob(p)
-        return _ret(sc.ndtri(p), s)
+        return sc.ndtri(p)
 
+    @_array_method
     def log_quantile_derivative(self, p):
-        p, s = _as_prob(p)
-        return _ret(_gaussian_lqd(p), s)
+        return _gaussian_lqd(p)
 
+    @_array_method
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sc.ndtr(x)
-        return float(out) if out.ndim == 0 else out
+        return sc.ndtr(x)
 
     def entropy(self):
         return 0.5 * (1.0 + LOG_2PI)
@@ -134,18 +148,17 @@ class Gaussian(TargetDistribution):
 class Uniform(TargetDistribution):
     kind = "uniform"
 
+    @_array_method
     def quantile(self, p):
-        p, s = _as_prob(p)
-        return _ret(p.copy(), s)
+        return p.copy()
 
+    @_array_method
     def log_quantile_derivative(self, p):
-        p, s = _as_prob(p)
-        return _ret(np.zeros_like(p), s)
+        return np.zeros_like(p)
 
+    @_array_method
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip(x, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return np.clip(x, 0.0, 1.0)
 
     def entropy(self):
         return 0.0
@@ -155,18 +168,17 @@ class Uniform(TargetDistribution):
 class Logistic(TargetDistribution):
     kind = "logistic"
 
+    @_array_method
     def quantile(self, p):
-        p, s = _as_prob(p)
-        return _ret(_logistic_q(p), s)
+        return _logistic_q(p)
 
+    @_array_method
     def log_quantile_derivative(self, p):
-        p, s = _as_prob(p)
-        return _ret(_logistic_lqd(p), s)
+        return _logistic_lqd(p)
 
+    @_array_method
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sc.expit(x)
-        return float(out) if out.ndim == 0 else out
+        return sc.expit(x)
 
     def entropy(self):
         return 2.0
@@ -183,10 +195,7 @@ class StudentT(TargetDistribution):
     inv_nu: float
 
     kind = "student_t"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.inv_nu) and 0.0 <= self.inv_nu <= 1.0):
-            raise DomainError("inv_nu must lie in [0, 1]")
+    bounds = {"inv_nu": (0.0, 1.0)}
 
     @classmethod
     def from_nu(cls, nu):
@@ -194,31 +203,28 @@ class StudentT(TargetDistribution):
             raise DomainError("nu must be >= 1 (inv_nu in [0, 1])")
         return cls(0.0 if math.isinf(nu) else 1.0 / nu)
 
+    @_array_method
     def quantile(self, p):
-        p, s = _as_prob(p)
         if self.inv_nu == 0.0:
-            return _ret(sc.ndtri(p), s)
+            return sc.ndtri(p)
         if self.inv_nu == 1.0:
             # Degree-argument tangent keeps the Cauchy quartiles exact.
-            return _ret(sc.tandg(180.0 * (p - 0.5)), s)
-        return _ret(sc.stdtrit(1.0 / self.inv_nu, p), s)
+            return sc.tandg(180.0 * (p - 0.5))
+        return sc.stdtrit(1.0 / self.inv_nu, p)
 
+    @_array_method
     def log_quantile_derivative(self, p):
-        p, s = _as_prob(p)
         if self.inv_nu == 0.0:
-            return _ret(_gaussian_lqd(p), s)
-        q = self.quantile(p)
-        return _ret(-student_t_log_density(self.inv_nu, q), s)
+            return _gaussian_lqd(p)
+        return -student_t_log_density(self.inv_nu, self.quantile(p))
 
+    @_array_method
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
         if self.inv_nu == 0.0:
-            out = sc.ndtr(x)
-        elif self.inv_nu == 1.0:
-            out = 0.5 + np.arctan(x) / math.pi
-        else:
-            out = sc.stdtr(1.0 / self.inv_nu, x)
-        return float(out) if out.ndim == 0 else out
+            return sc.ndtr(x)
+        if self.inv_nu == 1.0:
+            return 0.5 + np.arctan(x) / math.pi
+        return sc.stdtr(1.0 / self.inv_nu, x)
 
     def entropy(self):
         if self.inv_nu == 0.0:
@@ -229,11 +235,6 @@ class StudentT(TargetDistribution):
             + 0.5 * math.log(nu)
             + sc.betaln(0.5, nu / 2.0)
         )
-
-    def label(self):
-        if self.inv_nu == 0.0:
-            return "t(inv_nu=0)"
-        return f"t(nu={1.0 / self.inv_nu:g})"
 
 
 def _power_limb(a, x):
@@ -256,35 +257,27 @@ class AlphaBeta(TargetDistribution):
     beta: float
 
     kind = "alpha_beta"
+    bounds = {"alpha": (-1.0, 1.0), "beta": (-1.0, 1.0)}
 
-    def __post_init__(self):
-        for name, v in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (np.isfinite(v) and -1.0 <= v <= 1.0):
-                raise DomainError(f"{name} must lie in [-1, 1]")
-
+    @_array_method
     def quantile(self, p):
-        p, s = _as_prob(p)
         if self.alpha == 0.0 and self.beta == 0.0:
-            return _ret(_logistic_q(p), s)
-        return _ret(_power_limb(self.alpha, p) - _power_limb(self.beta, 1.0 - p), s)
+            return _logistic_q(p)
+        return _power_limb(self.alpha, p) - _power_limb(self.beta, 1.0 - p)
 
+    @_array_method
     def log_quantile_derivative(self, p):
         # Q'(p) = p^(alpha-1) + (1-p)^(beta-1)
-        p, s = _as_prob(p)
         if self.alpha == 0.0 and self.beta == 0.0:
-            return _ret(_logistic_lqd(p), s)
-        out = np.logaddexp(
+            return _logistic_lqd(p)
+        return np.logaddexp(
             (self.alpha - 1.0) * np.log(p), (self.beta - 1.0) * np.log1p(-p)
         )
-        return _ret(out, s)
 
     def entropy(self):
         if self.alpha == 0.0 and self.beta == 0.0:
             return 2.0
         return None
-
-    def label(self):
-        return f"alpha_beta(alpha={self.alpha:g},beta={self.beta:g})"
 
 
 @dataclass(frozen=True)
@@ -305,29 +298,20 @@ class Affine(TargetDistribution):
         if not (np.isfinite(self.shift) and np.isfinite(self.scale)) or self.scale == 0.0:
             raise DomainError("affine scale must be finite and nonzero")
 
+    @_array_method
     def quantile(self, p):
-        p, s = _as_prob(p)
-        if self.scale > 0.0:
-            q = self.base.quantile(p)
-        else:
-            q = self.base.quantile(1.0 - p)
-        return _ret(self.shift + self.scale * np.asarray(q), s)
+        q = self.base.quantile(p if self.scale > 0.0 else 1.0 - p)
+        return self.shift + self.scale * np.asarray(q)
 
+    @_array_method
     def log_quantile_derivative(self, p):
-        p, s = _as_prob(p)
-        if self.scale > 0.0:
-            lqd = self.base.log_quantile_derivative(p)
-        else:
-            lqd = self.base.log_quantile_derivative(1.0 - p)
-        return _ret(math.log(abs(self.scale)) + np.asarray(lqd), s)
+        lqd = self.base.log_quantile_derivative(p if self.scale > 0.0 else 1.0 - p)
+        return math.log(abs(self.scale)) + np.asarray(lqd)
 
+    @_array_method
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.shift) / self.scale
-        out = np.asarray(self.base.cdf(z))
-        if self.scale < 0.0:
-            out = 1.0 - out
-        return float(out) if out.ndim == 0 else out
+        out = np.asarray(self.base.cdf((x - self.shift) / self.scale))
+        return 1.0 - out if self.scale < 0.0 else out
 
     def entropy(self):
         h = self.base.entropy()
@@ -337,3 +321,75 @@ class Affine(TargetDistribution):
 
     def label(self):
         return f"affine({self.shift:g}+{self.scale:g}*{self.base.label()})"
+
+
+# The target-spec table.  Labels write specs with the canonical kind and
+# field names; parse_target also reads the aliases below, converts nu to
+# inv_nu, and lets an absent beta take alpha's value.
+TARGETS = {cls.kind: cls for cls in (Gaussian, Uniform, Logistic, StudentT, AlphaBeta)}
+_KIND_ALIASES = {"t": "student_t", "alpha": "alpha_beta"}
+_KEY_ALIASES = {"a": "alpha", "b": "beta"}
+_DEFAULTS = {"beta": "alpha"}
+
+TARGET_GRAMMAR = (
+    "target spec grammar: "
+    + " | ".join(
+        kind + ":" * bool(cls.bounds)
+        + ",".join(f"{f}=<real in [{lo:g}, {hi:g}]>" for f, (lo, hi) in cls.bounds.items())
+        for kind, cls in TARGETS.items())
+    + "; aliases " + ", ".join(f"{a} = {b}" for a, b in {**_KIND_ALIASES, **_KEY_ALIASES}.items())
+    + "; nu=<real >= 1> gives inv_nu = 1/nu; "
+    + "; ".join(f"{f} defaults to {g}" for f, g in _DEFAULTS.items())
+)
+
+
+def parse_target(spec: str) -> TargetDistribution:
+    """Read one target spec (see ``TARGET_GRAMMAR``)."""
+    name, _, rest = spec.strip().partition(":")
+    name = name.strip().lower()
+    cls = TARGETS.get(_KIND_ALIASES.get(name, name))
+    if cls is None:
+        raise UsageError(f"unknown target {name!r}")
+    values = {}
+    try:
+        for item in rest.split(",") if rest else ():
+            key, eq, text = item.partition("=")
+            if not eq:
+                raise UsageError(f"malformed parameter {item!r} in target {spec!r}")
+            key = key.strip().lower()
+            field = "inv_nu" if key == "nu" else _KEY_ALIASES.get(key, key)
+            if field not in cls.bounds:
+                raise UsageError(f"unknown parameter {key!r} in target {spec!r}")
+            if field in values:
+                raise UsageError(f"{field} given twice in target {spec!r}")
+            value = float(text)
+            values[field] = StudentT.from_nu(value).inv_nu if key == "nu" else value
+        for field, source in _DEFAULTS.items():
+            if field in cls.bounds and field not in values and source in values:
+                values[field] = values[source]
+        missing = [f"{field}=" for field in cls.bounds if field not in values]
+        if missing:
+            raise UsageError(f"target {spec!r} needs {', '.join(missing)}")
+        return cls(**values)
+    except DomainError as exc:
+        raise UsageError(f"invalid parameters in target {spec!r}: {exc}") from None
+    except ValueError:
+        raise UsageError(f"non-numeric value in target {spec!r}") from None
+
+
+def parse_target_list(text: str) -> list[TargetDistribution]:
+    """Split a comma-separated list of target specs.
+
+    Commas also separate key=value pairs inside a spec, so a token that
+    contains '=' but no ':' continues the previous spec.
+    """
+    specs = []
+    for token in text.split(","):
+        if "=" in token and ":" not in token and specs:
+            specs[-1] += "," + token
+        else:
+            specs.append(token)
+    specs = [s for s in (s.strip() for s in specs) if s]
+    if not specs:
+        raise UsageError("empty target list")
+    return [parse_target(s) for s in specs]

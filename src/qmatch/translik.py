@@ -68,9 +68,9 @@ class GaussianUniformDiagnostics:
 
     n: int
     det_term: float                 # -1/2 log det(Sigma_gauss Sigma_unif^{-1})
-    det_term_linear: float          # -1.242 n
+    det_term_linear: float          # -1/2 log(12) n
     correction_term: float          # sum log Q'_gauss(p_i), exact
-    correction_linear: float        # +1.419 n
+    correction_linear: float        # n times the Gaussian entropy
     lr: float                       # det_term + correction_term
 
 
@@ -128,9 +128,9 @@ def _gaussian_uniform_diagnostics(gauss: ReducedProfileLoglik, unif: ReducedProf
     return GaussianUniformDiagnostics(
         n=n,
         det_term=det,
-        det_term_linear=-1.242 * n,
+        det_term_linear=-0.5 * math.log(12.0) * n,
         correction_term=gauss.jacobian_term,
-        correction_linear=1.419 * n,
+        correction_linear=n * Gaussian().entropy(),
         lr=det + gauss.jacobian_term,
     )
 

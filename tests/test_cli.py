@@ -1,9 +1,12 @@
 """End-to-end command-line tests, run in process through main(argv)."""
 
 import json
+import math
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from qmatch import AlphaBeta, Gaussian, SimConfig, StudentT, simulate
 from qmatch.cli import (
@@ -83,6 +86,10 @@ class TestSimulateCommand:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 3
         assert manifest["config"]["nrows"] == 2
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["platform"] == platform.platform()
 
     def test_unix_line_endings(self, bench_csv):
         assert b"\r" not in bench_csv.read_bytes()
@@ -199,8 +206,8 @@ class TestCompareCommand:
             ["compare", "--a", "gaussian", "--b", "uniform",
              "--input", str(bench_csv)], capsys)
         diag = report["gaussian_uniform_diagnostics"]
-        assert diag["det_term_linear"] == -1.242 * 1500
-        assert diag["correction_linear"] == 1.419 * 1500
+        assert diag["det_term_linear"] == -0.5 * math.log(12) * 1500
+        assert diag["correction_linear"] == 1500 * Gaussian().entropy()
         assert diag["lr"] == pytest.approx(report["lr"], abs=1e-8)
         approx = report["entropy_approximation"]
         assert approx["jacobian_b"] == 0.0

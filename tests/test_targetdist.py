@@ -7,6 +7,7 @@ frozen here.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qmatch import (
     Uniform,
     student_t_log_density,
 )
+from qmatch.targetdist import TARGET_GRAMMAR, TARGETS, parse_target, parse_target_list
 
 # mpmath oracles.
 NDTRI_ORACLE = {
@@ -57,6 +59,14 @@ ALL_KINDS = [
     Gaussian(), Uniform(), Logistic(),
     StudentT(0.0), StudentT(0.15), StudentT(1.0),
     AlphaBeta(0.0, 0.0), AlphaBeta(0.3, 0.3), AlphaBeta(-0.5, 0.7),
+]
+# Test ids keep the text of the labels these tests were first named by, so
+# the test names stay the same now that labels are parseable specs.
+ALL_KIND_IDS = [
+    "gaussian", "uniform", "logistic",
+    "t(inv_nu=0)", "t(nu=6.66667)", "t(nu=1)",
+    "alpha_beta(alpha=0,beta=0)", "alpha_beta(alpha=0.3,beta=0.3)",
+    "alpha_beta(alpha=-0.5,beta=0.7)",
 ]
 
 
@@ -107,13 +117,13 @@ class TestQuantiles:
         p = np.linspace(0.01, 0.99, 23)
         assert np.array_equal(Uniform().quantile(p), p)
 
-    @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.label())
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
     def test_strictly_increasing(self, dist):
         p = np.linspace(0.001, 0.999, 999)
         q = dist.quantile(p)
         assert np.all(np.diff(q) > 0.0)
 
-    @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.label())
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
     def test_domain_errors(self, dist):
         for p in [0.0, 1.0, -0.2, 1.3, float("nan")]:
             with pytest.raises(DomainError):
@@ -141,7 +151,7 @@ class TestLogQuantileDerivative:
         got = AlphaBeta(0.3, 0.3).log_quantile_derivative(0.2)
         assert abs(got - AB_LQD_03_02) < 1e-12
 
-    @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.label())
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
     def test_matches_finite_difference_of_quantile(self, dist):
         for p in np.linspace(0.01, 0.99, 25):
             h = 1e-7 * min(p, 1.0 - p)
@@ -173,8 +183,10 @@ class TestLogQuantileDerivative:
 class TestRoundTrip:
     CDF_KINDS = [Gaussian(), Uniform(), Logistic(), StudentT(0.0),
                  StudentT(0.15), StudentT(0.5), StudentT(1.0)]
+    CDF_KIND_IDS = ["gaussian", "uniform", "logistic", "t(inv_nu=0)",
+                    "t(nu=6.66667)", "t(nu=2)", "t(nu=1)"]
 
-    @pytest.mark.parametrize("dist", CDF_KINDS, ids=lambda d: d.label())
+    @pytest.mark.parametrize("dist", CDF_KINDS, ids=CDF_KIND_IDS)
     def test_cdf_of_quantile(self, dist):
         p = np.arange(1, 100) / 100.0
         back = dist.cdf(dist.quantile(p))
@@ -186,11 +198,45 @@ class TestFamilyContinuity:
         p = np.linspace(0.01, 0.99, 99)
         gap = StudentT(1e-6).quantile(p) - Gaussian().quantile(p)
         assert np.max(np.abs(gap)) < 1e-3
+        # sum log Q' on the n = 1500 rankit grid departs from its Gaussian
+        # value by about 1.5e3 inv_nu, all the way down to inv_nu = 1e-15.
+        rankits = (2.0 * np.arange(1, 1501) - 1.0) / 3000.0
+        gauss = np.sum(Gaussian().log_quantile_derivative(rankits))
+        for inv_nu in 10.0 ** -np.arange(5, 16):
+            gap = np.sum(StudentT(inv_nu).log_quantile_derivative(rankits)) - gauss
+            assert abs(gap) <= 2e3 * inv_nu + 1e-10, (inv_nu, gap)
 
     def test_alpha_family_approaches_logistic(self):
         p = np.linspace(0.01, 0.99, 99)
         gap = AlphaBeta(1e-6, 1e-6).quantile(p) - Logistic().quantile(p)
         assert np.max(np.abs(gap)) < 1e-3
+        # To first order in a both gaps are at most |a| log(0.01)^2 / 2 = 10.6 |a|.
+        for a in [s * 10.0 ** -k for k in range(6, 16) for s in (1, -1)]:
+            ab = AlphaBeta(a, a)
+            gap_q = ab.quantile(p) - Logistic().quantile(p)
+            gap_lqd = ab.log_quantile_derivative(p) - Logistic().log_quantile_derivative(p)
+            assert np.max(np.abs(gap_q)) <= 11.0 * abs(a) + 1e-14, a
+            assert np.max(np.abs(gap_lqd)) <= 11.0 * abs(a) + 1e-14, a
+
+
+class TestTargetSpecs:
+    @given(
+        inv_nu=st.floats(0.0, 1.0),
+        alpha=st.floats(-1.0, 1.0),
+        beta=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_labels_parse_back(self, inv_nu, alpha, beta):
+        dists = [Gaussian(), Uniform(), Logistic(), StudentT(inv_nu), AlphaBeta(alpha, beta)]
+        for d in dists:
+            assert parse_target(d.label()) == d
+        assert parse_target_list(",".join(d.label() for d in dists)) == dists
+
+    def test_grammar_names_every_kind_and_field(self):
+        for kind, cls in TARGETS.items():
+            assert kind in TARGET_GRAMMAR
+            for field in fields(cls):
+                assert f"{field.name}=" in TARGET_GRAMMAR
 
 
 class TestStudentTLogDensity:

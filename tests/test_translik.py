@@ -120,8 +120,8 @@ class TestGaussianUniformDiagnostics:
         out = bench(0)
         diag = lr_diagnostics_gaussian_uniform(out.y, fixed_design(out))
         assert diag.n == 1500
-        assert diag.det_term_linear == -1.242 * 1500
-        assert diag.correction_linear == 1.419 * 1500
+        assert diag.det_term_linear == -0.5 * math.log(12) * 1500
+        assert diag.correction_linear == 1500 * Gaussian().entropy()
         # The exact terms sit near their first-order predictions.
         assert diag.det_term == pytest.approx(diag.det_term_linear, rel=0.25)
         assert diag.correction_term == pytest.approx(diag.correction_linear, rel=0.02)
