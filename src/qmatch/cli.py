@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import DomainError, NumericError, UsageError
+from .errors import DomainError, NumericError, TargetSpecError, UsageError
 from .linmodel import DesignSpec, ModelKind, fit
 from .simdesign import SimConfig, simulate
 from .targetdist import (
@@ -360,7 +360,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(TARGET_GRAMMAR, file=sys.stderr)
+        if isinstance(exc, TargetSpecError):
+            print(TARGET_GRAMMAR, file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

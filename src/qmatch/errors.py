@@ -12,7 +12,11 @@ class QmatchError(Exception):
 
 
 class UsageError(QmatchError):
-    """Malformed command input, such as a target spec that does not parse."""
+    """Malformed command input, such as flags that do not go together."""
+
+
+class TargetSpecError(UsageError):
+    """A target spec that does not parse; the CLI follows it with the grammar."""
 
 
 class DomainError(QmatchError, ValueError):

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DomainError
 from .targetdist import TargetDistribution
@@ -37,11 +36,20 @@ def percentiles(y) -> PercentileVector:
         raise DomainError("input must be a nonempty 1-d vector")
     if not np.all(np.isfinite(y)):
         raise DomainError("input values must be finite")
-    # Midranks give (F(y-) + F(y+))/2 directly: a tie group at sorted
-    # positions a..a+k-1 has midrank a + (k-1)/2, hence p = (2a+k-2)/(2n).
-    r = rankdata(y, method="average")
-    p = (2.0 * r - 1.0) / (2.0 * y.size)
-    return PercentileVector(p=p, n=int(y.size))
+    # Midranks give (F(y-) + F(y+))/2 directly.  A tie run of length k at
+    # 0-based sorted positions a..a+k-1 has 1-based midrank a + (k+1)/2;
+    # twice that, 2a + k + 1, is an integer, exact in float64, so p is the
+    # correctly rounded (2a+k)/(2n).  Signed zeros compare equal, so 0.0
+    # and -0.0 form one run.
+    n = y.size
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
+    lengths = np.diff(np.append(starts, n))
+    twice_r = np.empty(n)
+    twice_r[order] = np.repeat(2.0 * starts + lengths + 1.0, lengths)
+    p = (twice_r - 1.0) / (2.0 * n)
+    return PercentileVector(p=p, n=int(n))
 
 
 def quantile_match(y, dist: TargetDistribution) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, TargetSpecError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -349,19 +349,19 @@ def parse_target(spec: str) -> TargetDistribution:
     name = name.strip().lower()
     cls = TARGETS.get(_KIND_ALIASES.get(name, name))
     if cls is None:
-        raise UsageError(f"unknown target {name!r}")
+        raise TargetSpecError(f"unknown target {name!r}")
     values = {}
     try:
         for item in rest.split(",") if rest else ():
             key, eq, text = item.partition("=")
             if not eq:
-                raise UsageError(f"malformed parameter {item!r} in target {spec!r}")
+                raise TargetSpecError(f"malformed parameter {item!r} in target {spec!r}")
             key = key.strip().lower()
             field = "inv_nu" if key == "nu" else _KEY_ALIASES.get(key, key)
             if field not in cls.bounds:
-                raise UsageError(f"unknown parameter {key!r} in target {spec!r}")
+                raise TargetSpecError(f"unknown parameter {key!r} in target {spec!r}")
             if field in values:
-                raise UsageError(f"{field} given twice in target {spec!r}")
+                raise TargetSpecError(f"{field} given twice in target {spec!r}")
             value = float(text)
             values[field] = StudentT.from_nu(value).inv_nu if key == "nu" else value
         for field, source in _DEFAULTS.items():
@@ -369,12 +369,12 @@ def parse_target(spec: str) -> TargetDistribution:
                 values[field] = values[source]
         missing = [f"{field}=" for field in cls.bounds if field not in values]
         if missing:
-            raise UsageError(f"target {spec!r} needs {', '.join(missing)}")
+            raise TargetSpecError(f"target {spec!r} needs {', '.join(missing)}")
         return cls(**values)
     except DomainError as exc:
-        raise UsageError(f"invalid parameters in target {spec!r}: {exc}") from None
+        raise TargetSpecError(f"invalid parameters in target {spec!r}: {exc}") from None
     except ValueError:
-        raise UsageError(f"non-numeric value in target {spec!r}") from None
+        raise TargetSpecError(f"non-numeric value in target {spec!r}") from None
 
 
 def parse_target_list(text: str) -> list[TargetDistribution]:
@@ -391,5 +391,5 @@ def parse_target_list(text: str) -> list[TargetDistribution]:
             specs.append(token)
     specs = [s for s in (s.strip() for s in specs) if s]
     if not specs:
-        raise UsageError("empty target list")
+        raise TargetSpecError("empty target list")
     return [parse_target(s) for s in specs]

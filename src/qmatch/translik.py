@@ -181,13 +181,28 @@ def _sweep(family, grid, evaluate, design, refine, refine_xtol=1e-3):
     argmax_param = float(grid[i_best])
     argmax_value = float(values[i_best])
     if refine and 0 < i_best < grid.size - 1 and ok[i_best - 1] and ok[i_best + 1]:
-        x, v = _golden_max(
-            lambda t: evaluate(t).value,
-            float(grid[i_best - 1]), argmax_param, float(grid[i_best + 1]),
-            refine_xtol,
-        )
-        if v > argmax_value:
-            argmax_param, argmax_value = float(x), float(v)
+        tried = []
+
+        def value_at(t):
+            tried.append(t)
+            return evaluate(t).value
+
+        try:
+            x, v = _golden_max(
+                value_at,
+                float(grid[i_best - 1]), argmax_param, float(grid[i_best + 1]),
+                refine_xtol,
+            )
+        except (DegenerateFitError, NumericError) as exc:
+            # A failed refinement leaves the grid argmax standing, as a
+            # failed grid point leaves the rest of the grid.
+            warnings.append(
+                f"{family} refinement point {tried[-1]:g} failed: {exc}; "
+                f"kept grid argmax {argmax_param:g}"
+            )
+        else:
+            if v > argmax_value:
+                argmax_param, argmax_value = float(x), float(v)
     return ProfileCurve(
         family=family,
         model=design.model,

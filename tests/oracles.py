@@ -1,13 +1,15 @@
-"""Independent routes to the model fits, used only by the tests.
+"""Independent routes to the percentiles and model fits, used only by the tests.
 
 The package computes what the likelihood needs and nothing more; these
 routines rebuild the rest from first principles so the tests can check it:
-a derivative-free optimizer for the variance-components fit, the explicit
-n x n covariance, and the fitted quadratic form.
+percentiles from scipy's midranks, a derivative-free optimizer for the
+variance-components fit, the explicit n x n covariance, and the fitted
+quadratic form.
 """
 
 import numpy as np
 from scipy import optimize
+from scipy.stats import rankdata
 
 from qmatch import DesignSpec, DomainError, ModelFit, ModelKind, NumericError
 from qmatch.linmodel import (
@@ -18,6 +20,12 @@ from qmatch.linmodel import (
     _random_fit_from_eigenvalues,
     decompose,
 )
+
+
+def rankdata_percentiles(y) -> np.ndarray:
+    """(F(y-) + F(y+))/2 at each observation, from scipy's average ranks."""
+    y = np.asarray(y, dtype=float)
+    return (2.0 * rankdata(y, method="average") - 1.0) / (2.0 * y.size)
 
 
 def fit_random_numeric(z, design: DesignSpec) -> ModelFit:

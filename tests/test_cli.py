@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,15 +163,20 @@ class TestProfileCommand:
         assert summary["model"] == "random"
         assert len(out.read_text().splitlines()) == 22
 
-    def test_custom_grid_needs_all_three_flags(self, bench_csv, tmp_path):
+    def test_custom_grid_needs_all_three_flags(self, bench_csv, tmp_path, capsys):
         rc = main(["profile", "--family", "t", "--input", str(bench_csv),
                    "--grid-start", "0.0", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        # Not a target-spec error, so no grammar follows the message.
+        err = capsys.readouterr().err
+        assert "--grid-start, --grid-stop and --grid-step" in err
+        assert "target spec grammar" not in err
 
-    def test_boxcox_refine_rejected(self, bench_csv, tmp_path):
+    def test_boxcox_refine_rejected(self, bench_csv, tmp_path, capsys):
         rc = main(["profile", "--family", "boxcox", "--input", str(bench_csv),
                    "--refine", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        assert "target spec grammar" not in capsys.readouterr().err
 
     def test_boxcox_nonpositive_data(self, tmp_path):
         data = tmp_path / "neg.csv"
@@ -297,6 +306,15 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("qmatch ")
+
+    def test_import_leaves_out_scipy_stats_and_optimize(self):
+        # Together these two more than doubled the import time of qmatch.cli.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, qmatch.cli; "
+                "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import rankdata_percentiles
 from qmatch import DomainError, Gaussian, Logistic, Uniform, percentiles, quantile_match
 
 finite_values = st.floats(
@@ -25,6 +26,24 @@ def test_tie_group():
     # and (2/3 + 1)/2 for the maximum.
     got = percentiles([1.0, 1.0, 2.0])
     assert np.allclose(got.p, [1.0 / 3.0, 1.0 / 3.0, 5.0 / 6.0], rtol=0, atol=1e-15)
+
+
+def test_signed_zeros_are_one_tie_group():
+    got = percentiles([0.0, -0.0, 1.0]).p
+    assert np.array_equal(got, [1.0 / 3.0, 1.0 / 3.0, 5.0 / 6.0])
+
+
+# A small pool makes ties common, and holds both signed zeros and the
+# extremes of finite_values.
+tie_prone_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 3.0, 1e12, -1e12]) | finite_values
+
+
+@given(st.lists(tie_prone_values, min_size=1, max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_bit_equal_to_scipy_midranks(values):
+    a = percentiles(values).p
+    b = rankdata_percentiles(values)
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_single_point():

@@ -17,9 +17,12 @@ from conftest import bench, fixed_design, random_design
 from qmatch import (
     Affine,
     AlphaBeta,
+    DegenerateFitError,
+    DesignSpec,
     DomainError,
     Gaussian,
     Logistic,
+    ModelKind,
     NumericError,
     StudentT,
     Uniform,
@@ -33,6 +36,7 @@ from qmatch import (
     profile_student_t,
     reduced_profile_loglik,
 )
+from qmatch.translik import ReducedProfileLoglik, _sweep
 
 GAUSS_ENTROPY = 0.5 * (1.0 + math.log(2.0 * math.pi))
 
@@ -222,6 +226,28 @@ class TestRefinement:
             assert curve.argmax_param in curve.grid
         # gaussian-effects data peaks at the gaussian end of this grid
         assert curve.argmax_param == 0.0
+
+    @pytest.mark.parametrize("error", [DegenerateFitError, NumericError])
+    def test_failed_refinement_keeps_grid_argmax(self, error):
+        # Every grid point evaluates and the interior peak at 0.5 is
+        # bracketed, but evaluate fails everywhere off the grid, so the
+        # first golden-section point fails.
+        grid = np.arange(5) * 0.25
+
+        def evaluate(x):
+            if x not in grid:
+                raise error(f"no fit at {x!r}")
+            v = -((x - 0.6) ** 2)
+            return ReducedProfileLoglik("toy", ModelKind.FIXED_EFFECTS, v, 0.0, v)
+
+        curve = _sweep("toy", grid, evaluate, DesignSpec(2, 2), refine=True)
+        assert curve.argmax_param == 0.5
+        assert curve.argmax_value == -((0.5 - 0.6) ** 2)
+        assert np.all(np.isfinite(curve.values))
+        assert len(curve.warnings) == 1
+        assert curve.warnings[0].startswith("toy refinement point ")
+        assert "no fit at" in curve.warnings[0]
+        assert "kept grid argmax 0.5" in curve.warnings[0]
 
 
 class TestSweepFailures:
