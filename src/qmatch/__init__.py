@@ -22,10 +22,9 @@ from .linmodel import (
     fit_fixed,
     fit_random_balanced,
 )
-from .percentile import PercentileVector, percentiles, quantile_match
+from .percentile import PercentileVector, percentiles
 from .simdesign import SimConfig, SimOutput, cauchy_draw, simulate
 from .targetdist import (
-    Affine,
     AlphaBeta,
     Gaussian,
     Logistic,
@@ -36,13 +35,11 @@ from .targetdist import (
 )
 from .translik import (
     CorrelationReport,
-    EntropyQuadrature,
     GaussianUniformDiagnostics,
     ProfileCurve,
     ReducedProfileLoglik,
     boxcox_profile,
     correlation_report,
-    entropy_quadrature,
     loglik_ratio,
     lr_diagnostics_gaussian_uniform,
     profile_alpha,
@@ -54,14 +51,14 @@ __all__ = [
     "__version__",
     "QmatchError", "DomainError", "DegenerateFitError", "NumericError",
     "TargetDistribution", "Gaussian", "Uniform", "Logistic", "StudentT",
-    "AlphaBeta", "Affine", "student_t_log_density",
-    "PercentileVector", "percentiles", "quantile_match",
+    "AlphaBeta", "student_t_log_density",
+    "PercentileVector", "percentiles",
     "DesignSpec", "ModelKind", "ModelFit", "ProjectionDecomposition",
     "decompose", "fit", "fit_fixed", "fit_random_balanced",
     "ReducedProfileLoglik", "ProfileCurve", "GaussianUniformDiagnostics",
-    "EntropyQuadrature", "CorrelationReport",
+    "CorrelationReport",
     "reduced_profile_loglik", "loglik_ratio",
     "lr_diagnostics_gaussian_uniform", "profile_student_t", "profile_alpha",
-    "boxcox_profile", "entropy_quadrature", "correlation_report",
+    "boxcox_profile", "correlation_report",
     "SimConfig", "SimOutput", "simulate", "cauchy_draw",
 ]

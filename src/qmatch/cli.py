@@ -42,13 +42,9 @@ from .targetdist import (
     parse_target_list,
 )
 from .translik import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_BOXCOX_GRID,
-    DEFAULT_T_GRID,
-    _gaussian_uniform_diagnostics,
     boxcox_profile,
     correlation_report,
-    loglik_ratio,
+    gaussian_uniform_diagnostics,
     profile_alpha,
     profile_student_t,
     reduced_profile_loglik,
@@ -119,17 +115,23 @@ def read_data_csv(path):
     """Read a data file (columns index,row,col,y) back into vectors."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["index", "row", "col", "y"]:
-            raise DomainError(f"{path}: expected header index,row,col,y")
-        recs = []
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            try:
-                recs.append((int(fields[0]), int(fields[1]), int(fields[2]), float(fields[3])))
-            except (ValueError, IndexError):
-                raise DomainError(f"{path}:{lineno}: malformed row") from None
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["index", "row", "col", "y"]:
+                raise DomainError(f"{path}: expected header index,row,col,y")
+            recs = []
+            for lineno, fields in enumerate(reader, start=2):
+                if not fields:
+                    continue
+                try:
+                    recs.append((int(fields[0]), int(fields[1]), int(fields[2]),
+                                 float(fields[3])))
+                except (ValueError, IndexError):
+                    raise DomainError(f"{path}:{lineno}: malformed row") from None
+        except UnicodeDecodeError:
+            raise DomainError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
     if not recs:
         raise DomainError(f"{path}: no data rows")
     recs.sort(key=lambda rec: rec[0])
@@ -175,11 +177,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _grid_from_args(args, default):
+def _grid_from_args(args):
+    """The grid the flags give, or None (the family's default grid)."""
     given = [args.grid_start is not None, args.grid_stop is not None,
              args.grid_step is not None]
     if not any(given):
-        return default
+        return None
     if not all(given):
         raise UsageError("--grid-start, --grid-stop and --grid-step must be given together")
     if args.grid_step <= 0 or args.grid_stop < args.grid_start:
@@ -191,10 +194,7 @@ def _grid_from_args(args, default):
 def cmd_profile(args) -> int:
     y, design = read_data_csv(args.input)
     design = design.with_model(ModelKind(args.model))
-    defaults = {
-        "t": DEFAULT_T_GRID, "alpha": DEFAULT_ALPHA_GRID, "boxcox": DEFAULT_BOXCOX_GRID,
-    }
-    grid = _grid_from_args(args, defaults[args.family])
+    grid = _grid_from_args(args)
     if args.family == "t":
         curve = profile_student_t(y, design, grid, refine=args.refine)
         comparators = {
@@ -271,7 +271,7 @@ def cmd_compare(args) -> int:
         }
     if kinds == {"gaussian", "uniform"}:
         gauss, unif = (side_a, side_b) if dist_a.kind == "gaussian" else (side_b, side_a)
-        diag = _gaussian_uniform_diagnostics(gauss, unif, n)
+        diag = gaussian_uniform_diagnostics(gauss, unif, n)
         report["gaussian_uniform_diagnostics"] = {
             "orientation": "gaussian_minus_uniform",
             "det_term": diag.det_term,

@@ -106,7 +106,6 @@ class ProjectionDecomposition:
     d_row: int
     d_col: int
     d_err: int
-    grand_mean: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +115,6 @@ class ModelFit:
     sigma2: float
     sigma2_row: float | None
     sigma2_col: float | None
-    max_loglik_core: float
 
 
 def _grid(z, design: DesignSpec) -> np.ndarray:
@@ -143,7 +141,6 @@ def decompose(z, design: DesignSpec) -> ProjectionDecomposition:
         d_row=design.nrows - 1,
         d_col=design.ncols - 1,
         d_err=(design.nrows - 1) * (design.ncols - 1),
-        grand_mean=float(zbar),
     )
 
 
@@ -175,7 +172,6 @@ def fit_fixed(z, design: DesignSpec) -> ModelFit:
         sigma2=sigma2,
         sigma2_row=None,
         sigma2_col=None,
-        max_loglik_core=-0.5 * (log_det + n * (1.0 + math.log(2.0 * math.pi))),
     )
 
 
@@ -276,7 +272,7 @@ def _solve_eigenvalues(dec: ProjectionDecomposition):
     scale = total / n
     sdec = ProjectionDecomposition(
         s_row=dec.s_row / scale, s_col=dec.s_col / scale, s_err=dec.s_err / scale,
-        d_row=dec.d_row, d_col=dec.d_col, d_err=dec.d_err, grand_mean=0.0,
+        d_row=dec.d_row, d_col=dec.d_col, d_err=dec.d_err,
     )
     r = dec.d_row + 1
     c = dec.d_col + 1
@@ -306,7 +302,6 @@ def _solve_eigenvalues(dec: ProjectionDecomposition):
 
 def _random_fit_from_eigenvalues(design, dec, lam):
     lam_r, lam_c, lam_e = lam
-    n = design.n
     log_det = (
         math.log(lam_r + lam_c - lam_e)
         + dec.d_row * math.log(lam_r)
@@ -319,7 +314,6 @@ def _random_fit_from_eigenvalues(design, dec, lam):
         sigma2=lam_e,
         sigma2_row=max((lam_r - lam_e) / design.ncols, 0.0),
         sigma2_col=max((lam_c - lam_e) / design.nrows, 0.0),
-        max_loglik_core=-0.5 * (log_det + n * (1.0 + math.log(2.0 * math.pi))),
     )
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .targetdist import TargetDistribution
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +50,3 @@ def percentiles(y) -> PercentileVector:
     p = (twice_r - 1.0) / (2.0 * n)
     return PercentileVector(p=p, n=int(n))
 
-
-def quantile_match(y, dist: TargetDistribution) -> np.ndarray:
-    """Map each observation to the target quantile at its percentile."""
-    return np.asarray(dist.quantile(percentiles(y).p))

@@ -19,7 +19,7 @@ platform with the same numpy/scipy builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
@@ -59,8 +59,6 @@ class SimConfig:
 class SimOutput:
     y: np.ndarray
     design: DesignSpec
-    true_mu: np.ndarray       # noiseless mean minus the intercept
-    config: SimConfig = field(repr=False, default=None)
 
 
 def cauchy_draw(u):
@@ -84,10 +82,5 @@ def simulate(config: SimConfig) -> SimOutput:
     noise = config.noise_sd * sc.ndtri(_uniforms(rng, config.nrows * config.ncols))
     design = DesignSpec(nrows=config.nrows, ncols=config.ncols)
     rows, cols = design.rows_cols()
-    true_mu = row_eff[rows] + col_eff[cols]
-    return SimOutput(
-        y=config.intercept + true_mu + noise,
-        design=design,
-        true_mu=true_mu,
-        config=config,
-    )
+    effects = row_eff[rows] + col_eff[cols]
+    return SimOutput(y=config.intercept + effects + noise, design=design)

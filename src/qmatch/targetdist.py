@@ -2,9 +2,10 @@
 
 Every likelihood computation in this package needs exactly two ingredients
 from a target law G: the quantile function Q = G^{-1} and the log of its
-derivative, log Q'(p) = -log g(Q(p)).  Each target exposes both, plus a CDF
-where a closed form exists (used by round-trip checks) and the differential
-entropy where it is known analytically (used by quadrature diagnostics).
+derivative, log Q'(p) = -log g(Q(p)).  Each target exposes both, plus the
+differential entropy where it is known analytically (used by the first-order
+approximation that ``qmatch compare`` reports) and a ``label`` that parses
+back to the target.
 
 Families:
 
@@ -15,8 +16,6 @@ Families:
 * ``AlphaBeta`` -- the two-parameter quantile family
   Q(p) = (p^alpha - 1)/alpha - ((1-p)^beta - 1)/beta, whose alpha = beta = 0
   limit is the logistic quantile.
-* ``Affine`` -- shift/scale wrapper around any target, used to verify that
-  fitted log likelihoods do not depend on the affine representative.
 
 Numerical notes.  Quantiles at parameter values that admit closed forms
 dispatch to those closed forms exactly: ``StudentT(0)`` runs the same code
@@ -42,14 +41,13 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 def _array_method(method):
     """Scalar/array plumbing: the method gets its argument as a float array,
-    checked to lie strictly inside (0, 1) unless the method is ``cdf``, and
-    a scalar argument gets a float back."""
-    probabilities = method.__name__ != "cdf"
+    checked to lie strictly inside (0, 1), and a scalar argument gets a
+    float back."""
 
     @functools.wraps(method)
-    def wrapper(self, x):
-        arr = np.asarray(x, dtype=float)
-        if probabilities and np.any(~np.isfinite(arr) | (arr <= 0.0) | (arr >= 1.0)):
+    def wrapper(self, p):
+        arr = np.asarray(p, dtype=float)
+        if np.any(~np.isfinite(arr) | (arr <= 0.0) | (arr >= 1.0)):
             raise DomainError("probabilities must lie strictly inside (0, 1)")
         out = method(self, arr)
         return float(out) if arr.ndim == 0 else out
@@ -93,7 +91,11 @@ def student_t_log_density(inv_nu, x):
 
 
 class TargetDistribution:
-    """Common interface: quantile, log_quantile_derivative, cdf, entropy."""
+    """Common interface: quantile, log_quantile_derivative, entropy, label.
+
+    The likelihood needs only the first two; ``entropy`` feeds first-order
+    approximations and ``label`` names the target in every report.
+    """
 
     kind = "abstract"
     bounds: dict[str, tuple[float, float]] = {}  # each field's range, checked on construction
@@ -109,9 +111,6 @@ class TargetDistribution:
 
     def log_quantile_derivative(self, p):
         raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError(f"{self.kind} has no implemented CDF")
 
     def entropy(self):
         """Differential entropy in nats, or None when no closed form is known."""
@@ -136,10 +135,6 @@ class Gaussian(TargetDistribution):
     def log_quantile_derivative(self, p):
         return _gaussian_lqd(p)
 
-    @_array_method
-    def cdf(self, x):
-        return sc.ndtr(x)
-
     def entropy(self):
         return 0.5 * (1.0 + LOG_2PI)
 
@@ -156,10 +151,6 @@ class Uniform(TargetDistribution):
     def log_quantile_derivative(self, p):
         return np.zeros_like(p)
 
-    @_array_method
-    def cdf(self, x):
-        return np.clip(x, 0.0, 1.0)
-
     def entropy(self):
         return 0.0
 
@@ -175,10 +166,6 @@ class Logistic(TargetDistribution):
     @_array_method
     def log_quantile_derivative(self, p):
         return _logistic_lqd(p)
-
-    @_array_method
-    def cdf(self, x):
-        return sc.expit(x)
 
     def entropy(self):
         return 2.0
@@ -217,14 +204,6 @@ class StudentT(TargetDistribution):
         if self.inv_nu == 0.0:
             return _gaussian_lqd(p)
         return -student_t_log_density(self.inv_nu, self.quantile(p))
-
-    @_array_method
-    def cdf(self, x):
-        if self.inv_nu == 0.0:
-            return sc.ndtr(x)
-        if self.inv_nu == 1.0:
-            return 0.5 + np.arctan(x) / math.pi
-        return sc.stdtr(1.0 / self.inv_nu, x)
 
     def entropy(self):
         if self.inv_nu == 0.0:
@@ -278,49 +257,6 @@ class AlphaBeta(TargetDistribution):
         if self.alpha == 0.0 and self.beta == 0.0:
             return 2.0
         return None
-
-
-@dataclass(frozen=True)
-class Affine(TargetDistribution):
-    """The law of shift + scale * X for X distributed as ``base``.
-
-    scale may be negative (the law of a decreasing rescaling is still a
-    distribution); scale = 0 is rejected.
-    """
-
-    base: TargetDistribution
-    shift: float = 0.0
-    scale: float = 1.0
-
-    kind = "affine"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.shift) and np.isfinite(self.scale)) or self.scale == 0.0:
-            raise DomainError("affine scale must be finite and nonzero")
-
-    @_array_method
-    def quantile(self, p):
-        q = self.base.quantile(p if self.scale > 0.0 else 1.0 - p)
-        return self.shift + self.scale * np.asarray(q)
-
-    @_array_method
-    def log_quantile_derivative(self, p):
-        lqd = self.base.log_quantile_derivative(p if self.scale > 0.0 else 1.0 - p)
-        return math.log(abs(self.scale)) + np.asarray(lqd)
-
-    @_array_method
-    def cdf(self, x):
-        out = np.asarray(self.base.cdf((x - self.shift) / self.scale))
-        return 1.0 - out if self.scale < 0.0 else out
-
-    def entropy(self):
-        h = self.base.entropy()
-        if h is None:
-            return None
-        return h + math.log(abs(self.scale))
-
-    def label(self):
-        return f"affine({self.shift:g}+{self.scale:g}*{self.base.label()})"
 
 
 # The target-spec table.  Labels write specs with the canonical kind and

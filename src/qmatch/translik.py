@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError, NumericError
-from .linmodel import DesignSpec, ModelKind, fit
+from .linmodel import DesignSpec, fit
 from .percentile import PercentileVector, percentiles
 from .targetdist import (
     AlphaBeta,
@@ -42,7 +42,6 @@ DEFAULT_BOXCOX_GRID = np.arange(-20, 21) * 0.05
 @dataclass(frozen=True)
 class ReducedProfileLoglik:
     target_label: str
-    model: ModelKind
     det_term: float
     jacobian_term: float
     value: float
@@ -50,8 +49,6 @@ class ReducedProfileLoglik:
 
 @dataclass(frozen=True, eq=False)
 class ProfileCurve:
-    family: str
-    model: ModelKind
     grid: np.ndarray
     values: np.ndarray          # NaN marks a failed grid point
     det_terms: np.ndarray
@@ -74,19 +71,10 @@ class GaussianUniformDiagnostics:
     lr: float                       # det_term + correction_term
 
 
-@dataclass(frozen=True)
-class EntropyQuadrature:
-    n: int
-    quadrature: float
-    exact: float | None
-    gap: float | None
-
-
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:
     labels: tuple[str, ...]
     correlations: np.ndarray
-    n: int
 
 
 def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec):
@@ -96,7 +84,6 @@ def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec)
     det_term = -0.5 * model_fit.log_det_sigma_hat
     return ReducedProfileLoglik(
         target_label=dist.label(),
-        model=design.model,
         det_term=det_term,
         jacobian_term=jacobian,
         value=det_term + jacobian,
@@ -116,13 +103,13 @@ def loglik_ratio(y, dist_a: TargetDistribution, dist_b: TargetDistribution,
 
 def lr_diagnostics_gaussian_uniform(y, design: DesignSpec) -> GaussianUniformDiagnostics:
     pc = percentiles(y)
-    return _gaussian_uniform_diagnostics(
+    return gaussian_uniform_diagnostics(
         _reduced(pc, Gaussian(), design), _reduced(pc, Uniform(), design), pc.n
     )
 
 
-def _gaussian_uniform_diagnostics(gauss: ReducedProfileLoglik, unif: ReducedProfileLoglik,
-                                  n: int) -> GaussianUniformDiagnostics:
+def gaussian_uniform_diagnostics(gauss: ReducedProfileLoglik, unif: ReducedProfileLoglik,
+                                 n: int) -> GaussianUniformDiagnostics:
     """Diagnostics from the already evaluated gaussian and uniform sides."""
     det = gauss.det_term - unif.det_term
     return GaussianUniformDiagnostics(
@@ -138,10 +125,11 @@ def _gaussian_uniform_diagnostics(gauss: ReducedProfileLoglik, unif: ReducedProf
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo, mid, hi, xtol):
-    """Golden-section maximization given a bracketing triple lo < mid < hi."""
+def _golden_max(f, lo, mid, f_mid, hi, xtol):
+    """Golden-section maximization given a bracketing triple lo < mid < hi
+    and the already evaluated f_mid = f(mid)."""
     x1, x2 = lo, hi
-    best_x, best_f = mid, f(mid)
+    best_x, best_f = mid, f_mid
     while (x2 - x1) > xtol:
         d = _GOLDEN * (x2 - x1)
         a, b = x2 - d, x1 + d
@@ -157,7 +145,7 @@ def _golden_max(f, lo, mid, hi, xtol):
     return best_x, best_f
 
 
-def _sweep(family, grid, evaluate, design, refine, refine_xtol=1e-3):
+def _sweep(family, grid, evaluate, refine, refine_xtol=1e-3):
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("parameter grid must be nonempty")
@@ -190,7 +178,7 @@ def _sweep(family, grid, evaluate, design, refine, refine_xtol=1e-3):
         try:
             x, v = _golden_max(
                 value_at,
-                float(grid[i_best - 1]), argmax_param, float(grid[i_best + 1]),
+                float(grid[i_best - 1]), argmax_param, argmax_value, float(grid[i_best + 1]),
                 refine_xtol,
             )
         except (DegenerateFitError, NumericError) as exc:
@@ -204,8 +192,6 @@ def _sweep(family, grid, evaluate, design, refine, refine_xtol=1e-3):
             if v > argmax_value:
                 argmax_param, argmax_value = float(x), float(v)
     return ProfileCurve(
-        family=family,
-        model=design.model,
         grid=grid,
         values=values,
         det_terms=dets,
@@ -216,33 +202,35 @@ def _sweep(family, grid, evaluate, design, refine, refine_xtol=1e-3):
     )
 
 
+def _family_grid(grid, default, field, bounds):
+    """The sweep grid (``default`` when None), checked against the
+    family's range for ``field``."""
+    grid = np.asarray(default if grid is None else grid, dtype=float)
+    lo, hi = bounds[field]
+    if grid.size and (grid.min() < lo or grid.max() > hi):
+        raise DomainError(f"{field} grid must lie in [{lo:g}, {hi:g}]")
+    return grid
+
+
 def profile_student_t(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
     """Reduced profile over the t family, swept in inv_nu = 1/nu."""
-    if grid is None:
-        grid = DEFAULT_T_GRID
-    grid = np.asarray(grid, dtype=float)
-    if grid.size and (grid.min() < 0.0 or grid.max() > 1.0):
-        raise DomainError("inv_nu grid must lie in [0, 1]")
+    grid = _family_grid(grid, DEFAULT_T_GRID, "inv_nu", StudentT.bounds)
     pc = percentiles(y)
     return _sweep(
         "student_t", grid,
         lambda inv_nu: _reduced(pc, StudentT(inv_nu), design),
-        design, refine,
+        refine,
     )
 
 
 def profile_alpha(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
     """Reduced profile over the alpha-beta family along the diagonal alpha = beta."""
-    if grid is None:
-        grid = DEFAULT_ALPHA_GRID
-    grid = np.asarray(grid, dtype=float)
-    if grid.size and (grid.min() < -1.0 or grid.max() > 1.0):
-        raise DomainError("alpha grid must lie in [-1, 1]")
+    grid = _family_grid(grid, DEFAULT_ALPHA_GRID, "alpha", AlphaBeta.bounds)
     pc = percentiles(y)
     return _sweep(
         "alpha_beta_diagonal", grid,
         lambda a: _reduced(pc, AlphaBeta(a, a), design),
-        design, refine,
+        refine,
     )
 
 
@@ -267,28 +255,12 @@ def boxcox_profile(y, design: DesignSpec, grid=None) -> ProfileCurve:
         jac = (g - 1.0) * slog
         return ReducedProfileLoglik(
             target_label=f"boxcox(g={g:g})",
-            model=design.model,
             det_term=det_term,
             jacobian_term=jac,
             value=det_term + jac,
         )
 
-    return _sweep("boxcox", grid, evaluate, design, refine=False)
-
-
-def entropy_quadrature(dist: TargetDistribution, n: int) -> EntropyQuadrature:
-    """Midpoint-rule approximation to the entropy of the target.
-
-    -(1/n) sum_i log g(Q((2i-1)/2n)) = (1/n) sum_i log Q'((2i-1)/2n), the
-    value the per-observation jacobian term approaches as n grows.
-    """
-    if n < 10:
-        raise DomainError("entropy quadrature needs n >= 10")
-    p = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    quadrature = float(np.mean(dist.log_quantile_derivative(p)))
-    exact = dist.entropy()
-    gap = None if exact is None else quadrature - exact
-    return EntropyQuadrature(n=n, quadrature=quadrature, exact=exact, gap=gap)
+    return _sweep("boxcox", grid, evaluate, refine=False)
 
 
 def correlation_report(y, dists) -> CorrelationReport:
@@ -313,6 +285,4 @@ def correlation_report(y, dists) -> CorrelationReport:
         if ss_t == 0.0:
             raise DomainError(f"transform {dist.label()} has zero variance")
         cors[j] = float(yc @ tc) / math.sqrt(ss_y * ss_t)
-    return CorrelationReport(
-        labels=tuple(d.label() for d in dists), correlations=cors, n=int(y.size)
-    )
+    return CorrelationReport(labels=tuple(d.label() for d in dists), correlations=cors)

@@ -1,17 +1,41 @@
-"""Independent routes to the percentiles and model fits, used only by the tests.
+"""Independent routes to the percentiles, targets and model fits, used only
+by the tests.
 
-The package computes what the likelihood needs and nothing more; these
-routines rebuild the rest from first principles so the tests can check it:
-percentiles from scipy's midranks, a derivative-free optimizer for the
-variance-components fit, the explicit n x n covariance, and the fitted
-quadratic form.
+The package computes what the likelihood needs and nothing more: Q and
+log Q' from a target, log det Sigma_hat from a fit.  These routines rebuild
+the rest from first principles so the tests can check it: percentiles from
+scipy's midranks, quantile matching, the closed-form CDFs, the ``Affine``
+shift/scale target, the midpoint-rule entropy quadrature, a derivative-free
+optimizer for the variance-components fit, the explicit n x n covariance,
+and the fitted quadratic form.
+
+Importing this module gives every target class a ``cdf`` method for the
+round-trip checks: the closed form where one exists, NotImplementedError
+otherwise.
 """
+
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
+from scipy import special as sc
 from scipy.stats import rankdata
 
-from qmatch import DesignSpec, DomainError, ModelFit, ModelKind, NumericError
+from qmatch import (
+    DesignSpec,
+    DomainError,
+    Gaussian,
+    Logistic,
+    ModelFit,
+    ModelKind,
+    NumericError,
+    StudentT,
+    TargetDistribution,
+    Uniform,
+    percentiles,
+)
 from qmatch.linmodel import (
     ProjectionDecomposition,
     _check_not_degenerate,
@@ -20,6 +44,127 @@ from qmatch.linmodel import (
     _random_fit_from_eigenvalues,
     decompose,
 )
+from qmatch.targetdist import _array_method
+
+
+def _cdf_method(method):
+    """Scalar/array plumbing for a CDF: the method gets its argument as a
+    float array (any real value), and a scalar argument gets a float back."""
+
+    @functools.wraps(method)
+    def wrapper(self, x):
+        arr = np.asarray(x, dtype=float)
+        out = method(self, arr)
+        return float(out) if arr.ndim == 0 else out
+
+    return wrapper
+
+
+def _no_cdf(self, x):
+    raise NotImplementedError(f"{self.kind} has no implemented CDF")
+
+
+@_cdf_method
+def _gaussian_cdf(self, x):
+    return sc.ndtr(x)
+
+
+@_cdf_method
+def _uniform_cdf(self, x):
+    return np.clip(x, 0.0, 1.0)
+
+
+@_cdf_method
+def _logistic_cdf(self, x):
+    return sc.expit(x)
+
+
+@_cdf_method
+def _student_t_cdf(self, x):
+    if self.inv_nu == 0.0:
+        return sc.ndtr(x)
+    if self.inv_nu == 1.0:
+        return 0.5 + np.arctan(x) / math.pi
+    return sc.stdtr(1.0 / self.inv_nu, x)
+
+
+TargetDistribution.cdf = _no_cdf
+Gaussian.cdf = _gaussian_cdf
+Uniform.cdf = _uniform_cdf
+Logistic.cdf = _logistic_cdf
+StudentT.cdf = _student_t_cdf
+
+
+@dataclass(frozen=True)
+class Affine(TargetDistribution):
+    """The law of shift + scale * X for X distributed as ``base``.
+
+    scale may be negative (the law of a decreasing rescaling is still a
+    distribution); scale = 0 is rejected.  Used to verify that fitted log
+    likelihoods do not depend on the affine representative of a target.
+    """
+
+    base: TargetDistribution
+    shift: float = 0.0
+    scale: float = 1.0
+
+    kind = "affine"
+
+    def __post_init__(self):
+        if not (np.isfinite(self.shift) and np.isfinite(self.scale)) or self.scale == 0.0:
+            raise DomainError("affine scale must be finite and nonzero")
+
+    @_array_method
+    def quantile(self, p):
+        q = self.base.quantile(p if self.scale > 0.0 else 1.0 - p)
+        return self.shift + self.scale * np.asarray(q)
+
+    @_array_method
+    def log_quantile_derivative(self, p):
+        lqd = self.base.log_quantile_derivative(p if self.scale > 0.0 else 1.0 - p)
+        return math.log(abs(self.scale)) + np.asarray(lqd)
+
+    @_cdf_method
+    def cdf(self, x):
+        out = np.asarray(self.base.cdf((x - self.shift) / self.scale))
+        return 1.0 - out if self.scale < 0.0 else out
+
+    def entropy(self):
+        h = self.base.entropy()
+        if h is None:
+            return None
+        return h + math.log(abs(self.scale))
+
+    def label(self):
+        return f"affine({self.shift:g}+{self.scale:g}*{self.base.label()})"
+
+
+def quantile_match(y, dist: TargetDistribution) -> np.ndarray:
+    """Map each observation to the target quantile at its percentile."""
+    return np.asarray(dist.quantile(percentiles(y).p))
+
+
+@dataclass(frozen=True)
+class EntropyQuadrature:
+    n: int
+    quadrature: float
+    exact: float | None
+    gap: float | None
+
+
+def entropy_quadrature(dist: TargetDistribution, n: int) -> EntropyQuadrature:
+    """Midpoint-rule approximation to the entropy of the target.
+
+    -(1/n) sum_i log g(Q((2i-1)/2n)) = (1/n) sum_i log Q'((2i-1)/2n), the
+    value the per-observation jacobian term approaches as n grows.
+    """
+    if n < 10:
+        raise DomainError("entropy quadrature needs n >= 10")
+    p = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+    quadrature = float(np.mean(dist.log_quantile_derivative(p)))
+    exact = dist.entropy()
+    gap = None if exact is None else quadrature - exact
+    return EntropyQuadrature(n=n, quadrature=quadrature, exact=exact, gap=gap)
 
 
 def rankdata_percentiles(y) -> np.ndarray:
@@ -40,7 +185,7 @@ def fit_random_numeric(z, design: DesignSpec) -> ModelFit:
     scale = total / n
     sdec = ProjectionDecomposition(
         s_row=dec.s_row / scale, s_col=dec.s_col / scale, s_err=dec.s_err / scale,
-        d_row=dec.d_row, d_col=dec.d_col, d_err=dec.d_err, grand_mean=0.0,
+        d_row=dec.d_row, d_col=dec.d_col, d_err=dec.d_err,
     )
     r, c = design.nrows, design.ncols
 
@@ -82,7 +227,8 @@ def quadratic_form(z, fit: ModelFit, design: DesignSpec) -> float:
         mu_hat = (g.mean(axis=1)[:, None] + g.mean(axis=0)[None, :] - zbar)[rows, cols]
     else:
         mu_hat = np.full(design.n, zbar)
-    dec = decompose(np.asarray(z, dtype=float) - mu_hat, design)
+    resid = np.asarray(z, dtype=float) - mu_hat
+    dec = decompose(resid, design)
     if fit.kind == ModelKind.FIXED_EFFECTS:
         lam_r = lam_c = lam_e = fit.sigma2
     else:
@@ -92,7 +238,7 @@ def quadratic_form(z, fit: ModelFit, design: DesignSpec) -> float:
     lam0 = lam_r + lam_c - lam_e
     if min(lam_r, lam_c, lam_e, lam0) <= 0.0:
         raise DomainError("quadratic form needs strictly positive eigenvalues")
-    mean_part = design.n * dec.grand_mean**2 / lam0
+    mean_part = design.n * float(_grid(resid, design).mean()) ** 2 / lam0
     return float(
         mean_part + dec.s_row / lam_r + dec.s_col / lam_c + dec.s_err / lam_e
     )

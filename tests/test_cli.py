@@ -299,6 +299,22 @@ class TestInputValidation:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_non_utf8_byte(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"index,row,col,y\n0,0,0,\xff\xfe1.0\n")
+        rc = main(["profile", "--family", "t", "--input", str(bad),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("index,row,col,y\n0,0,0,1.0\n1,1,0," + "1" * 140000 + "\n")
+        rc = main(["compare", "--a", "gaussian", "--b", "uniform", "--input", str(bad)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{bad}:3: " in err and "field larger than field limit" in err
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):

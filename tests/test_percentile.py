@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import rankdata_percentiles
-from qmatch import DomainError, Gaussian, Logistic, Uniform, percentiles, quantile_match
+from oracles import quantile_match, rankdata_percentiles
+from qmatch import DomainError, Gaussian, Logistic, Uniform, percentiles
 
 finite_values = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Affine
 from qmatch import (
-    Affine,
     AlphaBeta,
     DomainError,
     Gaussian,

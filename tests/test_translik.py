@@ -14,21 +14,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import bench, fixed_design, random_design
+from oracles import Affine, entropy_quadrature
 from qmatch import (
-    Affine,
     AlphaBeta,
     DegenerateFitError,
-    DesignSpec,
     DomainError,
     Gaussian,
     Logistic,
-    ModelKind,
     NumericError,
     StudentT,
     Uniform,
     boxcox_profile,
     correlation_report,
-    entropy_quadrature,
     loglik_ratio,
     lr_diagnostics_gaussian_uniform,
     percentiles,
@@ -238,9 +235,9 @@ class TestRefinement:
             if x not in grid:
                 raise error(f"no fit at {x!r}")
             v = -((x - 0.6) ** 2)
-            return ReducedProfileLoglik("toy", ModelKind.FIXED_EFFECTS, v, 0.0, v)
+            return ReducedProfileLoglik("toy", v, 0.0, v)
 
-        curve = _sweep("toy", grid, evaluate, DesignSpec(2, 2), refine=True)
+        curve = _sweep("toy", grid, evaluate, refine=True)
         assert curve.argmax_param == 0.5
         assert curve.argmax_value == -((0.5 - 0.6) ** 2)
         assert np.all(np.isfinite(curve.values))
@@ -248,6 +245,21 @@ class TestRefinement:
         assert curve.warnings[0].startswith("toy refinement point ")
         assert "no fit at" in curve.warnings[0]
         assert "kept grid argmax 0.5" in curve.warnings[0]
+
+    def test_grid_argmax_is_evaluated_once(self):
+        # The golden-section search starts from the value the grid already
+        # has at its argmax instead of evaluating it again.
+        grid = np.arange(5) * 0.25
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            v = -((x - 0.6) ** 2)
+            return ReducedProfileLoglik("toy", v, 0.0, v)
+
+        curve = _sweep("toy", grid, evaluate, refine=True)
+        assert curve.argmax_value > -((0.5 - 0.6) ** 2)
+        assert calls.count(0.5) == 1
 
 
 class TestSweepFailures:
