@@ -112,7 +112,10 @@ def write_correlations(path, report):
 
 
 def read_data_csv(path):
-    """Read a data file (columns index,row,col,y) back into vectors."""
+    """Read a data file (columns index,row,col,y) into a response and design.
+
+    Lines may list the cells in any order: each y is placed by its cell.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -134,19 +137,10 @@ def read_data_csv(path):
             raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
     if not recs:
         raise DomainError(f"{path}: no data rows")
-    recs.sort(key=lambda rec: rec[0])
-    idx = np.array([rec[0] for rec in recs])
-    if not np.array_equal(idx, np.arange(len(recs))):
+    idx, rows, cols, y = (np.array(field) for field in zip(*recs))
+    if not np.array_equal(np.sort(idx), np.arange(idx.size)):
         raise DomainError(f"{path}: index column must be 0..n-1 without gaps")
-    rows = np.array([rec[1] for rec in recs])
-    cols = np.array([rec[2] for rec in recs])
-    y = np.array([rec[3] for rec in recs])
-    design = DesignSpec(
-        nrows=int(rows.max()) + 1,
-        ncols=int(cols.max()) + 1,
-        row_index=rows,
-        col_index=cols,
-    )
+    design, y = DesignSpec.from_cells(rows, cols, y)
     return y, design
 
 
@@ -185,6 +179,8 @@ def _grid_from_args(args):
         return None
     if not all(given):
         raise UsageError("--grid-start, --grid-stop and --grid-step must be given together")
+    if not all(map(math.isfinite, (args.grid_start, args.grid_stop, args.grid_step))):
+        raise UsageError("--grid-start, --grid-stop and --grid-step must be finite")
     if args.grid_step <= 0 or args.grid_stop < args.grid_start:
         raise UsageError("grid must have positive step and stop >= start")
     count = int(math.floor((args.grid_stop - args.grid_start) / args.grid_step + 1e-9)) + 1

@@ -1,5 +1,8 @@
 """Maximum-likelihood fits of a response on a balanced row-column grid.
 
+A design (``DesignSpec``) is the grid's shape and a model class; a response
+lists the grid column-major, cell (r, c) at position c * nrows + r.
+
 Two model classes are supported.
 
 Fixed effects: mean additive in row and column (mu_ij = a_i + b_j), errors
@@ -50,45 +53,45 @@ class ModelKind(str, enum.Enum):
     RANDOM_EFFECTS = "random"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DesignSpec:
-    """Balanced r x c layout plus the model class used to fit it.
+    """Balanced r x c grid plus the model class used to fit it.
 
-    The default layout is the column-major full grid: observation k sits in
-    row k mod nrows, column k div nrows.  A custom layout may be given as
-    explicit per-observation row/column indices covering each cell once.
+    A response on the grid is a vector in column-major order: observation k
+    sits in row k mod nrows, column k div nrows.  Data listed cell by cell
+    in any other order are put into this order by ``from_cells``.
     """
 
     nrows: int
     ncols: int
     model: ModelKind = ModelKind.FIXED_EFFECTS
-    row_index: np.ndarray | None = None
-    col_index: np.ndarray | None = None
 
     def __post_init__(self):
         if self.nrows < 2 or self.ncols < 2:
             raise DomainError("need at least 2 rows and 2 columns")
-        if (self.row_index is None) != (self.col_index is None):
-            raise DomainError("row_index and col_index must be given together")
-        if self.row_index is not None:
-            ri = np.asarray(self.row_index, dtype=np.intp)
-            ci = np.asarray(self.col_index, dtype=np.intp)
-            if ri.shape != (self.n,) or ci.shape != (self.n,):
-                raise DomainError("layout index length must equal nrows*ncols")
-            if ri.min() < 0 or ri.max() >= self.nrows or ci.min() < 0 or ci.max() >= self.ncols:
-                raise DomainError("layout indices out of range")
-            if np.unique(ri * self.ncols + ci).size != self.n:
-                raise DomainError("each (row, col) cell must appear exactly once")
-            object.__setattr__(self, "row_index", ri)
-            object.__setattr__(self, "col_index", ci)
+
+    @classmethod
+    def from_cells(cls, rows, cols, values):
+        """The design whose cell (rows[k], cols[k]) holds values[k], and the
+        values in its column-major order.  rows and cols are integer arrays
+        that name each cell once."""
+        design = cls(nrows=int(rows.max()) + 1, ncols=int(cols.max()) + 1)
+        if rows.shape != (design.n,) or cols.shape != (design.n,):
+            raise DomainError("layout index length must equal nrows*ncols")
+        if rows.min() < 0 or cols.min() < 0:
+            raise DomainError("layout indices out of range")
+        pos = cols * design.nrows + rows
+        if np.bincount(pos).max() > 1:
+            raise DomainError("each (row, col) cell must appear exactly once")
+        z = np.empty(design.n)
+        z[pos] = values
+        return design, z
 
     @property
     def n(self) -> int:
         return self.nrows * self.ncols
 
     def rows_cols(self):
-        if self.row_index is not None:
-            return self.row_index, self.col_index
         k = np.arange(self.n)
         return k % self.nrows, k // self.nrows
 
@@ -121,10 +124,8 @@ def _grid(z, design: DesignSpec) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (design.n,):
         raise DomainError(f"response length {z.size} does not match design size {design.n}")
-    rows, cols = design.rows_cols()
-    g = np.empty((design.nrows, design.ncols))
-    g[rows, cols] = z
-    return g
+    # A C-ordered copy, so row and column reductions sum in a fixed order.
+    return np.ascontiguousarray(z.reshape(design.ncols, design.nrows).T)
 
 
 def decompose(z, design: DesignSpec) -> ProjectionDecomposition:

@@ -172,6 +172,18 @@ class TestProfileCommand:
         assert "--grid-start, --grid-stop and --grid-step" in err
         assert "target spec grammar" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--grid-start", "--grid-stop", "--grid-step"])
+    def test_non_finite_grid_flag(self, bench_csv, tmp_path, capsys, flag, value):
+        grid = {"--grid-start": "0", "--grid-stop": "1", "--grid-step": "0.1", flag: value}
+        rc = main(["profile", "--family", "t", "--input", str(bench_csv),
+                   *(x for item in grid.items() for x in item),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--grid-start, --grid-stop and --grid-step must be finite" in err
+        assert "target spec grammar" not in err
+
     def test_boxcox_refine_rejected(self, bench_csv, tmp_path, capsys):
         rc = main(["profile", "--family", "boxcox", "--input", str(bench_csv),
                    "--refine", "--out", str(tmp_path / "x.csv")])
@@ -278,6 +290,39 @@ class TestCorrelateCommand:
                      "--targets", " , "]) == 2
 
 
+def _outputs(monkeypatch, workdir):
+    """profile, compare and correlate output files on workdir/data.csv, minus timestamps."""
+    monkeypatch.chdir(workdir)
+    assert main(["profile", "--family", "t", "--model", "random", "--refine",
+                 "--input", "data.csv", "--out", "curve.csv"]) == 0
+    assert main(["compare", "--a", "t:nu=4", "--b", "logistic",
+                 "--input", "data.csv", "--out", "compare.json"]) == 0
+    assert main(["correlate", "--input", "data.csv",
+                 "--targets", "gaussian,t:nu=6.67,alpha:a=-0.05", "--out", "corr.csv"]) == 0
+    return {
+        name: [line for line in Path(name).read_text().splitlines() if '"timestamp"' not in line]
+        for name in ("curve.csv", "curve.csv.summary.json", "compare.json", "corr.csv")
+    }
+
+
+class TestCellOrder:
+    def test_line_order_and_indexing_do_not_change_results(self, tmp_path, monkeypatch):
+        # The same cells, indexed row-major and listed in shuffled order,
+        # must give the same bytes as the column-major file.
+        col_major, row_major = tmp_path / "col_major", tmp_path / "row_major"
+        col_major.mkdir()
+        row_major.mkdir()
+        data = col_major / "data.csv"
+        assert main(["simulate", "--seed", "2", "--effects", "cauchy", "--out", str(data)]) == 0
+        header, *lines = data.read_text().splitlines()
+        recs = [line.split(",") for line in lines]
+        ncols = max(int(rec[2]) for rec in recs) + 1
+        reindexed = [f"{int(r) * ncols + int(c)},{r},{c},{y}" for _, r, c, y in recs]
+        np.random.default_rng(0).shuffle(reindexed)
+        (row_major / "data.csv").write_text("\n".join([header, *reindexed]) + "\n")
+        assert _outputs(monkeypatch, row_major) == _outputs(monkeypatch, col_major)
+
+
 class TestInputValidation:
     def test_wrong_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -314,6 +359,25 @@ class TestInputValidation:
         assert rc == 3
         err = capsys.readouterr().err
         assert f"{bad}:3: " in err and "field larger than field limit" in err
+
+    def test_duplicate_cell(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("index,row,col,y\n0,0,0,1.0\n1,1,0,2.0\n2,1,0,0.5\n3,1,1,3.0\n")
+        rc = main(["compare", "--a", "gaussian", "--b", "uniform", "--input", str(bad)])
+        assert rc == 3
+        assert "each (row, col) cell must appear exactly once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        ("-1", "layout indices out of range"),
+        # Too large for a C long: the grid it implies is larger than the data.
+        (str(10**30), "layout index length must equal nrows*ncols"),
+    ])
+    def test_row_index_outside_grid(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"index,row,col,y\n0,{row},0,1.0\n1,1,0,2.0\n2,0,1,0.5\n3,1,1,3.0\n")
+        rc = main(["compare", "--a", "gaussian", "--b", "uniform", "--input", str(bad)])
+        assert rc == 3
+        assert message in capsys.readouterr().err
 
 
 class TestTopLevel:

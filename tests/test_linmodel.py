@@ -66,22 +66,6 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose(np.ones(7), design(2, 3))
 
-    def test_custom_layout_matches_default(self, rng):
-        d0 = design(4, 6)
-        z = rng.normal(size=24)
-        perm = rng.permutation(24)
-        rows, cols = d0.rows_cols()
-        d_perm = DesignSpec(4, 6, row_index=rows[perm], col_index=cols[perm])
-        a = decompose(z, d0)
-        b = decompose(z[perm], d_perm)
-        assert a.s_row == pytest.approx(b.s_row, rel=1e-12)
-        assert a.s_err == pytest.approx(b.s_err, rel=1e-12)
-
-    def test_layout_validation(self):
-        with pytest.raises(DomainError):
-            DesignSpec(2, 2, row_index=np.array([0, 0, 1, 1]),
-                       col_index=np.array([0, 0, 1, 1]))  # cell (0,0) twice
-
 
 class TestFitFixed:
     def test_two_by_two_sigma2(self):
@@ -192,6 +176,22 @@ class TestFitRandomBalanced:
                 -0.5 * b.log_det_sigma_hat, abs=1e-6)
             # The active-set solution can only be better (lower -2F).
             assert -0.5 * a.log_det_sigma_hat >= -0.5 * b.log_det_sigma_hat - 1e-6
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "_interior_newton misses its 1e-10 gradient tolerance when the row "
+        "variance dwarfs the rest, returns None, and the solver falls back "
+        "to the sigma2_col = 0 boundary"))
+    def test_agrees_with_oracle_when_row_effects_dominate(self):
+        rng = np.random.default_rng(0)
+        k = np.arange(80)
+        z = (300 * rng.normal(size=10)[k % 10] + rng.normal(size=8)[k // 10]
+             + rng.normal(size=80))
+        d = design(10, 8, ModelKind.RANDOM_EFFECTS)
+        a = fit_random_balanced(z, d)
+        b = fit_random_numeric(z, d)
+        assert -0.5 * a.log_det_sigma_hat == pytest.approx(
+            -0.5 * b.log_det_sigma_hat, abs=1e-6)
+        assert -0.5 * a.log_det_sigma_hat >= -0.5 * b.log_det_sigma_hat - 1e-6
 
     def test_kkt_no_feasible_improvement(self, rng):
         for trial in range(10):
