@@ -171,6 +171,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# Each grid point is one likelihood evaluation; a grid larger than this is
+# refused before it is allocated.
+MAX_GRID_POINTS = 100_000
+
+
 def _grid_from_args(args):
     """The grid the flags give, or None (the family's default grid)."""
     given = [args.grid_start is not None, args.grid_stop is not None,
@@ -183,14 +188,17 @@ def _grid_from_args(args):
         raise UsageError("--grid-start, --grid-stop and --grid-step must be finite")
     if args.grid_step <= 0 or args.grid_stop < args.grid_start:
         raise UsageError("grid must have positive step and stop >= start")
-    count = int(math.floor((args.grid_stop - args.grid_start) / args.grid_step + 1e-9)) + 1
-    return args.grid_start + args.grid_step * np.arange(count)
+    span = (args.grid_stop - args.grid_start) / args.grid_step + 1e-9
+    if span >= MAX_GRID_POINTS:  # more than MAX_GRID_POINTS points, or an overflow to inf
+        raise UsageError(f"grid must have at most {MAX_GRID_POINTS} points; "
+                         "use a larger --grid-step")
+    return args.grid_start + args.grid_step * np.arange(int(math.floor(span)) + 1)
 
 
 def cmd_profile(args) -> int:
+    grid = _grid_from_args(args)
     y, design = read_data_csv(args.input)
     design = design.with_model(ModelKind(args.model))
-    grid = _grid_from_args(args)
     if args.family == "t":
         curve = profile_student_t(y, design, grid, refine=args.refine)
         comparators = {
@@ -326,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--grid-start", type=float)
     p.add_argument("--grid-stop", type=float)
-    p.add_argument("--grid-step", type=float)
+    p.add_argument("--grid-step", type=float,
+                   help="with --grid-start and --grid-stop, a custom grid of at most "
+                        f"{MAX_GRID_POINTS} points")
     p.add_argument("--refine", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--summary", help="summary JSON path (default: <out>.summary.json)")

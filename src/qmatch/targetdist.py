@@ -2,10 +2,13 @@
 
 Every likelihood computation in this package needs exactly two ingredients
 from a target law G: the quantile function Q = G^{-1} and the log of its
-derivative, log Q'(p) = -log g(Q(p)).  Each target exposes both, plus the
-differential entropy where it is known analytically (used by the first-order
-approximation that ``qmatch compare`` reports) and a ``label`` that parses
-back to the target.
+derivative, log Q'(p) = -log g(Q(p)).  One ``transform(p)`` call returns
+both, from a single evaluation of the target's ``quantile``: log Q' is
+computed from p and that Q(p), so the special function behind Q (``ndtri``,
+``stdtrit``) runs once per evaluation.  Each target also gives the
+differential entropy where it is known analytically (used by the
+first-order approximation that ``qmatch compare`` reports) and a ``label``
+that parses back to the target.
 
 Families:
 
@@ -66,9 +69,9 @@ def _logistic_lqd(p):
     return -(np.log(p) + np.log1p(-p))
 
 
-def _gaussian_lqd(p):
-    q = sc.ndtri(p)
-    return 0.5 * LOG_2PI + 0.5 * q * q
+def _gaussian_lqd(z):
+    # -log phi(z) at z = ndtri(p)
+    return 0.5 * LOG_2PI + 0.5 * z * z
 
 
 def student_t_log_density(inv_nu, x):
@@ -91,10 +94,12 @@ def student_t_log_density(inv_nu, x):
 
 
 class TargetDistribution:
-    """Common interface: quantile, log_quantile_derivative, entropy, label.
+    """Common interface: quantile, transform, entropy, label.
 
-    The likelihood needs only the first two; ``entropy`` feeds first-order
-    approximations and ``label`` names the target in every report.
+    The likelihood needs only ``transform``; ``quantile`` alone serves the
+    correlation report and the simulator, ``entropy`` feeds first-order
+    approximations and ``label`` names the target in every report.  A
+    subclass defines ``quantile`` and ``_lqd_at``.
     """
 
     kind = "abstract"
@@ -109,8 +114,19 @@ class TargetDistribution:
     def quantile(self, p):
         raise NotImplementedError
 
-    def log_quantile_derivative(self, p):
+    def _lqd_at(self, p, z):
+        """log Q'(p), given the checked array p and z = Q(p)."""
         raise NotImplementedError
+
+    def transform(self, p):
+        """(Q(p), log Q'(p)) from one call of ``quantile``, which checks p.
+
+        A scalar p gives two floats, an array two arrays.
+        """
+        z = self.quantile(p)
+        arr = np.asarray(p, dtype=float)
+        lqd = self._lqd_at(arr, np.asarray(z))
+        return z, float(lqd) if arr.ndim == 0 else lqd
 
     def entropy(self):
         """Differential entropy in nats, or None when no closed form is known."""
@@ -131,9 +147,8 @@ class Gaussian(TargetDistribution):
     def quantile(self, p):
         return sc.ndtri(p)
 
-    @_array_method
-    def log_quantile_derivative(self, p):
-        return _gaussian_lqd(p)
+    def _lqd_at(self, p, z):
+        return _gaussian_lqd(z)
 
     def entropy(self):
         return 0.5 * (1.0 + LOG_2PI)
@@ -147,8 +162,7 @@ class Uniform(TargetDistribution):
     def quantile(self, p):
         return p.copy()
 
-    @_array_method
-    def log_quantile_derivative(self, p):
+    def _lqd_at(self, p, z):
         return np.zeros_like(p)
 
     def entropy(self):
@@ -163,8 +177,7 @@ class Logistic(TargetDistribution):
     def quantile(self, p):
         return _logistic_q(p)
 
-    @_array_method
-    def log_quantile_derivative(self, p):
+    def _lqd_at(self, p, z):
         return _logistic_lqd(p)
 
     def entropy(self):
@@ -199,11 +212,10 @@ class StudentT(TargetDistribution):
             return sc.tandg(180.0 * (p - 0.5))
         return sc.stdtrit(1.0 / self.inv_nu, p)
 
-    @_array_method
-    def log_quantile_derivative(self, p):
+    def _lqd_at(self, p, z):
         if self.inv_nu == 0.0:
-            return _gaussian_lqd(p)
-        return -student_t_log_density(self.inv_nu, self.quantile(p))
+            return _gaussian_lqd(z)
+        return -student_t_log_density(self.inv_nu, z)
 
     def entropy(self):
         if self.inv_nu == 0.0:
@@ -244,8 +256,7 @@ class AlphaBeta(TargetDistribution):
             return _logistic_q(p)
         return _power_limb(self.alpha, p) - _power_limb(self.beta, 1.0 - p)
 
-    @_array_method
-    def log_quantile_derivative(self, p):
+    def _lqd_at(self, p, z):
         # Q'(p) = p^(alpha-1) + (1-p)^(beta-1)
         if self.alpha == 0.0 and self.beta == 0.0:
             return _logistic_lqd(p)

@@ -78,8 +78,8 @@ class CorrelationReport:
 
 
 def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec):
-    z = np.asarray(dist.quantile(pc.p))
-    jacobian = float(np.sum(dist.log_quantile_derivative(pc.p)))
+    z, lqd = dist.transform(pc.p)
+    jacobian = float(np.sum(lqd))
     model_fit = fit(z, design)
     det_term = -0.5 * model_fit.log_det_sigma_hat
     return ReducedProfileLoglik(

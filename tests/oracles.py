@@ -4,10 +4,11 @@ by the tests.
 The package computes what the likelihood needs and nothing more: Q and
 log Q' from a target, log det Sigma_hat from a fit.  These routines rebuild
 the rest from first principles so the tests can check it: percentiles from
-scipy's midranks, quantile matching, the closed-form CDFs, the ``Affine``
-shift/scale target, the midpoint-rule entropy quadrature, a derivative-free
-optimizer for the variance-components fit, the explicit n x n covariance,
-and the fitted quadratic form.
+scipy's midranks, quantile matching, the closed-form CDFs, log Q' by a
+second special-function pass, the ``Affine`` shift/scale target, the
+midpoint-rule entropy quadrature, a derivative-free optimizer for the
+variance-components fit, the explicit n x n covariance, and the fitted
+quadratic form.
 
 Importing this module gives every target class a ``cdf`` method for the
 round-trip checks: the closed form where one exists, NotImplementedError
@@ -24,6 +25,7 @@ from scipy import special as sc
 from scipy.stats import rankdata
 
 from qmatch import (
+    AlphaBeta,
     DesignSpec,
     DomainError,
     Gaussian,
@@ -35,6 +37,7 @@ from qmatch import (
     TargetDistribution,
     Uniform,
     percentiles,
+    student_t_log_density,
 )
 from qmatch.linmodel import (
     ProjectionDecomposition,
@@ -119,10 +122,10 @@ class Affine(TargetDistribution):
         q = self.base.quantile(p if self.scale > 0.0 else 1.0 - p)
         return self.shift + self.scale * np.asarray(q)
 
-    @_array_method
-    def log_quantile_derivative(self, p):
-        lqd = self.base.log_quantile_derivative(p if self.scale > 0.0 else 1.0 - p)
-        return math.log(abs(self.scale)) + np.asarray(lqd)
+    def transform(self, p):
+        p = np.asarray(p, dtype=float)
+        z, lqd = self.base.transform(p if self.scale > 0.0 else 1.0 - p)
+        return self.shift + self.scale * z, math.log(abs(self.scale)) + lqd
 
     @_cdf_method
     def cdf(self, x):
@@ -137,6 +140,26 @@ class Affine(TargetDistribution):
 
     def label(self):
         return f"affine({self.shift:g}+{self.scale:g}*{self.base.label()})"
+
+
+@_array_method
+def log_quantile_derivative(dist: TargetDistribution, p):
+    """log Q'(p) from p alone, by the closed forms of each target: the
+    normal and t forms evaluate the target's quantile function again, the
+    logistic and alpha-beta forms take their own logarithms of p."""
+    if isinstance(dist, Gaussian) or (isinstance(dist, StudentT) and dist.inv_nu == 0.0):
+        q = sc.ndtri(p)
+        return 0.5 * math.log(2.0 * math.pi) + 0.5 * q * q
+    if isinstance(dist, Uniform):
+        return np.zeros_like(p)
+    if isinstance(dist, Logistic) or (isinstance(dist, AlphaBeta)
+                                      and dist.alpha == 0.0 and dist.beta == 0.0):
+        return -(np.log(p) + np.log1p(-p))
+    if isinstance(dist, StudentT):
+        return -student_t_log_density(dist.inv_nu, dist.quantile(p))
+    if isinstance(dist, AlphaBeta):
+        return np.logaddexp((dist.alpha - 1.0) * np.log(p), (dist.beta - 1.0) * np.log1p(-p))
+    raise NotImplementedError(f"no log Q' formula for {dist.kind}")
 
 
 def quantile_match(y, dist: TargetDistribution) -> np.ndarray:
@@ -161,7 +184,7 @@ def entropy_quadrature(dist: TargetDistribution, n: int) -> EntropyQuadrature:
     if n < 10:
         raise DomainError("entropy quadrature needs n >= 10")
     p = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    quadrature = float(np.mean(dist.log_quantile_derivative(p)))
+    quadrature = float(np.mean(dist.transform(p)[1]))
     exact = dist.entropy()
     gap = None if exact is None else quadrature - exact
     return EntropyQuadrature(n=n, quadrature=quadrature, exact=exact, gap=gap)

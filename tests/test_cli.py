@@ -1,11 +1,13 @@
 """End-to-end command-line tests, run in process through main(argv)."""
 
+import argparse
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,9 @@ import scipy
 
 from qmatch import AlphaBeta, Gaussian, SimConfig, StudentT, simulate
 from qmatch.cli import (
+    MAX_GRID_POINTS,
     UsageError,
+    _grid_from_args,
     main,
     parse_target,
     parse_target_list,
@@ -183,6 +187,48 @@ class TestProfileCommand:
         err = capsys.readouterr().err
         assert "--grid-start, --grid-stop and --grid-step must be finite" in err
         assert "target spec grammar" not in err
+
+    @pytest.mark.parametrize("family", ["t", "boxcox"])
+    @pytest.mark.parametrize("start,stop,step", [
+        ("0", "1", "1e-300"),
+        # (stop - start) / step is exactly MAX_GRID_POINTS: one point over.
+        ("0", repr(0.5 * MAX_GRID_POINTS), "0.5"),
+        # stop - start overflows to inf.
+        ("-1e308", "1e308", "1"),
+    ], ids=["step-1e-300", "one-over-max", "span-overflows"])
+    def test_grid_over_max_points(self, tmp_path, capsys, monkeypatch, family, start, stop,
+                                  step):
+        # The grid is checked before the data are read; a grid let through
+        # fails here instead of starting a sweep.
+        def unread(path):
+            raise AssertionError("grid accepted")
+
+        monkeypatch.setattr("qmatch.cli.read_data_csv", unread)
+        tracemalloc.start()
+        try:
+            rc = main(["profile", "--family", family, "--input", str(tmp_path / "y.csv"),
+                       f"--grid-start={start}", "--grid-stop", stop, "--grid-step", step,
+                       "--out", str(tmp_path / "x.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"grid must have at most {MAX_GRID_POINTS} points" in err
+        assert "target spec grammar" not in err
+        # Refused before allocating: a grid would take 8 bytes a point.
+        assert peak < 4 * MAX_GRID_POINTS
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_of_max_points_is_accepted(self):
+        args = argparse.Namespace(grid_start=0.0, grid_stop=0.5 * (MAX_GRID_POINTS - 1),
+                                  grid_step=0.5)
+        assert _grid_from_args(args).size == MAX_GRID_POINTS
+
+    def test_help_states_max_grid_points(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["profile", "--help"])
+        assert f"{MAX_GRID_POINTS} points" in " ".join(capsys.readouterr().out.split())
 
     def test_boxcox_refine_rejected(self, bench_csv, tmp_path, capsys):
         rc = main(["profile", "--family", "boxcox", "--input", str(bench_csv),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Affine
+from oracles import Affine, log_quantile_derivative
 from qmatch import (
     AlphaBeta,
     DomainError,
@@ -96,10 +96,7 @@ class TestQuantiles:
     def test_inv_nu_zero_is_the_gaussian_code_path(self):
         p = np.linspace(0.001, 0.999, 57)
         assert np.array_equal(StudentT(0.0).quantile(p), Gaussian().quantile(p))
-        assert np.array_equal(
-            StudentT(0.0).log_quantile_derivative(p),
-            Gaussian().log_quantile_derivative(p),
-        )
+        assert np.array_equal(StudentT(0.0).transform(p)[1], Gaussian().transform(p)[1])
 
     def test_alpha_beta_linear_case(self):
         # alpha = beta = 1 is Q(p) = 2p - 1 up to the affine shift used here.
@@ -109,9 +106,7 @@ class TestQuantiles:
         p = np.linspace(0.001, 0.999, 57)
         ab = AlphaBeta(0.0, 0.0)
         assert np.array_equal(ab.quantile(p), Logistic().quantile(p))
-        assert np.array_equal(
-            ab.log_quantile_derivative(p), Logistic().log_quantile_derivative(p)
-        )
+        assert np.array_equal(ab.transform(p)[1], Logistic().transform(p)[1])
 
     def test_uniform_is_identity(self):
         p = np.linspace(0.01, 0.99, 23)
@@ -129,26 +124,26 @@ class TestQuantiles:
             with pytest.raises(DomainError):
                 dist.quantile(p)
             with pytest.raises(DomainError):
-                dist.log_quantile_derivative(p)
+                dist.transform(p)
 
 
 class TestLogQuantileDerivative:
     def test_uniform_is_zero(self):
-        assert Uniform().log_quantile_derivative(0.123) == 0.0
+        assert Uniform().transform(0.123)[1] == 0.0
 
     def test_logistic_at_half(self):
-        assert abs(Logistic().log_quantile_derivative(0.5) - math.log(4.0)) < 1e-14
+        assert abs(Logistic().transform(0.5)[1] - math.log(4.0)) < 1e-14
 
     def test_gaussian_at_half(self):
         # -log phi(0) = log sqrt(2 pi)
         expect = 0.5 * math.log(2.0 * math.pi)
-        assert abs(Gaussian().log_quantile_derivative(0.5) - expect) < 1e-14
+        assert abs(Gaussian().transform(0.5)[1] - expect) < 1e-14
 
     def test_gaussian_at_09(self):
-        assert abs(Gaussian().log_quantile_derivative(0.9) - 1.740125740779581) < 1e-12
+        assert abs(Gaussian().transform(0.9)[1] - 1.740125740779581) < 1e-12
 
     def test_alpha_beta_closed_form(self):
-        got = AlphaBeta(0.3, 0.3).log_quantile_derivative(0.2)
+        got = AlphaBeta(0.3, 0.3).transform(0.2)[1]
         assert abs(got - AB_LQD_03_02) < 1e-12
 
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
@@ -156,7 +151,7 @@ class TestLogQuantileDerivative:
         for p in np.linspace(0.01, 0.99, 25):
             h = 1e-7 * min(p, 1.0 - p)
             slope = (dist.quantile(p + h) - dist.quantile(p - h)) / (2.0 * h)
-            got = dist.log_quantile_derivative(p)
+            got = dist.transform(p)[1]
             assert got == pytest.approx(math.log(slope), rel=1e-5, abs=1e-7)
 
     @given(
@@ -168,16 +163,49 @@ class TestLogQuantileDerivative:
         dist = StudentT(inv_nu)
         h = 1e-7 * min(p, 1.0 - p)
         slope = (dist.quantile(p + h) - dist.quantile(p - h)) / (2.0 * h)
-        assert dist.log_quantile_derivative(p) == pytest.approx(
-            math.log(slope), rel=1e-5
-        )
+        assert dist.transform(p)[1] == pytest.approx(math.log(slope), rel=1e-5)
 
     def test_finite_at_extreme_percentiles(self):
         # Smallest percentile reachable for n up to 10^6.
         p_min = 1.0 / (2.0 * 10**6)
         for dist in ALL_KINDS:
-            assert np.isfinite(dist.log_quantile_derivative(p_min))
-            assert np.isfinite(dist.log_quantile_derivative(1.0 - p_min))
+            assert np.isfinite(dist.transform(p_min)[1])
+            assert np.isfinite(dist.transform(1.0 - p_min)[1])
+
+
+TRANSFORM_KINDS = [
+    Gaussian(), Uniform(), Logistic(),
+    StudentT(0.0), StudentT(1e-12), StudentT(0.2), StudentT(1.0),
+    AlphaBeta(0.0, 0.0), AlphaBeta(-1.0, -1.0), AlphaBeta(1.0, 1.0), AlphaBeta(-0.05, 0.3),
+]
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=float)).view(np.int64)
+
+
+class TestTransform:
+    """transform(p) is quantile(p) and log Q'(p) in one pass, bit for bit
+    the values of the separate quantile and closed-form log Q' routes."""
+
+    RANKITS = (2.0 * np.arange(1, 1501) - 1.0) / 3000.0
+
+    @pytest.mark.parametrize("dist", TRANSFORM_KINDS, ids=lambda d: d.label())
+    @pytest.mark.parametrize("p", [RANKITS, 0.3, 0.975], ids=["rankits", "0.3", "0.975"])
+    def test_bit_identical_to_separate_routes(self, dist, p):
+        z, lqd = dist.transform(p)
+        assert np.array_equal(_bits(z), _bits(dist.quantile(p)))
+        assert np.array_equal(_bits(lqd), _bits(log_quantile_derivative(dist, p)))
+        if np.ndim(p) == 0:
+            assert type(z) is float and type(lqd) is float
+        else:
+            assert z.shape == lqd.shape == p.shape
+
+    @pytest.mark.parametrize("dist", TRANSFORM_KINDS, ids=lambda d: d.label())
+    def test_domain_errors(self, dist):
+        for p in [0.0, 1.0, float("nan"), np.array([0.5, 1.0])]:
+            with pytest.raises(DomainError):
+                dist.transform(p)
 
 
 class TestRoundTrip:
@@ -201,9 +229,9 @@ class TestFamilyContinuity:
         # sum log Q' on the n = 1500 rankit grid departs from its Gaussian
         # value by about 1.5e3 inv_nu, all the way down to inv_nu = 1e-15.
         rankits = (2.0 * np.arange(1, 1501) - 1.0) / 3000.0
-        gauss = np.sum(Gaussian().log_quantile_derivative(rankits))
+        gauss = np.sum(Gaussian().transform(rankits)[1])
         for inv_nu in 10.0 ** -np.arange(5, 16):
-            gap = np.sum(StudentT(inv_nu).log_quantile_derivative(rankits)) - gauss
+            gap = np.sum(StudentT(inv_nu).transform(rankits)[1]) - gauss
             assert abs(gap) <= 2e3 * inv_nu + 1e-10, (inv_nu, gap)
 
     def test_alpha_family_approaches_logistic(self):
@@ -214,7 +242,7 @@ class TestFamilyContinuity:
         for a in [s * 10.0 ** -k for k in range(6, 16) for s in (1, -1)]:
             ab = AlphaBeta(a, a)
             gap_q = ab.quantile(p) - Logistic().quantile(p)
-            gap_lqd = ab.log_quantile_derivative(p) - Logistic().log_quantile_derivative(p)
+            gap_lqd = ab.transform(p)[1] - Logistic().transform(p)[1]
             assert np.max(np.abs(gap_q)) <= 11.0 * abs(a) + 1e-14, a
             assert np.max(np.abs(gap_lqd)) <= 11.0 * abs(a) + 1e-14, a
 

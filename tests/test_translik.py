@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import bench, fixed_design, random_design
@@ -21,7 +23,9 @@ from qmatch import (
     DomainError,
     Gaussian,
     Logistic,
+    ModelKind,
     NumericError,
+    SimConfig,
     StudentT,
     Uniform,
     boxcox_profile,
@@ -32,6 +36,7 @@ from qmatch import (
     profile_alpha,
     profile_student_t,
     reduced_profile_loglik,
+    simulate,
 )
 from qmatch.translik import ReducedProfileLoglik, _sweep
 
@@ -69,6 +74,63 @@ class TestReducedValue:
         b = reduced_profile_loglik(np.exp(out.y / 4.0), StudentT(0.2), d)
         assert a.value == b.value
         assert a.det_term == b.det_term
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tied=st.booleans(),
+        shift=st.floats(-10.0, 10.0),
+        slope=st.floats(1e-3, 10.0),
+        cubic=st.floats(1e-3, 10.0),
+        dist=st.one_of(
+            st.sampled_from([Gaussian(), Uniform(), Logistic()]),
+            st.builds(StudentT, st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])),
+            st.builds(AlphaBeta, st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 0.0, 1.0]),
+                      st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 0.0, 1.0])),
+        ),
+        model=st.sampled_from(list(ModelKind)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_only_dependence_property(self, seed, tied, shift, slope, cubic, dist, model):
+        # Every family, endpoints included, under both models: a strictly
+        # increasing map of y that keeps its order and ties leaves value and
+        # det_term bit-for-bit unchanged.
+        out = simulate(SimConfig(nrows=10, ncols=8, seed=seed))
+        y = np.round(out.y * 2.0) / 2.0 if tied else out.y
+        y2 = shift + slope * y + cubic * y**3
+        order = np.argsort(y, kind="stable")
+        assume(np.array_equal(np.diff(y[order]) > 0, np.diff(y2[order]) > 0))
+        d = out.design.with_model(model)
+        a = reduced_profile_loglik(y, dist, d)
+        b = reduced_profile_loglik(y2, dist, d)
+        assert a.value == b.value
+        assert a.det_term == b.det_term
+
+
+class TestQuantilePasses:
+    """Each evaluation runs the target's quantile function once: log Q'
+    comes from the same Q(p)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        quantile = StudentT.quantile
+
+        def counted(self, p):
+            calls.append(self.inv_nu)
+            return quantile(self, p)
+
+        monkeypatch.setattr(StudentT, "quantile", counted)
+        return calls
+
+    def test_one_call_per_reduced_loglik(self, calls):
+        out = bench(0)
+        reduced_profile_loglik(out.y, StudentT(0.3), fixed_design(out))
+        assert calls == [0.3]
+
+    def test_one_call_per_sweep_point(self, calls):
+        out = bench(0)
+        profile_student_t(out.y, fixed_design(out), grid=[0.1, 0.2, 0.3])
+        assert calls == [0.1, 0.2, 0.3]
 
 
 class TestLoglikRatio:
