@@ -25,6 +25,7 @@ import json
 import math
 import platform
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -33,7 +34,7 @@ import scipy
 from . import __version__
 from .errors import DomainError, NumericError, TargetSpecError, UsageError
 from .linmodel import DesignSpec, ModelKind, fit
-from .simdesign import SimConfig, simulate
+from .simdesign import EFFECTS, SimConfig, simulate
 from .targetdist import (
     TARGET_GRAMMAR,
     Gaussian,
@@ -127,9 +128,9 @@ def read_data_csv(path):
                 if not fields:
                     continue
                 try:
-                    recs.append((int(fields[0]), int(fields[1]), int(fields[2]),
-                                 float(fields[3])))
-                except (ValueError, IndexError):
+                    index, row, col, y = fields
+                    recs.append((int(index), int(row), int(col), float(y)))
+                except ValueError:  # also a row without exactly four fields
                     raise DomainError(f"{path}:{lineno}: malformed row") from None
         except UnicodeDecodeError:
             raise DomainError(f"{path}: not UTF-8 text") from None
@@ -197,6 +198,8 @@ def _grid_from_args(args):
 
 def cmd_profile(args) -> int:
     grid = _grid_from_args(args)
+    if args.family == "boxcox" and args.refine:
+        raise UsageError("--refine is not supported for the boxcox family")
     y, design = read_data_csv(args.input)
     design = design.with_model(ModelKind(args.model))
     if args.family == "t":
@@ -216,8 +219,6 @@ def cmd_profile(args) -> int:
             },
         }
     else:
-        if args.refine:
-            raise UsageError("--refine is not supported for the boxcox family")
         curve = boxcox_profile(y, design, grid)
         # The g = 1 transform is affine, so its profile value is the plain
         # identity fit (the jacobian coefficient g - 1 vanishes).
@@ -246,58 +247,44 @@ def cmd_profile(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    dists = {"a": parse_target(args.a), "b": parse_target(args.b)}
     y, design = read_data_csv(args.input)
     design = design.with_model(ModelKind(args.model))
-    dist_a = parse_target(args.a)
-    dist_b = parse_target(args.b)
-    side_a = reduced_profile_loglik(y, dist_a, design)
-    side_b = reduced_profile_loglik(y, dist_b, design)
-    report = {
-        "lr": side_a.value - side_b.value,
-        "a": {
-            "label": side_a.target_label, "det_term": side_a.det_term,
-            "jacobian_term": side_a.jacobian_term, "value": side_a.value,
-        },
-        "b": {
-            "label": side_b.target_label, "det_term": side_b.det_term,
-            "jacobian_term": side_b.jacobian_term, "value": side_b.value,
-        },
-    }
-    kinds = {dist_a.kind, dist_b.kind}
-    entropy_a, entropy_b = dist_a.entropy(), dist_b.entropy()
+    sides = {key: reduced_profile_loglik(y, dist, design) for key, dist in dists.items()}
+    report = {"lr": sides["a"].value - sides["b"].value}
+    for key, side in sides.items():
+        report[key] = {
+            "label": side.target_label, "det_term": side.det_term,
+            "jacobian_term": side.jacobian_term, "value": side.value,
+        }
     n = design.n
-    if entropy_a is not None and entropy_b is not None:
+    entropy = {key: dist.entropy() for key, dist in dists.items()}
+    if None not in entropy.values():
         # Replace each jacobian term by n times the target's entropy.
         report["entropy_approximation"] = {
-            "jacobian_a": n * entropy_a,
-            "jacobian_b": n * entropy_b,
-            "lr": (side_a.det_term - side_b.det_term) + n * (entropy_a - entropy_b),
+            "jacobian_a": n * entropy["a"],
+            "jacobian_b": n * entropy["b"],
+            "lr": (sides["a"].det_term - sides["b"].det_term)
+                  + n * (entropy["a"] - entropy["b"]),
         }
-    if kinds == {"gaussian", "uniform"}:
-        gauss, unif = (side_a, side_b) if dist_a.kind == "gaussian" else (side_b, side_a)
-        diag = gaussian_uniform_diagnostics(gauss, unif, n)
+    by_kind = {dist.kind: sides[key] for key, dist in dists.items()}
+    if by_kind.keys() == {"gaussian", "uniform"}:
+        diag = gaussian_uniform_diagnostics(by_kind["gaussian"], by_kind["uniform"], n)
         report["gaussian_uniform_diagnostics"] = {
-            "orientation": "gaussian_minus_uniform",
-            "det_term": diag.det_term,
-            "det_term_linear": diag.det_term_linear,
-            "correction_term": diag.correction_term,
-            "correction_linear": diag.correction_linear,
-            "lr": diag.lr,
+            "orientation": "gaussian_minus_uniform", **asdict(diag),
         }
     report["manifest"] = _manifest("compare", {
         "input": args.input, "a": args.a, "b": args.b, "model": args.model,
     })
-    text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_json(args.out, report)
+    print(json.dumps(report, indent=2))
     return 0
 
 
 def cmd_correlate(args) -> int:
-    y, design = read_data_csv(args.input)
     dists = parse_target_list(args.targets)
+    y, design = read_data_csv(args.input)
     report = correlation_report(y, dists)
     if args.out:
         write_correlations(args.out, report)
@@ -321,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate a row-column benchmark dataset")
     p.add_argument("--nrows", type=int, default=50)
     p.add_argument("--ncols", type=int, default=30)
-    p.add_argument("--effects", choices=["gaussian", "cauchy"], default="gaussian")
+    p.add_argument("--effects", choices=list(EFFECTS), default="gaussian")
     p.add_argument("--intercept", type=float, default=5.0)
     p.add_argument("--noise-sd", type=float, default=1.0)
     p.add_argument("--seed", type=int, required=True)

@@ -31,7 +31,3 @@ class DegenerateFitError(DomainError):
 class NumericError(QmatchError, RuntimeError):
     """A numeric procedure failed to converge or produced too many failed
     evaluations to report a result."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best

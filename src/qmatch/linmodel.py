@@ -47,6 +47,11 @@ from .errors import DegenerateFitError, DomainError
 # unbounded-likelihood (perfectly additive) transformation.
 _DEGENERATE_REL = 1e-12
 
+# The interior Newton search accepts a point whose scale-standardized
+# gradient is below _NEWTON_TOL within _NEWTON_MAX_ITER steps.
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 100
+
 
 class ModelKind(str, enum.Enum):
     FIXED_EFFECTS = "fixed"
@@ -113,7 +118,6 @@ class ProjectionDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class ModelFit:
-    kind: ModelKind
     log_det_sigma_hat: float
     sigma2: float
     sigma2_row: float | None
@@ -168,7 +172,6 @@ def fit_fixed(z, design: DesignSpec) -> ModelFit:
     sigma2 = dec.s_err / n
     log_det = n * math.log(sigma2)
     return ModelFit(
-        kind=ModelKind.FIXED_EFFECTS,
         log_det_sigma_hat=log_det,
         sigma2=sigma2,
         sigma2_row=None,
@@ -210,7 +213,7 @@ def _hessian(lam, dec: ProjectionDecomposition):
     return h
 
 
-def _interior_newton(dec: ProjectionDecomposition, tol=1e-10, max_iter=100):
+def _interior_newton(dec: ProjectionDecomposition):
     """Stationary point of F strictly inside the cone, or None.
 
     Damped Newton from the separable start lam_k = S_k/d_k (projected into
@@ -231,10 +234,10 @@ def _interior_newton(dec: ProjectionDecomposition, tol=1e-10, max_iter=100):
         max(dec.s_col / dec.d_col, lam_e0),
         lam_e0,
     ])
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         g = _gradient(lam, dec)
         g_inf = np.max(np.abs(g))
-        if g_inf < tol:
+        if g_inf < _NEWTON_TOL:
             return lam
         h = _hessian(lam, dec)
         try:
@@ -259,7 +262,7 @@ def _interior_newton(dec: ProjectionDecomposition, tol=1e-10, max_iter=100):
             return None
         lam = lam + t * step
     g = _gradient(lam, dec)
-    return lam if np.max(np.abs(g)) < tol else None
+    return lam if np.max(np.abs(g)) < _NEWTON_TOL else None
 
 
 def _solve_eigenvalues(dec: ProjectionDecomposition):
@@ -310,7 +313,6 @@ def _random_fit_from_eigenvalues(design, dec, lam):
         + dec.d_err * math.log(lam_e)
     )
     return ModelFit(
-        kind=ModelKind.RANDOM_EFFECTS,
         log_det_sigma_hat=log_det,
         sigma2=lam_e,
         sigma2_row=max((lam_r - lam_e) / design.ncols, 0.0),

@@ -11,10 +11,11 @@ each column in turn, so row(k) = k mod nrows and col(k) = k div nrows.
 
 Reproducibility: all draws come from numpy's PCG64 generator seeded with
 ``seed``.  Uniforms are taken as (integer53 + 0.5) / 2^53, which never hits
-0 or 1, and variates are produced by inverse CDF through the same quantile
-routines the targets use.  Draw order is fixed: row effects, then column
-effects, then noise.  Equal seeds therefore give bit-equal outputs on any
-platform with the same numpy/scipy builds.
+0 or 1, and variates are produced by inverse CDF through the targets' own
+``quantile``: ``EFFECTS`` maps each effect distribution to its target, and
+the noise is drawn through the Gaussian target.  Draw order is fixed: row
+effects, then column effects, then noise.  Equal seeds therefore give
+bit-equal outputs on any platform with the same numpy/scipy builds.
 """
 
 from __future__ import annotations
@@ -22,15 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 from .errors import DomainError
 from .linmodel import DesignSpec
-from .targetdist import StudentT
+from .targetdist import Gaussian, StudentT
 
-EFFECT_DISTS = ("gaussian", "cauchy")
-
-_CAUCHY = StudentT(1.0)
+EFFECTS = {"gaussian": Gaussian(), "cauchy": StudentT(1.0)}
 
 
 @dataclass(frozen=True)
@@ -45,8 +43,8 @@ class SimConfig:
     def __post_init__(self):
         if self.nrows < 2 or self.ncols < 2:
             raise DomainError("need at least 2 rows and 2 columns")
-        if self.effect_dist not in EFFECT_DISTS:
-            raise DomainError(f"effect_dist must be one of {EFFECT_DISTS}")
+        if self.effect_dist not in EFFECTS:
+            raise DomainError(f"effect_dist must be one of {tuple(EFFECTS)}")
         if not (self.noise_sd > 0.0 and np.isfinite(self.noise_sd)):
             raise DomainError("noise_sd must be positive")
         if not np.isfinite(self.intercept):
@@ -61,11 +59,6 @@ class SimOutput:
     design: DesignSpec
 
 
-def cauchy_draw(u):
-    """Standard Cauchy variate by inverse CDF: tan(pi (u - 1/2))."""
-    return _CAUCHY.quantile(u)
-
-
 def _uniforms(rng, size):
     # Strictly interior uniforms: (k + 0.5)/2^53 for k in [0, 2^53).
     return (rng.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
@@ -73,13 +66,11 @@ def _uniforms(rng, size):
 
 def simulate(config: SimConfig) -> SimOutput:
     rng = np.random.default_rng(config.seed)
-    if config.effect_dist == "gaussian":
-        draw = sc.ndtri
-    else:
-        draw = cauchy_draw
-    row_eff = np.asarray(draw(_uniforms(rng, config.nrows)))
-    col_eff = np.asarray(draw(_uniforms(rng, config.ncols)))
-    noise = config.noise_sd * sc.ndtri(_uniforms(rng, config.nrows * config.ncols))
+    dist = EFFECTS[config.effect_dist]
+    row_eff = dist.quantile(_uniforms(rng, config.nrows))
+    col_eff = dist.quantile(_uniforms(rng, config.ncols))
+    noise = config.noise_sd * EFFECTS["gaussian"].quantile(
+        _uniforms(rng, config.nrows * config.ncols))
     design = DesignSpec(nrows=config.nrows, ncols=config.ncols)
     rows, cols = design.rows_cols()
     effects = row_eff[rows] + col_eff[cols]

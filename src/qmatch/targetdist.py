@@ -189,7 +189,9 @@ class StudentT(TargetDistribution):
     """Student-t family indexed by the reciprocal degrees of freedom.
 
     ``inv_nu = 0`` is the Gaussian (dispatched to the Gaussian code path so
-    results are bit-identical), ``inv_nu = 1`` the Cauchy.
+    results are bit-identical), ``inv_nu = 1`` the Cauchy.  So is any
+    subnormal ``inv_nu`` below about 5.6e-309, for which nu = 1/inv_nu
+    overflows to inf.
     """
 
     inv_nu: float
@@ -203,9 +205,12 @@ class StudentT(TargetDistribution):
             raise DomainError("nu must be >= 1 (inv_nu in [0, 1])")
         return cls(0.0 if math.isinf(nu) else 1.0 / nu)
 
+    def _is_gaussian(self):
+        return self.inv_nu == 0.0 or math.isinf(1.0 / self.inv_nu)
+
     @_array_method
     def quantile(self, p):
-        if self.inv_nu == 0.0:
+        if self._is_gaussian():
             return sc.ndtri(p)
         if self.inv_nu == 1.0:
             # Degree-argument tangent keeps the Cauchy quartiles exact.
@@ -213,12 +218,12 @@ class StudentT(TargetDistribution):
         return sc.stdtrit(1.0 / self.inv_nu, p)
 
     def _lqd_at(self, p, z):
-        if self.inv_nu == 0.0:
+        if self._is_gaussian():
             return _gaussian_lqd(z)
         return -student_t_log_density(self.inv_nu, z)
 
     def entropy(self):
-        if self.inv_nu == 0.0:
+        if self._is_gaussian():
             return 0.5 * (1.0 + LOG_2PI)
         nu = 1.0 / self.inv_nu
         return float(

@@ -63,7 +63,6 @@ class GaussianUniformDiagnostics:
     """How well the first-order constants track the exact two terms of the
     Gaussian-to-uniform log-likelihood ratio."""
 
-    n: int
     det_term: float                 # -1/2 log det(Sigma_gauss Sigma_unif^{-1})
     det_term_linear: float          # -1/2 log(12) n
     correction_term: float          # sum log Q'_gauss(p_i), exact
@@ -77,17 +76,21 @@ class CorrelationReport:
     correlations: np.ndarray
 
 
-def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec):
-    z, lqd = dist.transform(pc.p)
-    jacobian = float(np.sum(lqd))
-    model_fit = fit(z, design)
-    det_term = -0.5 * model_fit.log_det_sigma_hat
+def _score(label, z, jacobian, design: DesignSpec) -> ReducedProfileLoglik:
+    """The reduced profile value of the transformed response z, whose
+    change of variables contributes ``jacobian``."""
+    det_term = -0.5 * fit(z, design).log_det_sigma_hat
     return ReducedProfileLoglik(
-        target_label=dist.label(),
+        target_label=label,
         det_term=det_term,
         jacobian_term=jacobian,
         value=det_term + jacobian,
     )
+
+
+def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec):
+    z, lqd = dist.transform(pc.p)
+    return _score(dist.label(), z, float(np.sum(lqd)), design)
 
 
 def reduced_profile_loglik(y, dist: TargetDistribution, design: DesignSpec) -> ReducedProfileLoglik:
@@ -113,7 +116,6 @@ def gaussian_uniform_diagnostics(gauss: ReducedProfileLoglik, unif: ReducedProfi
     """Diagnostics from the already evaluated gaussian and uniform sides."""
     det = gauss.det_term - unif.det_term
     return GaussianUniformDiagnostics(
-        n=n,
         det_term=det,
         det_term_linear=-0.5 * math.log(12.0) * n,
         correction_term=gauss.jacobian_term,
@@ -123,14 +125,16 @@ def gaussian_uniform_diagnostics(gauss: ReducedProfileLoglik, unif: ReducedProfi
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section refinement stops when its bracket is narrower than this.
+_REFINE_XTOL = 1e-3
 
 
-def _golden_max(f, lo, mid, f_mid, hi, xtol):
+def _golden_max(f, lo, mid, f_mid, hi):
     """Golden-section maximization given a bracketing triple lo < mid < hi
     and the already evaluated f_mid = f(mid)."""
     x1, x2 = lo, hi
     best_x, best_f = mid, f_mid
-    while (x2 - x1) > xtol:
+    while (x2 - x1) > _REFINE_XTOL:
         d = _GOLDEN * (x2 - x1)
         a, b = x2 - d, x1 + d
         fa, fb = f(a), f(b)
@@ -145,7 +149,7 @@ def _golden_max(f, lo, mid, f_mid, hi, xtol):
     return best_x, best_f
 
 
-def _sweep(family, grid, evaluate, refine, refine_xtol=1e-3):
+def _sweep(family, grid, evaluate, refine):
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("parameter grid must be nonempty")
@@ -179,7 +183,6 @@ def _sweep(family, grid, evaluate, refine, refine_xtol=1e-3):
             x, v = _golden_max(
                 value_at,
                 float(grid[i_best - 1]), argmax_param, argmax_value, float(grid[i_best + 1]),
-                refine_xtol,
             )
         except (DegenerateFitError, NumericError) as exc:
             # A failed refinement leaves the grid argmax standing, as a
@@ -251,14 +254,7 @@ def boxcox_profile(y, design: DesignSpec, grid=None) -> ProfileCurve:
 
     def evaluate(g):
         z = np.log(y) if g == 0.0 else (np.power(y, g) - 1.0) / g
-        det_term = -0.5 * fit(z, design).log_det_sigma_hat
-        jac = (g - 1.0) * slog
-        return ReducedProfileLoglik(
-            target_label=f"boxcox(g={g:g})",
-            det_term=det_term,
-            jacobian_term=jac,
-            value=det_term + jac,
-        )
+        return _score(f"boxcox(g={g:g})", z, (g - 1.0) * slog, design)
 
     return _sweep("boxcox", grid, evaluate, refine=False)
 

@@ -228,7 +228,7 @@ def fit_random_numeric(z, design: DesignSpec) -> ModelFit:
         options={"xatol": 1e-13, "fatol": 1e-13, "maxfev": 40000},
     )
     if not res.success:
-        raise NumericError("variance-component optimizer did not converge", best=res.x)
+        raise NumericError("variance-component optimizer did not converge")
     s2, s2r, s2c = res.x
     lam = np.array([s2 + c * s2r, s2 + r * s2c, s2]) * scale
     return _random_fit_from_eigenvalues(design, dec, lam)
@@ -245,14 +245,14 @@ def quadratic_form(z, fit: ModelFit, design: DesignSpec) -> float:
     """
     g = _grid(z, design)
     zbar = g.mean()
-    if fit.kind == ModelKind.FIXED_EFFECTS:
+    if design.model == ModelKind.FIXED_EFFECTS:
         rows, cols = design.rows_cols()
         mu_hat = (g.mean(axis=1)[:, None] + g.mean(axis=0)[None, :] - zbar)[rows, cols]
     else:
         mu_hat = np.full(design.n, zbar)
     resid = np.asarray(z, dtype=float) - mu_hat
     dec = decompose(resid, design)
-    if fit.kind == ModelKind.FIXED_EFFECTS:
+    if design.model == ModelKind.FIXED_EFFECTS:
         lam_r = lam_c = lam_e = fit.sigma2
     else:
         lam_e = fit.sigma2

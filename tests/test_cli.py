@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmatch import AlphaBeta, Gaussian, SimConfig, StudentT, simulate
+from qmatch import AlphaBeta, DesignSpec, Gaussian, SimConfig, StudentT, simulate
 from qmatch.cli import (
     MAX_GRID_POINTS,
     UsageError,
@@ -279,6 +281,18 @@ class TestCompareCommand:
         approx = report["entropy_approximation"]
         assert approx["jacobian_b"] == 0.0
 
+    def test_reversed_gaussian_uniform_orientation(self, bench_csv, capsys):
+        report = self.run_json(
+            ["compare", "--a", "uniform", "--b", "gaussian",
+             "--input", str(bench_csv)], capsys)
+        assert list(report) == ["lr", "a", "b", "entropy_approximation",
+                                "gaussian_uniform_diagnostics", "manifest"]
+        diag = report["gaussian_uniform_diagnostics"]
+        assert diag["orientation"] == "gaussian_minus_uniform"
+        assert diag["det_term"] == report["b"]["det_term"] - report["a"]["det_term"]
+        assert diag["correction_term"] == report["b"]["jacobian_term"]
+        assert diag["correction_linear"] == report["entropy_approximation"]["jacobian_b"]
+
     def test_entropy_approximation_for_logistic(self, bench_csv, capsys):
         report = self.run_json(
             ["compare", "--a", "logistic", "--b", "uniform",
@@ -368,6 +382,23 @@ class TestCellOrder:
         (row_major / "data.csv").write_text("\n".join([header, *reindexed]) + "\n")
         assert _outputs(monkeypatch, row_major) == _outputs(monkeypatch, col_major)
 
+    @settings(max_examples=50, deadline=None)
+    @given(shape=st.tuples(st.integers(2, 6), st.integers(2, 6)), data=st.data())
+    def test_reader_ignores_line_order_and_index_labels(self, tmp_path_factory, shape, data):
+        nrows, ncols = shape
+        n = nrows * ncols
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=n, max_size=n))
+        lines = data.draw(st.permutations(range(n)))
+        labels = data.draw(st.permutations(range(n)))
+        body = [f"{labels[i]},{k % nrows},{k // nrows},{values[k]!r}"
+                for i, k in enumerate(lines)]
+        path = tmp_path_factory.mktemp("cells") / "data.csv"
+        path.write_text("\n".join(["index,row,col,y", *body]) + "\n")
+        got, design = read_data_csv(str(path))
+        assert got.tobytes() == np.array(values).tobytes()
+        assert design == DesignSpec(nrows, ncols)
+
 
 class TestInputValidation:
     def test_wrong_header(self, tmp_path):
@@ -389,6 +420,25 @@ class TestInputValidation:
                    "--input", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("row", ["1,1,0", "1,1,0,2.0,9", "1,1,0,2.0,"])
+    def test_row_without_four_fields(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"index,row,col,y\n0,0,0,1.0\n{row}\n2,0,1,0.5\n3,1,1,3.0\n")
+        rc = main(["compare", "--a", "gaussian", "--b", "uniform", "--input", str(bad)])
+        assert rc == 3
+        assert f"{bad}:3: malformed row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, grammar", [
+        (["compare", "--a", "frob", "--b", "gaussian"], True),
+        (["correlate", "--targets", "gaussian,frob"], True),
+        (["profile", "--family", "boxcox", "--refine"], False),
+    ])
+    def test_flags_checked_before_input_is_read(self, tmp_path, capsys, argv, grammar):
+        rc = main([*argv, "--input", str(tmp_path / "missing.csv"),
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert ("target spec grammar" in capsys.readouterr().err) == grammar
 
     def test_non_utf8_byte(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -6,7 +6,8 @@ from scipy import special as sc
 from scipy import stats
 
 from conftest import bench
-from qmatch import DomainError, SimConfig, cauchy_draw, simulate
+from qmatch import DomainError, SimConfig, simulate
+from qmatch.simdesign import EFFECTS
 
 CAUCHY_Q_090 = 3.077683537175253402570291  # tan(0.4 pi) to 25 digits
 
@@ -56,17 +57,17 @@ class TestReproducibility:
 
 class TestCauchyDraw:
     def test_special_points_are_exact(self):
-        assert cauchy_draw(0.5) == 0.0
-        assert cauchy_draw(0.75) == 1.0
-        assert cauchy_draw(0.25) == -1.0
+        assert EFFECTS["cauchy"].quantile(0.5) == 0.0
+        assert EFFECTS["cauchy"].quantile(0.75) == 1.0
+        assert EFFECTS["cauchy"].quantile(0.25) == -1.0
 
     def test_oracle_value(self):
-        assert abs(cauchy_draw(0.9) - CAUCHY_Q_090) < 1e-14
+        assert abs(EFFECTS["cauchy"].quantile(0.9) - CAUCHY_Q_090) < 1e-14
 
     def test_boundaries_rejected(self):
         for u in (0.0, 1.0):
             with pytest.raises(DomainError):
-                cauchy_draw(u)
+                EFFECTS["cauchy"].quantile(u)
 
 
 class TestConfigValidation:

@@ -98,6 +98,14 @@ class TestQuantiles:
         assert np.array_equal(StudentT(0.0).quantile(p), Gaussian().quantile(p))
         assert np.array_equal(StudentT(0.0).transform(p)[1], Gaussian().transform(p)[1])
 
+    def test_subnormal_inv_nu_is_the_gaussian_code_path(self):
+        # At the smallest subnormal, nu = 1/inv_nu overflows to inf.
+        p = np.linspace(0.001, 0.999, 57)
+        t = StudentT(5e-324)
+        assert np.array_equal(t.quantile(p), Gaussian().quantile(p))
+        assert np.array_equal(t.transform(p)[1], Gaussian().transform(p)[1])
+        assert t.entropy() == Gaussian().entropy()
+
     def test_alpha_beta_linear_case(self):
         # alpha = beta = 1 is Q(p) = 2p - 1 up to the affine shift used here.
         assert abs(AlphaBeta(1.0, 1.0).quantile(0.25) - (-0.5)) < 1e-12

@@ -182,7 +182,6 @@ class TestGaussianUniformDiagnostics:
     def test_linear_predictions(self):
         out = bench(0)
         diag = lr_diagnostics_gaussian_uniform(out.y, fixed_design(out))
-        assert diag.n == 1500
         assert diag.det_term_linear == -0.5 * math.log(12) * 1500
         assert diag.correction_linear == 1500 * Gaussian().entropy()
         # The exact terms sit near their first-order predictions.
