@@ -23,8 +23,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import platform
 import sys
+import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -112,10 +114,95 @@ def write_correlations(path, report):
     )
 
 
+# The data columns as numpy parses them.  numpy refuses an integer beyond
+# int64, `_` between digits and non-ASCII digits, which int() and float()
+# read; the row loop then reads the file.
+_DATA_DTYPE = np.dtype([("index", np.int64), ("row", np.int64), ("col", np.int64),
+                        ("y", np.float64)])
+
+# numpy strips these ASCII separators from a number as whitespace; int() and
+# float() do not.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _numpy_reads_as_csv(path) -> bool:
+    """Whether numpy's parse of the file can only agree with the row loop's.
+
+    It can disagree on a file holding an ASCII separator character (see
+    ``_SEPARATORS``) or a field longer than the csv module's field limit.
+    An unquoted field lies within one line, while a quoted one may span
+    lines, so a file longer than the limit must hold no quote character and
+    no line longer than the limit.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fb:
+        short = os.fstat(fb.fileno()).st_size <= limit
+        longest = run = 0  # run: the length so far of the line the block ends in
+        while block := fb.read(1 << 20):
+            if any(sep in block for sep in _SEPARATORS):
+                return False
+            if short:
+                continue
+            if b'"' in block:
+                return False
+            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            if ends.size:
+                longest = max(longest, run + int(ends[0]) + 1, int(np.diff(ends).max(initial=0)))
+                run = len(block) - 1 - int(ends[-1])
+            else:
+                run += len(block)
+            if max(longest, run) > limit:
+                return False
+    return True
+
+
+def _read_columns(fh, path):
+    """The data rows after the header as (index, row, col, y) arrays from one
+    numpy parse, or None when the row loop must read them instead: the file
+    fails ``_numpy_reads_as_csv``, numpy rejects a line or finds no rows, or
+    a y is not finite (the row loop keeps its reading of those)."""
+    if not _numpy_reads_as_csv(path):
+        return None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy before 2.0 reads an integer field written as a float (1.0,
+        # 0.9, 1e0) by truncating it, with a DeprecationWarning; as an error
+        # that warning fails the parse, and the row loop rejects the line.
+        warnings.filterwarnings("error", category=DeprecationWarning)
+        try:
+            table = np.loadtxt(fh, dtype=_DATA_DTYPE, delimiter=",", comments=None,
+                               quotechar='"', ndmin=1)
+        except (ValueError, DeprecationWarning):  # also UnicodeDecodeError
+            return None
+    if table.size == 0 or not np.all(np.isfinite(table["y"])):
+        return None
+    return table["index"], table["row"], table["col"], table["y"]
+
+
+def _read_rows(reader, path):
+    """The data rows after the header as (index, row, col, y) arrays, one
+    csv record at a time; each malformed row is reported by its number."""
+    recs = []
+    for lineno, fields in enumerate(reader, start=2):
+        if not fields:
+            continue
+        try:
+            index, row, col, y = fields
+            recs.append((int(index), int(row), int(col), float(y)))
+        except ValueError:  # also a row without exactly four fields
+            raise DomainError(f"{path}:{lineno}: malformed row") from None
+    if not recs:
+        raise DomainError(f"{path}: no data rows")
+    return tuple(np.array(field) for field in zip(*recs))
+
+
 def read_data_csv(path):
     """Read a data file (columns index,row,col,y) into a response and design.
 
     Lines may list the cells in any order: each y is placed by its cell.
+    The rows are parsed column-wise by numpy; a file that parse declines is
+    read by the csv-module row loop, which gives the same values for every
+    file both accept.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -123,26 +210,38 @@ def read_data_csv(path):
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["index", "row", "col", "y"]:
                 raise DomainError(f"{path}: expected header index,row,col,y")
-            recs = []
-            for lineno, fields in enumerate(reader, start=2):
-                if not fields:
-                    continue
-                try:
-                    index, row, col, y = fields
-                    recs.append((int(index), int(row), int(col), float(y)))
-                except ValueError:  # also a row without exactly four fields
-                    raise DomainError(f"{path}:{lineno}: malformed row") from None
+            columns = _read_columns(fh, path)
+            if columns is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                columns = _read_rows(reader, path)
         except UnicodeDecodeError:
             raise DomainError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:
             raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
-    if not recs:
-        raise DomainError(f"{path}: no data rows")
-    idx, rows, cols, y = (np.array(field) for field in zip(*recs))
+    idx, rows, cols, y = columns
     if not np.array_equal(np.sort(idx), np.arange(idx.size)):
         raise DomainError(f"{path}: index column must be 0..n-1 without gaps")
     design, y = DesignSpec.from_cells(rows, cols, y)
     return y, design
+
+
+# Rows per write of a simulated data file: one string per block keeps the
+# whole file out of memory.
+_WRITE_BLOCK_ROWS = 65536
+
+
+def _write_data_csv(path, y, design):
+    """Write a response as a data file (index,row,col,y), cells column-major."""
+    rows, cols = design.rows_cols()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("index,row,col,y\n")
+        for start in range(0, design.n, _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            recs = zip(range(start, start + _WRITE_BLOCK_ROWS), rows[block].tolist(),
+                       cols[block].tolist(), y[block].tolist())
+            fh.write("".join(["%d,%d,%d,%.17g\n" % rec for rec in recs]))
 
 
 def cmd_simulate(args) -> int:
@@ -151,15 +250,7 @@ def cmd_simulate(args) -> int:
         intercept=args.intercept, noise_sd=args.noise_sd, seed=args.seed,
     )
     out = simulate(config)
-    rows_idx, cols_idx = out.design.rows_cols()
-    _write_csv(
-        args.out,
-        ["index", "row", "col", "y"],
-        (
-            [str(k), str(int(rows_idx[k])), str(int(cols_idx[k])), _fmt(out.y[k])]
-            for k in range(out.design.n)
-        ),
-    )
+    _write_data_csv(args.out, out.y, out.design)
     _write_json(args.out + ".manifest.json", _manifest(
         "simulate",
         {

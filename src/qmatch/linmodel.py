@@ -47,6 +47,11 @@ from .errors import DegenerateFitError, DomainError
 # unbounded-likelihood (perfectly additive) transformation.
 _DEGENERATE_REL = 1e-12
 
+# A response whose largest magnitude lies outside this range is fitted after
+# an exact power-of-two rescaling, so its sums of squares neither overflow
+# nor underflow.
+_SAFE_SCALE = (2.0**-500, 2.0**500)
+
 # The interior Newton search accepts a point whose scale-standardized
 # gradient is below _NEWTON_TOL within _NEWTON_MAX_ITER steps.
 _NEWTON_TOL = 1e-10
@@ -124,10 +129,15 @@ class ModelFit:
     sigma2_col: float | None
 
 
-def _grid(z, design: DesignSpec) -> np.ndarray:
+def _response(z, design: DesignSpec) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (design.n,):
         raise DomainError(f"response length {z.size} does not match design size {design.n}")
+    return z
+
+
+def _grid(z, design: DesignSpec) -> np.ndarray:
+    z = _response(z, design)
     # A C-ordered copy, so row and column reductions sum in a fixed order.
     return np.ascontiguousarray(z.reshape(design.ncols, design.nrows).T)
 
@@ -149,34 +159,63 @@ def decompose(z, design: DesignSpec) -> ProjectionDecomposition:
     )
 
 
-def _check_not_degenerate(z, dec: ProjectionDecomposition):
+def _fit_scaled(z, design: DesignSpec, fit_from_dec) -> ModelFit:
+    """fit_from_dec(decompose(z), design) for a response whose likelihood is
+    bounded.
+
+    When max|z| lies outside ``_SAFE_SCALE`` the fit is made of z * 2**-k,
+    with k putting max|z| in [1/2, 1), and scaled back: every variance by
+    4**k, log det Sigma_hat by 2k n log 2.  Both are exact.
+    """
+    z = _response(z, design)
     # A spread within a few ulps of the data magnitude is rounding noise,
     # not variation; fitting it would produce absurd variance estimates.
-    z = np.asarray(z, dtype=float)
     scale = float(np.max(np.abs(z)))
     if float(np.ptp(z)) <= 16.0 * np.finfo(float).eps * scale:
         raise DegenerateFitError("response is numerically constant")
+    k = 0
+    if math.isfinite(scale) and not _SAFE_SCALE[0] <= scale <= _SAFE_SCALE[1]:
+        k = math.frexp(scale)[1]
+        z = np.ldexp(z, -k)
+    dec = decompose(z, design)
     total = dec.s_row + dec.s_col + dec.s_err
     if total <= 0.0 or dec.s_err <= _DEGENERATE_REL * total:
         raise DegenerateFitError(
             "no interaction variation left after transformation; "
             "the likelihood is unbounded"
         )
+    fit = fit_from_dec(dec, design)
+    if k == 0:
+        return fit
+
+    def variance(v):
+        try:
+            return None if v is None else math.ldexp(v, 2 * k)
+        except OverflowError:  # a variance beyond the float range
+            return math.inf
+
+    return ModelFit(
+        log_det_sigma_hat=fit.log_det_sigma_hat + 2 * k * design.n * math.log(2.0),
+        sigma2=variance(fit.sigma2),
+        sigma2_row=variance(fit.sigma2_row),
+        sigma2_col=variance(fit.sigma2_col),
+    )
 
 
-def fit_fixed(z, design: DesignSpec) -> ModelFit:
-    """ML fit of the additive fixed-effects model with spherical errors."""
-    dec = decompose(z, design)
-    _check_not_degenerate(z, dec)
+def _fixed_fit_from_dec(dec: ProjectionDecomposition, design: DesignSpec) -> ModelFit:
     n = design.n
     sigma2 = dec.s_err / n
-    log_det = n * math.log(sigma2)
     return ModelFit(
-        log_det_sigma_hat=log_det,
+        log_det_sigma_hat=n * math.log(sigma2),
         sigma2=sigma2,
         sigma2_row=None,
         sigma2_col=None,
     )
+
+
+def fit_fixed(z, design: DesignSpec) -> ModelFit:
+    """ML fit of the additive fixed-effects model with spherical errors."""
+    return _fit_scaled(z, design, _fixed_fit_from_dec)
 
 
 def _objective(lam, dec: ProjectionDecomposition):
@@ -320,12 +359,13 @@ def _random_fit_from_eigenvalues(design, dec, lam):
     )
 
 
+def _random_fit_from_dec(dec: ProjectionDecomposition, design: DesignSpec) -> ModelFit:
+    return _random_fit_from_eigenvalues(design, dec, _solve_eigenvalues(dec))
+
+
 def fit_random_balanced(z, design: DesignSpec) -> ModelFit:
     """ML fit of the intercept-plus-two-variance-components model."""
-    dec = decompose(z, design)
-    _check_not_degenerate(z, dec)
-    lam = _solve_eigenvalues(dec)
-    return _random_fit_from_eigenvalues(design, dec, lam)
+    return _fit_scaled(z, design, _random_fit_from_dec)
 
 
 def fit(z, design: DesignSpec) -> ModelFit:

@@ -39,9 +39,11 @@ def percentiles(y) -> PercentileVector:
     # 0-based sorted positions a..a+k-1 has 1-based midrank a + (k+1)/2;
     # twice that, 2a + k + 1, is an integer, exact in float64, so p is the
     # correctly rounded (2a+k)/(2n).  Signed zeros compare equal, so 0.0
-    # and -0.0 form one run.
+    # and -0.0 form one run.  Every member of a run gets the same value,
+    # and a and k depend only on the sorted values, so any sort order of
+    # the ties gives the same p: the sort need not be stable.
     n = y.size
-    order = np.argsort(y, kind="stable")
+    order = np.argsort(y)
     ys = y[order]
     starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
     lengths = np.diff(np.append(starts, n))

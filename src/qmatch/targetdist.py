@@ -41,6 +41,14 @@ from .errors import DomainError, TargetSpecError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# Student-t entropy minus Gaussian entropy as a series in x = inv_nu:
+# x + x^2/4 - x^3/6 - x^4/8 + 3x^5/10 + x^6/4 - 17x^7/14 - 17x^8/16 + ...
+# (asymptotic, from the digamma and log-gamma expansions; checked against
+# mpmath).  Below _T_ENTROPY_SERIES_BELOW the digamma form loses about
+# 1.6e-16/x to cancellation, more than the series' truncation error.
+_T_ENTROPY_SERIES = (1.0, 1 / 4, -1 / 6, -1 / 8, 3 / 10, 1 / 4, -17 / 14, -17 / 16)
+_T_ENTROPY_SERIES_BELOW = 0.01
+
 
 def _array_method(method):
     """Scalar/array plumbing: the method gets its argument as a float array,
@@ -223,9 +231,15 @@ class StudentT(TargetDistribution):
         return -student_t_log_density(self.inv_nu, z)
 
     def entropy(self):
-        if self._is_gaussian():
-            return 0.5 * (1.0 + LOG_2PI)
-        nu = 1.0 / self.inv_nu
+        x = self.inv_nu
+        if x < _T_ENTROPY_SERIES_BELOW:
+            # Gaussian entropy plus the series in x = 1/nu; the term after
+            # the last is 155/18 x^9, below 1e-17 here.
+            series = 0.0
+            for coef in reversed(_T_ENTROPY_SERIES):
+                series = (series + coef) * x
+            return 0.5 * (1.0 + LOG_2PI) + series
+        nu = 1.0 / x
         return float(
             (nu + 1.0) / 2.0 * (sc.digamma((nu + 1.0) / 2.0) - sc.digamma(nu / 2.0))
             + 0.5 * math.log(nu)

@@ -7,14 +7,15 @@ the rest from first principles so the tests can check it: percentiles from
 scipy's midranks, quantile matching, the closed-form CDFs, log Q' by a
 second special-function pass, the ``Affine`` shift/scale target, the
 midpoint-rule entropy quadrature, a derivative-free optimizer for the
-variance-components fit, the explicit n x n covariance, and the fitted
-quadratic form.
+variance-components fit, the explicit n x n covariance, the fitted
+quadratic form, and a data file written one csv-module row at a time.
 
 Importing this module gives every target class a ``cdf`` method for the
 round-trip checks: the closed form where one exists, NotImplementedError
 otherwise.
 """
 
+import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from qmatch import (
 )
 from qmatch.linmodel import (
     ProjectionDecomposition,
-    _check_not_degenerate,
+    _fit_scaled,
     _grid,
     _objective,
     _random_fit_from_eigenvalues,
@@ -201,8 +202,10 @@ def fit_random_numeric(z, design: DesignSpec) -> ModelFit:
 
     Kept as an independent route for cross-checking the active-set solver.
     """
-    dec = decompose(z, design)
-    _check_not_degenerate(z, dec)
+    return _fit_scaled(z, design, _numeric_fit_from_dec)
+
+
+def _numeric_fit_from_dec(dec, design: DesignSpec) -> ModelFit:
     total = dec.s_row + dec.s_col + dec.s_err
     n = design.n
     scale = total / n
@@ -277,3 +280,16 @@ def dense_covariance(design: DesignSpec, sigma2, sigma2_row, sigma2_col) -> np.n
         + sigma2_row * same_row
         + sigma2_col * same_col
     )
+
+
+def write_data_csv_rows(path, y, design: DesignSpec):
+    """A data file (index,row,col,y, cells column-major) written row by row
+    through the csv module, each y as ``format(y, ".17g")``."""
+    rows, cols = design.rows_cols()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["index", "row", "col", "y"])
+        writer.writerows(
+            [str(k), str(int(rows[k])), str(int(cols[k])), format(float(y[k]), ".17g")]
+            for k in range(design.n)
+        )

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in process through main(argv)."""
 
 import argparse
+import io
 import json
 import math
 import os
@@ -8,7 +9,9 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmatch import AlphaBeta, DesignSpec, Gaussian, SimConfig, StudentT, simulate
+from oracles import write_data_csv_rows
+from qmatch import AlphaBeta, DesignSpec, DomainError, Gaussian, SimConfig, StudentT, simulate
+from qmatch import cli
 from qmatch.cli import (
     MAX_GRID_POINTS,
     UsageError,
@@ -308,6 +313,13 @@ class TestCompareCommand:
              "--input", str(bench_csv), "--out", str(out)], capsys)
         assert json.loads(out.read_text()) == report
 
+    def test_entropy_approximation_near_the_gaussian(self, bench_csv, capsys):
+        # At inv_nu = 1e-16 the t entropy is the Gaussian's to 1e-16.
+        report = self.run_json(
+            ["compare", "--a", "t:inv_nu=1e-16", "--b", "gaussian",
+             "--input", str(bench_csv)], capsys)
+        assert abs(report["entropy_approximation"]["lr"]) < 1e-9
+
     def test_bad_target_spec(self, bench_csv, capsys):
         rc = main(["compare", "--a", "frobnicate", "--b", "uniform",
                    "--input", str(bench_csv)])
@@ -398,6 +410,118 @@ class TestCellOrder:
         got, design = read_data_csv(str(path))
         assert got.tobytes() == np.array(values).tobytes()
         assert design == DesignSpec(nrows, ncols)
+
+
+def _read_outcome(path):
+    """(y bytes, design) of a data file, or ("error", message)."""
+    try:
+        y, design = read_data_csv(str(path))
+    except DomainError as exc:
+        return "error", str(exc)
+    return y.tobytes(), design
+
+
+def _row_loop_outcome(path):
+    """``_read_outcome`` with every file read by the csv-module row loop."""
+    with mock.patch.object(cli, "_read_columns", return_value=None):
+        return _read_outcome(path)
+
+
+GRID_2X2 = ["0,0,0,1.5", "1,1,0,-2.25", "2,0,1,0.125", "3,1,1,3.0"]
+GRID_3X4 = [f"{k},{k % 3},{k // 3},{(k * 7) % 12 / 8}" for k in range(12)]
+
+
+def _data_file(lines, header="index,row,col,y", end="\n"):
+    return end.join([header, *lines]) + end
+
+
+class TestDataFileFormat:
+    @pytest.mark.parametrize("effects", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("nrows, ncols", [(2, 2), (50, 30), (1000, 300)])
+    def test_writer_matches_row_writer(self, tmp_path, nrows, ncols, effects):
+        data, rows = tmp_path / "data.csv", tmp_path / "rows.csv"
+        assert main(["simulate", "--nrows", str(nrows), "--ncols", str(ncols),
+                     "--effects", effects, "--seed", "5", "--out", str(data)]) == 0
+        out = simulate(SimConfig(nrows=nrows, ncols=ncols, effect_dist=effects, seed=5))
+        write_data_csv_rows(rows, out.y, out.design)
+        assert data.read_bytes() == rows.read_bytes()
+
+    def test_simulated_file_skips_row_loop(self, bench_csv, monkeypatch):
+        def row_loop(reader, path):
+            raise AssertionError("row loop entered")
+        monkeypatch.setattr(cli, "_read_rows", row_loop)
+        y, design = read_data_csv(str(bench_csv))
+        assert y.tobytes() == simulate(SimConfig(seed=0)).y.tobytes()
+        assert design == DesignSpec(50, 30)
+
+    @pytest.mark.parametrize("text, row_loop", [
+        pytest.param(_data_file(['"%s"' % line.replace(",", '","') for line in GRID_2X2],
+                                header='"index","row","col","y"'), False, id="quoted"),
+        pytest.param(_data_file(["+0, 0 ,0,  1.5", "1,+1,0,\t-2.25 ", "2,0,+1,+0.125",
+                                 " 3,1 ,1,3.0\u00a0"]), False, id="signed-and-padded"),
+        pytest.param(_data_file(GRID_2X2[:2] + [""] + GRID_2X2[2:], end="\r\n"), False,
+                     id="crlf-and-blank-line"),
+        pytest.param(_data_file(GRID_3X4[:10] + ["1_0" + GRID_3X4[10][2:]] + GRID_3X4[11:]),
+                     True, id="underscore-in-index"),
+        pytest.param(_data_file(["0,0,0,1.5", "1,\u0661,0,-2.25", *GRID_2X2[2:]]), True,
+                     id="non-ascii-digit"),
+        pytest.param(_data_file(["0,1.0,0,1.5", "1,0,0,-2.25", *GRID_2X2[2:]]), True,
+                     id="float-spelled-row"),
+        pytest.param(_data_file(["0,0,0,1.5", "1,1,0.5,-2.25", *GRID_2X2[2:]]), True,
+                     id="fractional-col"),
+        pytest.param(_data_file(["1e0,1,0,-2.25", "0,0,0,1.5", *GRID_2X2[2:]]), True,
+                     id="exponent-in-index"),
+        pytest.param(_data_file([*GRID_2X2[:3], "3,1,1,inf"]), True, id="inf-y"),
+        pytest.param(_data_file([GRID_2X2[0], "# a comment", *GRID_2X2[1:]]), True,
+                     id="comment-line"),
+        pytest.param(_data_file([GRID_2X2[0], "  \t", *GRID_2X2[1:]]), True,
+                     id="whitespace-only-line"),
+        pytest.param(_data_file([*GRID_2X2[:3], "3,1,1,3.0\x1c"]), True,
+                     id="separator-after-y"),
+        pytest.param(_data_file([*GRID_2X2[:3], "3,1,1,3." + "0" * 140000]), True,
+                     id="long-finite-y"),
+        pytest.param(_data_file([*GRID_2X2[:3], '3,1,1,"' + "\n" * 140000 + '3.0"']), True,
+                     id="long-quoted-y-across-lines"),
+    ])
+    def test_reads_as_row_loop(self, tmp_path, capsys, text, row_loop):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(cli, "_read_rows", wraps=cli._read_rows) as rows:
+            got = _read_outcome(path)
+        assert rows.called == row_loop
+        want = _row_loop_outcome(path)
+        assert got == want
+        if want[0] == "error":
+            assert main(["compare", "--a", "gaussian", "--b", "uniform",
+                         "--input", str(path)]) == 3
+            assert want[1] in capsys.readouterr().err
+
+    def test_float_to_int_warning_sends_file_to_row_loop(self, tmp_path, capsys):
+        # numpy before 2.0 truncates "1.0" read as an integer and only warns.
+        path = tmp_path / "data.csv"
+        path.write_text(_data_file(["0,0,0,1.5", "1,1.0,0,-2.25", *GRID_2X2[2:]]))
+        loadtxt = np.loadtxt
+
+        def truncating_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return loadtxt(io.StringIO("\n".join(GRID_2X2)), *args[1:], **kwargs)
+
+        with mock.patch.object(cli.np, "loadtxt", truncating_loadtxt):
+            assert _read_outcome(path) == ("error", f"{path}:3: malformed row")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_perturbed_fields_read_as_row_loop(self, tmp_path_factory, data):
+        affix = st.sampled_from(["", "", "", " ", "\t", "+", "-", "0", "_", '"', ".", "e",
+                                 "#", "\x1c", "\x1f", "\u00a0", "\u2003", "\u0661", "\r"])
+        lines = []
+        for line in GRID_2X2:
+            fields = [data.draw(affix) + f + data.draw(affix) for f in line.split(",")]
+            lines.append(",".join(fields))
+        path = tmp_path_factory.mktemp("fields") / "data.csv"
+        path.write_bytes(_data_file(lines).encode("utf-8"))
+        assert _read_outcome(path) == _row_loop_outcome(path)
 
 
 class TestInputValidation:

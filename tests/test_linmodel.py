@@ -7,6 +7,7 @@ fit_random_numeric against the active-set solver fit_random_balanced.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from qmatch import (
     DomainError,
     ModelKind,
     decompose,
+    fit,
     fit_fixed,
     fit_random_balanced,
 )
@@ -246,6 +248,27 @@ class TestFitRandomBalanced:
         a = fit_random_numeric(z, d)
         b = fit_random_numeric(0.5 * z, d)
         assert b.sigma2 == pytest.approx(0.25 * a.sigma2, rel=1e-5)
+
+
+class TestExtremeScale:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_power_of_two_scaling_shifts_log_det(self, rng, model, e):
+        z = random_effects_data(rng, 6, 5)
+        d = design(6, 5, model)
+        base = fit(z, d).log_det_sigma_hat
+        shift = 2 * e * d.n * math.log(2.0)
+        assert fit(2.0**e * z, d).log_det_sigma_hat == pytest.approx(base + shift, rel=1e-12)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_sums_of_squares_do_not_overflow(self, rng, model):
+        z = random_effects_data(rng, 6, 5)
+        d = design(6, 5, model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit(1e160 * z, d).log_det_sigma_hat
+        assert got == pytest.approx(fit(z, d).log_det_sigma_hat + 2 * d.n * math.log(1e160),
+                                    rel=1e-12)
 
 
 class TestLogDetAgainstDenseOracle:

@@ -46,6 +46,18 @@ def test_bit_equal_to_scipy_midranks(values):
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def test_bit_equal_to_scipy_midranks_at_scale():
+    # A non-stable sort puts the members of a tie run in any order; p must
+    # not move.  Heavy ties (1000 values over n = 300000) and both zeros.
+    rng = np.random.default_rng(3)
+    y = rng.integers(0, 1000, size=300_000).astype(float)
+    zeros = np.flatnonzero(y == 0.0)
+    y[zeros[::2]] = -0.0
+    a = percentiles(y).p
+    b = rankdata_percentiles(y)
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_single_point():
     assert percentiles([7.0]).p.tolist() == [0.5]
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sc
 
 from oracles import Affine, log_quantile_derivative
 from qmatch import (
@@ -24,6 +25,7 @@ from qmatch import (
     Uniform,
     student_t_log_density,
 )
+from qmatch import targetdist
 from qmatch.targetdist import TARGET_GRAMMAR, TARGETS, parse_target, parse_target_list
 
 # mpmath oracles.
@@ -54,6 +56,16 @@ GAUSS_ENTROPY = 1.41893853320467274178033
 CAUCHY_ENTROPY = 2.531024246969290792977892  # log(4 pi)
 T5_ENTROPY = 1.627502672414395981090749     # mpmath quad of -f log f
 T667_ENTROPY = 1.573881667165713649688635
+# Student-t entropy by inv_nu, from mpmath's digamma and beta at 50 digits.
+T_ENTROPY_MPMATH = {
+    1e-16: 1.41893853320467284178033,
+    1e-12: 1.41893853320567274178033,
+    1e-8: 1.41893854320467276678033,
+    1e-4: 1.419038535704506062616663,
+    1e-3: 1.419938783037881375362448,
+    0.15: 1.573961339555948073789996,
+    1.0: 2.531024246969290792977892,
+}
 
 ALL_KINDS = [
     Gaussian(), Uniform(), Logistic(),
@@ -303,6 +315,21 @@ class TestEntropy:
     def test_t_entropy_against_integration_oracle(self):
         assert abs(StudentT(0.2).entropy() - T5_ENTROPY) < 1e-12
         assert abs(StudentT.from_nu(6.67).entropy() - T667_ENTROPY) < 1e-12
+
+    @pytest.mark.parametrize("inv_nu, exact", sorted(T_ENTROPY_MPMATH.items()))
+    def test_t_entropy_against_mpmath(self, inv_nu, exact):
+        # The digamma form alone is off by 0.5 at 1e-16 and 1.6e-12 at 1e-4.
+        assert abs(StudentT(inv_nu).entropy() - exact) <= 1e-12
+
+    @pytest.mark.parametrize("inv_nu", [targetdist._T_ENTROPY_SERIES_BELOW, 0.15, 0.5, 1.0])
+    def test_t_entropy_digamma_form_from_series_cut_over(self, inv_nu):
+        nu = 1.0 / inv_nu
+        digamma_form = float(
+            (nu + 1.0) / 2.0 * (sc.digamma((nu + 1.0) / 2.0) - sc.digamma(nu / 2.0))
+            + 0.5 * math.log(nu)
+            + sc.betaln(0.5, nu / 2.0)
+        )
+        assert StudentT(inv_nu).entropy() == digamma_form
 
     def test_unknown_for_general_alpha_beta(self):
         assert AlphaBeta(0.3, -0.2).entropy() is None

@@ -371,6 +371,14 @@ class TestBoxcoxProfile:
         with pytest.raises(DomainError):
             boxcox_profile(out.y - out.y.max(), fixed_design(out))
 
+    def test_large_exponents_fit(self):
+        # y**130 reaches about 1e180 on intercept-20 data, so its squares
+        # overflow unless the fit rescales the transformed response.
+        out = simulate(SimConfig(seed=3, intercept=20.0))
+        curve = boxcox_profile(out.y, fixed_design(out), np.arange(0.0, 131.0, 5.0))
+        assert np.all(np.isfinite(curve.values))
+        assert curve.warnings == ()
+
 
 class TestEntropyQuadrature:
     def test_gaussian(self):
