@@ -284,22 +284,29 @@ def _grid_from_args(args):
     if span >= MAX_GRID_POINTS:  # more than MAX_GRID_POINTS points, or an overflow to inf
         raise UsageError(f"grid must have at most {MAX_GRID_POINTS} points; "
                          "use a larger --grid-step")
-    return args.grid_start + args.grid_step * np.arange(int(math.floor(span)) + 1)
+    grid = args.grid_start + args.grid_step * np.arange(int(math.floor(span)) + 1)
+    # Rounding can put the last point just past the stop, and so outside a
+    # family's range.
+    return np.minimum(grid, args.grid_stop)
+
+
+def _sweeps():
+    """Each --family's sweep; all take (y, design, grid, refine).  The table
+    is built when called, so a sweep rebound on this module (bench/spans.py
+    wraps them to trace them) is the one that runs."""
+    return {"t": profile_student_t, "alpha": profile_alpha, "boxcox": boxcox_profile}
 
 
 def cmd_profile(args) -> int:
     grid = _grid_from_args(args)
-    if args.family == "boxcox" and args.refine:
-        raise UsageError("--refine is not supported for the boxcox family")
     y, design = read_data_csv(args.input)
     design = design.with_model(ModelKind(args.model))
+    curve = _sweeps()[args.family](y, design, grid, refine=args.refine)
     if args.family == "t":
-        curve = profile_student_t(y, design, grid, refine=args.refine)
         comparators = {
             "gaussian_value": reduced_profile_loglik(y, Gaussian(), design).value,
         }
     elif args.family == "alpha":
-        curve = profile_alpha(y, design, grid, refine=args.refine)
         t_curve = profile_student_t(y, design, refine=args.refine)
         comparators = {
             "gaussian_value": reduced_profile_loglik(y, Gaussian(), design).value,
@@ -310,7 +317,6 @@ def cmd_profile(args) -> int:
             },
         }
     else:
-        curve = boxcox_profile(y, design, grid)
         # The g = 1 transform is affine, so its profile value is the plain
         # identity fit (the jacobian coefficient g - 1 vanishes).
         comparators = {
@@ -407,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("profile", help="profile a transformation family over a grid")
-    p.add_argument("--family", choices=["t", "alpha", "boxcox"], required=True)
+    p.add_argument("--family", choices=list(_sweeps()), required=True)
     p.add_argument("--model", choices=["fixed", "random"], default="fixed")
     p.add_argument("--input", required=True)
     p.add_argument("--grid-start", type=float)

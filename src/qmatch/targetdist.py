@@ -247,11 +247,12 @@ class StudentT(TargetDistribution):
         )
 
 
-def _power_limb(a, x):
-    # (x^a - 1)/a with the a -> 0 limit log x; expm1 keeps small a accurate.
+def power_limb(a, log_x):
+    """(x^a - 1)/a from log x, with the a -> 0 limit log x; expm1 keeps
+    small a accurate."""
     if a == 0.0:
-        return np.log(x)
-    return np.expm1(a * np.log(x)) / a
+        return log_x
+    return np.expm1(a * log_x) / a
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ class AlphaBeta(TargetDistribution):
     def quantile(self, p):
         if self.alpha == 0.0 and self.beta == 0.0:
             return _logistic_q(p)
-        return _power_limb(self.alpha, p) - _power_limb(self.beta, 1.0 - p)
+        return power_limb(self.alpha, np.log(p)) - power_limb(self.beta, np.log(1.0 - p))
 
     def _lqd_at(self, p, z):
         # Q'(p) = p^(alpha-1) + (1-p)^(beta-1)

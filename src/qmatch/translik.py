@@ -11,9 +11,10 @@ constants), the profiled log likelihood of the transformation is
 
 This "reduced" form is the quantity every comparison in the package uses;
 differences of it between two targets are full log-likelihood ratios
-because the dropped terms cancel.  All statistics depend on y only through
-its rank vector, so any strictly increasing relabeling of the data leaves
-them bit-for-bit unchanged.
+because the dropped terms cancel.  Except for the Box-Cox comparator, which
+transforms the data values themselves, all statistics depend on y only
+through its rank vector, so any strictly increasing relabeling of the data
+leaves them bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .targetdist import (
     StudentT,
     TargetDistribution,
     Uniform,
+    power_limb,
 )
 
 DEFAULT_T_GRID = np.arange(51) * 0.02          # inv_nu in [0, 1]
@@ -76,10 +78,11 @@ class CorrelationReport:
     correlations: np.ndarray
 
 
-def _score(label, z, jacobian, design: DesignSpec) -> ReducedProfileLoglik:
-    """The reduced profile value of the transformed response z, whose
-    change of variables contributes ``jacobian``."""
-    det_term = -0.5 * fit(z, design).log_det_sigma_hat
+def _score(label, log_det, jacobian) -> ReducedProfileLoglik:
+    """The reduced profile value of a transformed response whose fit has
+    log det Sigma_hat ``log_det`` and whose change of variables contributes
+    ``jacobian``."""
+    det_term = -0.5 * log_det
     return ReducedProfileLoglik(
         target_label=label,
         det_term=det_term,
@@ -90,7 +93,7 @@ def _score(label, z, jacobian, design: DesignSpec) -> ReducedProfileLoglik:
 
 def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec):
     z, lqd = dist.transform(pc.p)
-    return _score(dist.label(), z, float(np.sum(lqd)), design)
+    return _score(dist.label(), fit(z, design).log_det_sigma_hat, float(np.sum(lqd)))
 
 
 def reduced_profile_loglik(y, dist: TargetDistribution, design: DesignSpec) -> ReducedProfileLoglik:
@@ -237,26 +240,38 @@ def profile_alpha(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurv
     )
 
 
-def boxcox_profile(y, design: DesignSpec, grid=None) -> ProfileCurve:
-    """Power-transformation profile on the raw (positive) response.
+def boxcox_profile(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
+    """Power-transformation profile on the raw (positive) response, for any
+    real exponent g.
 
     For exponent g the response is transformed to (y^g - 1)/g (log y at
     g = 0), the model is fitted, and the profile value is
     -1/2 log det Sigma_hat + (g - 1) sum log y.  This comparator operates
     on the data values themselves, not on ranks.
+
+    The fit is computed in the log domain.  With c = max log y for g > 0
+    and c = min log y otherwise, (y^g - 1)/g equals e^(gc) times
+    (e^(g (log y - c)) - 1)/g plus a constant.  Both models are
+    equivariant under that affine map, so the shifted response is fitted
+    and 2 n g c is added back to log det Sigma_hat.  As g (log y - c) <= 0,
+    no power overflows at large |g|, and expm1 keeps g near 0 accurate.
     """
     y = np.asarray(y, dtype=float)
     if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
         raise DomainError("power-transformation profile requires strictly positive data")
     if grid is None:
         grid = DEFAULT_BOXCOX_GRID
-    slog = float(np.sum(np.log(y)))
+    log_y = np.log(y)
+    lo, hi = float(log_y.min()), float(log_y.max())
+    slog = float(np.sum(log_y))
+    n = log_y.size
 
     def evaluate(g):
-        z = np.log(y) if g == 0.0 else (np.power(y, g) - 1.0) / g
-        return _score(f"boxcox(g={g:g})", z, (g - 1.0) * slog, design)
+        c = hi if g > 0.0 else lo
+        log_det = fit(power_limb(g, log_y - c), design).log_det_sigma_hat + 2.0 * n * g * c
+        return _score(f"boxcox(g={g:g})", log_det, (g - 1.0) * slog)
 
-    return _sweep("boxcox", grid, evaluate, refine=False)
+    return _sweep("boxcox", grid, evaluate, refine)
 
 
 def correlation_report(y, dists) -> CorrelationReport:

@@ -237,11 +237,41 @@ class TestProfileCommand:
             main(["profile", "--help"])
         assert f"{MAX_GRID_POINTS} points" in " ".join(capsys.readouterr().out.split())
 
-    def test_boxcox_refine_rejected(self, bench_csv, tmp_path, capsys):
-        rc = main(["profile", "--family", "boxcox", "--input", str(bench_csv),
-                   "--refine", "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert "target spec grammar" not in capsys.readouterr().err
+    def test_boxcox_refine(self, tmp_path):
+        data = tmp_path / "positive.csv"
+        assert main(["simulate", "--seed", "2", "--intercept", "20", "--out", str(data)]) == 0
+        out = tmp_path / "x.csv"
+        rc = main(["profile", "--family", "boxcox", "--input", str(data), "--refine",
+                   "--out", str(out)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "x.csv.summary.json").read_text())
+        # The grid argmax is 0.9; refinement moves it into the cell above.
+        assert 0.9 < summary["argmax_param"] < 0.95
+        assert summary["manifest"]["config"]["refine"] is True
+        assert summary["warnings"] == []
+
+    @pytest.mark.parametrize("family, start, step", [
+        ("alpha", "-0.95", "0.05"),
+        ("t", "0.09", "0.07"),
+    ])
+    def test_custom_grid_ends_at_its_stop(self, tmp_path, family, start, step):
+        # start + step * k rounds to 1.0000000000000002 on these grids, which
+        # lies outside the family's range unless the grid is clipped.
+        data = tmp_path / "cauchy.csv"
+        assert main(["simulate", "--seed", "2", "--effects", "cauchy", "--out", str(data)]) == 0
+        out = tmp_path / "x.csv"
+        rc = main(["profile", "--family", family, "--input", str(data),
+                   f"--grid-start={start}", "--grid-stop", "1", "--grid-step", step,
+                   "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().splitlines()[-1].split(",")[0] == "1"
+
+    def test_custom_grid_never_passes_its_stop(self):
+        for start in np.arange(-100, 101) / 100:
+            for step in np.arange(1, 12) / 100:
+                args = argparse.Namespace(grid_start=float(start), grid_stop=1.0,
+                                          grid_step=float(step))
+                assert _grid_from_args(args).max() <= 1.0, (start, step)
 
     def test_boxcox_nonpositive_data(self, tmp_path):
         data = tmp_path / "neg.csv"
@@ -556,7 +586,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("argv, grammar", [
         (["compare", "--a", "frob", "--b", "gaussian"], True),
         (["correlate", "--targets", "gaussian,frob"], True),
-        (["profile", "--family", "boxcox", "--refine"], False),
+        (["profile", "--family", "t", "--grid-start", "0"], False),
     ])
     def test_flags_checked_before_input_is_read(self, tmp_path, capsys, argv, grammar):
         rc = main([*argv, "--input", str(tmp_path / "missing.csv"),

@@ -8,6 +8,7 @@ suite.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,12 +373,58 @@ class TestBoxcoxProfile:
             boxcox_profile(out.y - out.y.max(), fixed_design(out))
 
     def test_large_exponents_fit(self):
-        # y**130 reaches about 1e180 on intercept-20 data, so its squares
-        # overflow unless the fit rescales the transformed response.
+        # y**130 would reach about 1e180 on intercept-20 data, and its
+        # squares would overflow; the log-domain profile never forms it.
         out = simulate(SimConfig(seed=3, intercept=20.0))
         curve = boxcox_profile(out.y, fixed_design(out), np.arange(0.0, 131.0, 5.0))
         assert np.all(np.isfinite(curve.values))
         assert curve.warnings == ()
+
+    @pytest.mark.parametrize("design", [fixed_design, random_design])
+    def test_continuous_at_zero(self, design):
+        # The value's slope at g = 0 is about 29 on this data, all the way
+        # down to g = 1e-15; (y^g - 1)/g cancels there, and was off by
+        # 0.065 at g = 1e-12.
+        out = simulate(SimConfig(seed=3, intercept=20.0))
+        d = design(out)
+        at_zero = boxcox_profile(out.y, d, [0.0]).values[0]
+        for g in [s * 10.0 ** -k for k in range(6, 16) for s in (1, -1)]:
+            gap = boxcox_profile(out.y, d, [g]).values[0] - at_zero
+            assert abs(gap) <= 100.0 * abs(g) + 1e-12, (g, gap)
+
+    @pytest.mark.parametrize("design", [fixed_design, random_design])
+    def test_wide_integer_grid_has_no_failed_point(self, design):
+        # y^g overflows from g = 225 on intercept-20 data; the shifted
+        # log-domain form never forms a power above 1.
+        out = simulate(SimConfig(seed=3, intercept=20.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = boxcox_profile(out.y, design(out), np.arange(-400.0, 401.0))
+        assert np.all(np.isfinite(curve.values))
+        assert curve.warnings == ()
+
+    @pytest.mark.parametrize("design", [fixed_design, random_design])
+    @pytest.mark.parametrize("a", [1e-3, 7.0, 1e6])
+    def test_scale_shifts_every_value_by_n_log_a(self, design, a):
+        # y -> a y multiplies (y^g - 1)/g by a^g up to a constant, which
+        # moves log det Sigma_hat by 2 n g log a, and the jacobian term
+        # by (g - 1) n log a: together -n log a, whatever g is.
+        out = simulate(SimConfig(seed=3, intercept=20.0))
+        d = design(out)
+        n = out.y.size
+        base = boxcox_profile(out.y, d)
+        scaled = boxcox_profile(a * out.y, d)
+        assert_allclose(scaled.values, base.values - n * math.log(a), rtol=0, atol=1e-12 * n)
+        assert scaled.argmax_param == base.argmax_param
+
+    def test_refinement_never_lowers_the_grid_argmax(self):
+        out = simulate(SimConfig(seed=2, intercept=20.0))
+        d = fixed_design(out)
+        coarse = boxcox_profile(out.y, d)
+        refined = boxcox_profile(out.y, d, refine=True)
+        assert coarse.argmax_param == pytest.approx(0.9, abs=1e-12)
+        assert refined.argmax_value >= coarse.argmax_value
+        assert 0.9 < refined.argmax_param < 0.95
 
 
 class TestEntropyQuadrature:
