@@ -31,6 +31,17 @@ closed forms and the interior one is solved by damped Newton started at the
 separable solution lam_k = S_k/d_k.  At every candidate the fitted
 quadratic form equals n exactly, so the achieved log likelihood is
 -(log det + n + n log 2pi)/2 throughout.
+
+When the unconstrained stationary point lies outside the cone (typically
+data with little row or column variation), Newton stalls on the cone's
+boundary: an accepted step no longer changes lam at all.  The solver
+detects that stall and gives up on the interior candidate at once, leaving
+the boundary candidates to win, instead of repeating the same step until
+its iteration limit.  The answer is the same either way.
+
+The solver's arithmetic is on Python floats, operation for operation what
+numpy float64 vectors would do, so its fits are bit-identical to a numpy
+version's (the tests keep one as a reference).
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ _DEGENERATE_REL = 1e-12
 # an exact power-of-two rescaling, so its sums of squares neither overflow
 # nor underflow.
 _SAFE_SCALE = (2.0**-500, 2.0**500)
+_EPS = float(np.finfo(float).eps)
 
 # The interior Newton search accepts a point whose scale-standardized
 # gradient is below _NEWTON_TOL within _NEWTON_MAX_ITER steps.
@@ -145,14 +157,19 @@ def _grid(z, design: DesignSpec) -> np.ndarray:
 def decompose(z, design: DesignSpec) -> ProjectionDecomposition:
     """Project the centered data onto row, column and interaction contrasts."""
     g = _grid(z, design)
-    zbar = g.mean()
-    rm = g.mean(axis=1) - zbar
-    cm = g.mean(axis=0) - zbar
-    resid = g - zbar - rm[:, None] - cm[None, :]
+    # Each mean is sum / count, bit for bit what np.mean returns, and the
+    # residual is built in place: the grid is this call's own copy.
+    zbar = g.sum() / design.n
+    rm = g.sum(axis=1) / design.ncols - zbar
+    cm = g.sum(axis=0) / design.nrows - zbar
+    g -= zbar
+    g -= rm[:, None]
+    g -= cm[None, :]
+    g *= g
     return ProjectionDecomposition(
-        s_row=float(design.ncols * np.sum(rm * rm)),
-        s_col=float(design.nrows * np.sum(cm * cm)),
-        s_err=float(np.sum(resid * resid)),
+        s_row=float(design.ncols * (rm * rm).sum()),
+        s_col=float(design.nrows * (cm * cm).sum()),
+        s_err=float(g.sum()),
         d_row=design.nrows - 1,
         d_col=design.ncols - 1,
         d_err=(design.nrows - 1) * (design.ncols - 1),
@@ -168,13 +185,16 @@ def _fit_scaled(z, design: DesignSpec, fit_from_dec) -> ModelFit:
     4**k, log det Sigma_hat by 2k n log 2.  Both are exact.
     """
     z = _response(z, design)
+    lo, hi = float(z.min()), float(z.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("response values must be finite")
     # A spread within a few ulps of the data magnitude is rounding noise,
     # not variation; fitting it would produce absurd variance estimates.
-    scale = float(np.max(np.abs(z)))
-    if float(np.ptp(z)) <= 16.0 * np.finfo(float).eps * scale:
+    scale = max(-lo, hi)                                 # max |z|
+    if hi - lo <= 16.0 * _EPS * scale:
         raise DegenerateFitError("response is numerically constant")
     k = 0
-    if math.isfinite(scale) and not _SAFE_SCALE[0] <= scale <= _SAFE_SCALE[1]:
+    if not _SAFE_SCALE[0] <= scale <= _SAFE_SCALE[1]:
         k = math.frexp(scale)[1]
         z = np.ldexp(z, -k)
     dec = decompose(z, design)
@@ -234,22 +254,22 @@ def _objective(lam, dec: ProjectionDecomposition):
 def _gradient(lam, dec: ProjectionDecomposition):
     lam_r, lam_c, lam_e = lam
     lam0 = lam_r + lam_c - lam_e
-    return np.array([
+    return (
         1.0 / lam0 + dec.d_row / lam_r - dec.s_row / lam_r**2,
         1.0 / lam0 + dec.d_col / lam_c - dec.s_col / lam_c**2,
         -1.0 / lam0 + dec.d_err / lam_e - dec.s_err / lam_e**2,
-    ])
+    )
 
 
 def _hessian(lam, dec: ProjectionDecomposition):
     lam_r, lam_c, lam_e = lam
     lam0 = lam_r + lam_c - lam_e
     a = 1.0 / lam0**2
-    h = np.array([[-a, -a, a], [-a, -a, a], [a, a, -a]])
-    h[0, 0] += -dec.d_row / lam_r**2 + 2.0 * dec.s_row / lam_r**3
-    h[1, 1] += -dec.d_col / lam_c**2 + 2.0 * dec.s_col / lam_c**3
-    h[2, 2] += -dec.d_err / lam_e**2 + 2.0 * dec.s_err / lam_e**3
-    return h
+    return (
+        (-a + (-dec.d_row / lam_r**2 + 2.0 * dec.s_row / lam_r**3), -a, a),
+        (-a, -a + (-dec.d_col / lam_c**2 + 2.0 * dec.s_col / lam_c**3), a),
+        (a, a, -a + (-dec.d_err / lam_e**2 + 2.0 * dec.s_err / lam_e**3)),
+    )
 
 
 def _interior_newton(dec: ProjectionDecomposition):
@@ -266,42 +286,48 @@ def _interior_newton(dec: ProjectionDecomposition):
     requiring a gradient decrease; otherwise the last factor-of-ten of
     gradient reduction is unreachable and a genuinely interior optimum
     would be dropped.
+
+    An accepted step that leaves lam bitwise unchanged is a stall: every
+    later iteration would take that same step, and the final gradient
+    check would fail, so the search gives up at once.
     """
     lam_e0 = dec.s_err / dec.d_err
-    lam = np.array([
+    lam = (
         max(dec.s_row / dec.d_row, lam_e0),
         max(dec.s_col / dec.d_col, lam_e0),
         lam_e0,
-    ])
+    )
+    f0 = _objective(lam, dec)
     for _ in range(_NEWTON_MAX_ITER):
         g = _gradient(lam, dec)
-        g_inf = np.max(np.abs(g))
+        g_inf = max(map(abs, g))
         if g_inf < _NEWTON_TOL:
             return lam
-        h = _hessian(lam, dec)
+        minus_g = (-g[0], -g[1], -g[2])
         try:
-            step = np.linalg.solve(h, -g)
+            step = np.linalg.solve(_hessian(lam, dec), minus_g).tolist()
         except np.linalg.LinAlgError:
-            step = -g
-        if not np.all(np.isfinite(step)):
-            step = -g
+            step = minus_g
+        if not all(map(math.isfinite, step)):
+            step = minus_g
         t = 1.0
-        f0 = _objective(lam, dec)
         for _ in range(60):
-            cand = lam + t * step
+            cand = (lam[0] + t * step[0], lam[1] + t * step[1], lam[2] + t * step[2])
             lam0 = cand[0] + cand[1] - cand[2]
             if cand[2] > 0 and cand[0] >= cand[2] and cand[1] >= cand[2] and lam0 > 0:
-                if _objective(cand, dec) <= f0 or (
+                f_cand = _objective(cand, dec)
+                if f_cand <= f0 or (
                     g_inf < 1e-6
-                    and np.max(np.abs(_gradient(cand, dec))) < g_inf
+                    and max(map(abs, _gradient(cand, dec))) < g_inf
                 ):
                     break
             t *= 0.5
         else:
             return None
-        lam = lam + t * step
-    g = _gradient(lam, dec)
-    return lam if np.max(np.abs(g)) < _NEWTON_TOL else None
+        if cand == lam:
+            return None
+        lam, f0 = cand, f_cand
+    return lam if max(map(abs, _gradient(lam, dec))) < _NEWTON_TOL else None
 
 
 def _solve_eigenvalues(dec: ProjectionDecomposition):
@@ -323,24 +349,24 @@ def _solve_eigenvalues(dec: ProjectionDecomposition):
     candidates = []
     # Both variance components at zero: every eigenvalue equal.
     lam = (sdec.s_row + sdec.s_col + sdec.s_err) / n
-    candidates.append(np.array([lam, lam, lam]))
+    candidates.append((lam, lam, lam))
     # sigma2_row = 0: lam_R pinned to lam_E.
     lam_c = sdec.s_col / c
     lam_e = (sdec.s_row + sdec.s_err) / (sdec.d_row + sdec.d_err)
     if lam_c >= lam_e > 0.0:
-        candidates.append(np.array([lam_e, lam_c, lam_e]))
+        candidates.append((lam_e, lam_c, lam_e))
     # sigma2_col = 0: lam_C pinned to lam_E.
     lam_r = sdec.s_row / r
     lam_e = (sdec.s_col + sdec.s_err) / (sdec.d_col + sdec.d_err)
     if lam_r >= lam_e > 0.0:
-        candidates.append(np.array([lam_r, lam_e, lam_e]))
+        candidates.append((lam_r, lam_e, lam_e))
     # Interior stationary point.
     interior = _interior_newton(sdec)
     if interior is not None:
         candidates.append(interior)
 
     best = min(candidates, key=lambda lam: _objective(lam, sdec))
-    return best * scale
+    return tuple(v * scale for v in best)
 
 
 def _random_fit_from_eigenvalues(design, dec, lam):

@@ -134,21 +134,31 @@ _REFINE_XTOL = 1e-3
 
 def _golden_max(f, lo, mid, f_mid, hi):
     """Golden-section maximization given a bracketing triple lo < mid < hi
-    and the already evaluated f_mid = f(mid)."""
+    and the already evaluated f_mid = f(mid).
+
+    The interior point that survives a step is the new bracket's other
+    golden point up to rounding, so its value is kept: each step after the
+    first evaluates f once.
+    """
     x1, x2 = lo, hi
     best_x, best_f = mid, f_mid
+    a = b = None                 # interior points whose values are known
     while (x2 - x1) > _REFINE_XTOL:
         d = _GOLDEN * (x2 - x1)
-        a, b = x2 - d, x1 + d
-        fa, fb = f(a), f(b)
+        if a is None:
+            a = x2 - d
+            fa = f(a)
+        if b is None:
+            b = x1 + d
+            fb = f(b)
         if fa >= fb:
-            x2 = b
             if fa > best_f:
                 best_x, best_f = a, fa
+            x2, b, fb, a = b, a, fa, None
         else:
-            x1 = a
             if fb > best_f:
                 best_x, best_f = b, fb
+            x1, a, fa, b = a, b, fb, None
     return best_x, best_f
 
 

@@ -10,6 +10,12 @@ midpoint-rule entropy quadrature, a derivative-free optimizer for the
 variance-components fit, the explicit n x n covariance, the fitted
 quadratic form, and a data file written one csv-module row at a time.
 
+Two older routes are kept verbatim as bit-for-bit references: the model
+fits in numpy-array arithmetic (``numpy_fit``), which the package's
+float-tuple Newton solver and in-place decomposition must reproduce
+exactly, and the golden-section search that evaluated both interior points
+of every bracket (``two_point_golden_max``).
+
 Importing this module gives every target class a ``cdf`` method for the
 round-trip checks: the closed form where one exists, NotImplementedError
 otherwise.
@@ -27,6 +33,7 @@ from scipy.stats import rankdata
 
 from qmatch import (
     AlphaBeta,
+    DegenerateFitError,
     DesignSpec,
     DomainError,
     Gaussian,
@@ -41,13 +48,20 @@ from qmatch import (
     student_t_log_density,
 )
 from qmatch.linmodel import (
+    _DEGENERATE_REL,
+    _NEWTON_MAX_ITER,
+    _NEWTON_TOL,
+    _SAFE_SCALE,
     ProjectionDecomposition,
     _fit_scaled,
+    _fixed_fit_from_dec,
     _grid,
     _objective,
     _random_fit_from_eigenvalues,
+    _response,
     decompose,
 )
+from qmatch.translik import _GOLDEN, _REFINE_XTOL
 from qmatch.targetdist import _array_method
 
 
@@ -293,3 +307,205 @@ def write_data_csv_rows(path, y, design: DesignSpec):
             [str(k), str(int(rows[k])), str(int(cols[k])), format(float(y[k]), ".17g")]
             for k in range(design.n)
         )
+
+
+# -- model fits in numpy-array arithmetic -------------------------------------
+# The package's decompose, _fit_scaled and interior Newton solver, as they
+# were before the solver moved to Python floats and the decomposition to
+# in-place updates.  Only the names of the functions they call differ.
+
+
+def numpy_decompose(z, design: DesignSpec) -> ProjectionDecomposition:
+    """Project the centered data onto row, column and interaction contrasts."""
+    g = _grid(z, design)
+    zbar = g.mean()
+    rm = g.mean(axis=1) - zbar
+    cm = g.mean(axis=0) - zbar
+    resid = g - zbar - rm[:, None] - cm[None, :]
+    return ProjectionDecomposition(
+        s_row=float(design.ncols * np.sum(rm * rm)),
+        s_col=float(design.nrows * np.sum(cm * cm)),
+        s_err=float(np.sum(resid * resid)),
+        d_row=design.nrows - 1,
+        d_col=design.ncols - 1,
+        d_err=(design.nrows - 1) * (design.ncols - 1),
+    )
+
+
+def numpy_fit_scaled(z, design: DesignSpec, fit_from_dec) -> ModelFit:
+    """fit_from_dec(numpy_decompose(z), design) for a response whose
+    likelihood is bounded, rescaled by a power of two outside _SAFE_SCALE."""
+    z = _response(z, design)
+    # A spread within a few ulps of the data magnitude is rounding noise,
+    # not variation; fitting it would produce absurd variance estimates.
+    scale = float(np.max(np.abs(z)))
+    if float(np.ptp(z)) <= 16.0 * np.finfo(float).eps * scale:
+        raise DegenerateFitError("response is numerically constant")
+    k = 0
+    if math.isfinite(scale) and not _SAFE_SCALE[0] <= scale <= _SAFE_SCALE[1]:
+        k = math.frexp(scale)[1]
+        z = np.ldexp(z, -k)
+    dec = numpy_decompose(z, design)
+    total = dec.s_row + dec.s_col + dec.s_err
+    if total <= 0.0 or dec.s_err <= _DEGENERATE_REL * total:
+        raise DegenerateFitError(
+            "no interaction variation left after transformation; "
+            "the likelihood is unbounded"
+        )
+    fit = fit_from_dec(dec, design)
+    if k == 0:
+        return fit
+
+    def variance(v):
+        try:
+            return None if v is None else math.ldexp(v, 2 * k)
+        except OverflowError:  # a variance beyond the float range
+            return math.inf
+
+    return ModelFit(
+        log_det_sigma_hat=fit.log_det_sigma_hat + 2 * k * design.n * math.log(2.0),
+        sigma2=variance(fit.sigma2),
+        sigma2_row=variance(fit.sigma2_row),
+        sigma2_col=variance(fit.sigma2_col),
+    )
+
+
+def numpy_objective(lam, dec: ProjectionDecomposition):
+    lam_r, lam_c, lam_e = lam
+    lam0 = lam_r + lam_c - lam_e
+    if min(lam_r, lam_c, lam_e, lam0) <= 0.0:
+        return math.inf
+    return (
+        math.log(lam0)
+        + dec.d_row * math.log(lam_r) + dec.s_row / lam_r
+        + dec.d_col * math.log(lam_c) + dec.s_col / lam_c
+        + dec.d_err * math.log(lam_e) + dec.s_err / lam_e
+    )
+
+
+def numpy_gradient(lam, dec: ProjectionDecomposition):
+    lam_r, lam_c, lam_e = lam
+    lam0 = lam_r + lam_c - lam_e
+    return np.array([
+        1.0 / lam0 + dec.d_row / lam_r - dec.s_row / lam_r**2,
+        1.0 / lam0 + dec.d_col / lam_c - dec.s_col / lam_c**2,
+        -1.0 / lam0 + dec.d_err / lam_e - dec.s_err / lam_e**2,
+    ])
+
+
+def numpy_hessian(lam, dec: ProjectionDecomposition):
+    lam_r, lam_c, lam_e = lam
+    lam0 = lam_r + lam_c - lam_e
+    a = 1.0 / lam0**2
+    h = np.array([[-a, -a, a], [-a, -a, a], [a, a, -a]])
+    h[0, 0] += -dec.d_row / lam_r**2 + 2.0 * dec.s_row / lam_r**3
+    h[1, 1] += -dec.d_col / lam_c**2 + 2.0 * dec.s_col / lam_c**3
+    h[2, 2] += -dec.d_err / lam_e**2 + 2.0 * dec.s_err / lam_e**3
+    return h
+
+
+def numpy_interior_newton(dec: ProjectionDecomposition):
+    """Stationary point of F strictly inside the cone, or None, by damped
+    Newton from the separable start, with every iterate a numpy 3-vector."""
+    lam_e0 = dec.s_err / dec.d_err
+    lam = np.array([
+        max(dec.s_row / dec.d_row, lam_e0),
+        max(dec.s_col / dec.d_col, lam_e0),
+        lam_e0,
+    ])
+    for _ in range(_NEWTON_MAX_ITER):
+        g = numpy_gradient(lam, dec)
+        g_inf = np.max(np.abs(g))
+        if g_inf < _NEWTON_TOL:
+            return lam
+        h = numpy_hessian(lam, dec)
+        try:
+            step = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            step = -g
+        if not np.all(np.isfinite(step)):
+            step = -g
+        t = 1.0
+        f0 = numpy_objective(lam, dec)
+        for _ in range(60):
+            cand = lam + t * step
+            lam0 = cand[0] + cand[1] - cand[2]
+            if cand[2] > 0 and cand[0] >= cand[2] and cand[1] >= cand[2] and lam0 > 0:
+                if numpy_objective(cand, dec) <= f0 or (
+                    g_inf < 1e-6
+                    and np.max(np.abs(numpy_gradient(cand, dec))) < g_inf
+                ):
+                    break
+            t *= 0.5
+        else:
+            return None
+        lam = lam + t * step
+    g = numpy_gradient(lam, dec)
+    return lam if np.max(np.abs(g)) < _NEWTON_TOL else None
+
+
+def numpy_solve_eigenvalues(dec: ProjectionDecomposition):
+    """Minimize F over the cone by enumerating the four active sets."""
+    total = dec.s_row + dec.s_col + dec.s_err
+    n = dec.d_row + dec.d_col + dec.d_err + 1
+    scale = total / n
+    sdec = ProjectionDecomposition(
+        s_row=dec.s_row / scale, s_col=dec.s_col / scale, s_err=dec.s_err / scale,
+        d_row=dec.d_row, d_col=dec.d_col, d_err=dec.d_err,
+    )
+    r = dec.d_row + 1
+    c = dec.d_col + 1
+
+    candidates = []
+    # Both variance components at zero: every eigenvalue equal.
+    lam = (sdec.s_row + sdec.s_col + sdec.s_err) / n
+    candidates.append(np.array([lam, lam, lam]))
+    # sigma2_row = 0: lam_R pinned to lam_E.
+    lam_c = sdec.s_col / c
+    lam_e = (sdec.s_row + sdec.s_err) / (sdec.d_row + sdec.d_err)
+    if lam_c >= lam_e > 0.0:
+        candidates.append(np.array([lam_e, lam_c, lam_e]))
+    # sigma2_col = 0: lam_C pinned to lam_E.
+    lam_r = sdec.s_row / r
+    lam_e = (sdec.s_col + sdec.s_err) / (sdec.d_col + sdec.d_err)
+    if lam_r >= lam_e > 0.0:
+        candidates.append(np.array([lam_r, lam_e, lam_e]))
+    # Interior stationary point.
+    interior = numpy_interior_newton(sdec)
+    if interior is not None:
+        candidates.append(interior)
+
+    best = min(candidates, key=lambda lam: numpy_objective(lam, sdec))
+    return best * scale
+
+
+def _numpy_random_fit_from_dec(dec, design: DesignSpec) -> ModelFit:
+    return _random_fit_from_eigenvalues(design, dec, numpy_solve_eigenvalues(dec))
+
+
+def numpy_fit(z, design: DesignSpec) -> ModelFit:
+    """The design's model fitted in numpy-array arithmetic."""
+    if design.model == ModelKind.FIXED_EFFECTS:
+        return numpy_fit_scaled(z, design, _fixed_fit_from_dec)
+    return numpy_fit_scaled(z, design, _numpy_random_fit_from_dec)
+
+
+def two_point_golden_max(f, lo, mid, f_mid, hi):
+    """Golden-section maximization given a bracketing triple lo < mid < hi
+    and the already evaluated f_mid = f(mid), evaluating both interior
+    points of every bracket."""
+    x1, x2 = lo, hi
+    best_x, best_f = mid, f_mid
+    while (x2 - x1) > _REFINE_XTOL:
+        d = _GOLDEN * (x2 - x1)
+        a, b = x2 - d, x1 + d
+        fa, fb = f(a), f(b)
+        if fa >= fb:
+            x2 = b
+            if fa > best_f:
+                best_x, best_f = a, fa
+        else:
+            x1 = a
+            if fb > best_f:
+                best_x, best_f = b, fb
+    return best_x, best_f

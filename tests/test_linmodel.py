@@ -2,8 +2,9 @@
 
 Independent oracle routes used here: explicit least squares via lstsq for
 the fixed-effects fit, dense matrix assembly with slogdet for the
-eigenvalue form of log det, and the derivative-free optimizer
-fit_random_numeric against the active-set solver fit_random_balanced.
+eigenvalue form of log det, the derivative-free optimizer
+fit_random_numeric against the active-set solver fit_random_balanced, and
+the numpy-array fits numpy_fit, which every fit must equal bit for bit.
 """
 
 import math
@@ -15,17 +16,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_covariance, fit_random_numeric, quadratic_form
+from oracles import (
+    dense_covariance,
+    fit_random_numeric,
+    numpy_decompose,
+    numpy_fit,
+    quadratic_form,
+)
 from qmatch import (
+    AlphaBeta,
     DegenerateFitError,
     DesignSpec,
     DomainError,
+    Gaussian,
+    Logistic,
     ModelKind,
+    SimConfig,
+    StudentT,
     decompose,
     fit,
     fit_fixed,
     fit_random_balanced,
+    percentiles,
+    simulate,
 )
+from qmatch import linmodel
 
 
 def design(r, c, model=ModelKind.FIXED_EFFECTS):
@@ -317,3 +332,115 @@ class TestQuadraticForm:
         f = fit_fixed(z, d)
         with pytest.raises(DomainError):
             quadratic_form(z, replace(f, sigma2=0.0), d)
+
+
+class TestNonFiniteResponse:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("bad", [
+        {7: math.nan},
+        {7: math.inf},
+        {7: -math.inf},
+        {7: math.inf, 1200: -math.inf},
+    ], ids=["nan", "+inf", "-inf", "+-inf"])
+    def test_rejected(self, rng, model, bad):
+        z = random_effects_data(rng, 50, 30)
+        for k, v in bad.items():
+            z[k] = v
+        with pytest.raises(DomainError, match="response values must be finite"):
+            fit(z, design(50, 30, model))
+
+
+FIT_FIELDS = ("log_det_sigma_hat", "sigma2", "sigma2_row", "sigma2_col")
+TARGETS = (Gaussian(), Logistic(), StudentT(0.15), AlphaBeta(-0.05, -0.05))
+
+
+def assert_bitwise_equal_fits(z, d):
+    """Every ModelFit field, and decompose's sums, equal the numpy-array
+    fit's bit for bit."""
+    assert decompose(z, d) == numpy_decompose(z, d)
+    got, want = fit(z, d), numpy_fit(z, d)
+    for field in FIT_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        if b is None:
+            assert a is None, field
+        else:
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), (field, a, b)
+
+
+class TestBitIdenticalToNumpyFits:
+    """The float-tuple Newton solver, the in-place decomposition and the
+    min/max scale check reproduce the numpy-array fits exactly.  At
+    1000 x 300 this matters: the random fit on gaussian seed 1 flips log det
+    between about -1.2e5 and -3.2e5 when some z entries move by one ulp."""
+
+    def test_paper_scale_matrix(self):
+        # 16 seeds x 2 effects x 4 targets x 2 models = 256 fits.
+        cases = 0
+        for effects in ("gaussian", "cauchy"):
+            for seed in range(16):
+                out = simulate(SimConfig(effect_dist=effects, seed=seed))
+                p = percentiles(out.y).p
+                for dist in TARGETS:
+                    z = dist.transform(p)[0]
+                    for model in ModelKind:
+                        assert_bitwise_equal_fits(z, out.design.with_model(model))
+                        cases += 1
+        assert cases == 256
+
+    def test_large_grid_matrix(self):
+        # Gaussian seed 1 with every target and cauchy seed 0 with the
+        # Gaussian target, both models: 10 fits of 300000 values.
+        cases = 0
+        for effects, seed, dists in [("gaussian", 1, TARGETS), ("cauchy", 0, TARGETS[:1])]:
+            out = simulate(SimConfig(nrows=1000, ncols=300, effect_dist=effects, seed=seed))
+            p = percentiles(out.y).p
+            for dist in dists:
+                z = dist.transform(p)[0]
+                for model in ModelKind:
+                    assert_bitwise_equal_fits(z, out.design.with_model(model))
+                    cases += 1
+        assert cases == 10
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+        # log10 of the row and column effect scales over the noise scale;
+        # None is no effect at all (pure noise, where Newton stalls).
+        log_ratios=st.tuples(
+            st.one_of(st.none(), st.floats(-6.0, 6.0)),
+            st.one_of(st.none(), st.floats(-6.0, 6.0)),
+        ),
+        model=st.sampled_from(list(ModelKind)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_variance_ratios(self, seed, shape, log_ratios, model):
+        r, c = shape
+        sd_row, sd_col = (0.0 if u is None else 10.0**u for u in log_ratios)
+        z = random_effects_data(np.random.default_rng(seed), r, c, sd_row, sd_col)
+        d = design(r, c, model)
+        try:
+            numpy_fit(z, d)
+        except DegenerateFitError:
+            with pytest.raises(DegenerateFitError):
+                fit(z, d)
+            return
+        assert_bitwise_equal_fits(z, d)
+
+    def test_pure_noise_stall_exits_at_once(self, monkeypatch):
+        # With no row or column effects the interior stationary point lies
+        # outside the cone, and Newton stalls on its boundary: the numpy
+        # solver spent 100 iterations there.  The stall exit returns after
+        # the first step and the fit is unchanged.
+        z = np.random.default_rng(2).normal(size=1500)
+        d = design(50, 30, ModelKind.RANDOM_EFFECTS)
+        assert_bitwise_equal_fits(z, d)
+        calls = []
+        gradient = linmodel._gradient
+
+        def counted(lam, dec):
+            calls.append(lam)
+            return gradient(lam, dec)
+
+        monkeypatch.setattr(linmodel, "_gradient", counted)
+        fit(z, d)
+        assert 1 <= len(calls) <= 2

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import bench, fixed_design, random_design
-from oracles import Affine, entropy_quadrature
+from oracles import Affine, entropy_quadrature, two_point_golden_max
 from qmatch import (
     AlphaBeta,
     DegenerateFitError,
@@ -39,7 +39,7 @@ from qmatch import (
     reduced_profile_loglik,
     simulate,
 )
-from qmatch.translik import ReducedProfileLoglik, _sweep
+from qmatch.translik import ReducedProfileLoglik, _golden_max, _reduced, _sweep
 
 GAUSS_ENTROPY = 0.5 * (1.0 + math.log(2.0 * math.pi))
 
@@ -322,6 +322,53 @@ class TestRefinement:
         curve = _sweep("toy", grid, evaluate, refine=True)
         assert curve.argmax_value > -((0.5 - 0.6) ** 2)
         assert calls.count(0.5) == 1
+
+
+class TestGoldenSectionReuse:
+    def test_one_evaluation_per_step_on_the_default_bracket(self):
+        # Two grid steps of the default t grid (0.04) down to xtol 1e-3 is
+        # 8 golden-section steps: 2 evaluations for the first, 1 for each
+        # later one, where both interior points were evaluated before.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -((x - 0.61) ** 2)
+
+        x, v = _golden_max(f, 0.58, 0.60, f(0.60), 0.62)
+        assert len(calls) - 1 == 9
+        assert abs(x - 0.61) < 1e-3
+        assert v == max(-((c - 0.61) ** 2) for c in calls)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("family", ["t", "alpha"])
+    def test_refined_argmax_matches_two_point_search(self, family, model):
+        # The reused point differs from the recomputed one by rounding, so
+        # the refined argmax moves by rounding only.
+        refined = 0
+        for seed in range(10):
+            out = bench(seed, "cauchy")
+            d = out.design.with_model(model)
+            if family == "t":
+                curve = profile_student_t(out.y, d, refine=True)
+                target = StudentT
+            else:
+                curve = profile_alpha(out.y, d, refine=True)
+                target = lambda a: AlphaBeta(a, a)  # noqa: E731
+            i = int(np.nanargmax(curve.values))
+            if not 0 < i < curve.grid.size - 1:
+                continue
+            pc = percentiles(out.y)
+            x, v = two_point_golden_max(
+                lambda t: _reduced(pc, target(t), d).value,
+                float(curve.grid[i - 1]), float(curve.grid[i]), float(curve.values[i]),
+                float(curve.grid[i + 1]),
+            )
+            want_x, want_v = (x, v) if v > curve.values[i] else (curve.grid[i], curve.values[i])
+            assert abs(curve.argmax_param - want_x) <= 1e-15
+            assert abs(curve.argmax_value - want_v) <= 1e-15 * abs(want_v)
+            refined += 1
+        assert refined >= 5
 
 
 class TestSweepFailures:
