@@ -58,16 +58,19 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _manifest(command: str, config: dict, seed=None) -> dict:
+def _manifest(args, **resolved) -> dict:
+    """The run's record: every flag as parsed, with ``resolved`` replacing
+    the flags a command resolves further, and the versions behind it."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     return {
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {**config, **resolved},
         "tool_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "platform": platform.platform(),
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -245,21 +248,10 @@ def _write_data_csv(path, y, design):
 
 
 def cmd_simulate(args) -> int:
-    config = SimConfig(
-        nrows=args.nrows, ncols=args.ncols, effect_dist=args.effects,
-        intercept=args.intercept, noise_sd=args.noise_sd, seed=args.seed,
-    )
-    out = simulate(config)
+    out = simulate(SimConfig(nrows=args.nrows, ncols=args.ncols, effect_dist=args.effects,
+                             intercept=args.intercept, seed=args.seed))
     _write_data_csv(args.out, out.y, out.design)
-    _write_json(args.out + ".manifest.json", _manifest(
-        "simulate",
-        {
-            "nrows": config.nrows, "ncols": config.ncols,
-            "effects": config.effect_dist, "intercept": config.intercept,
-            "noise_sd": config.noise_sd, "out": args.out,
-        },
-        seed=config.seed,
-    ))
+    _write_json(args.out + ".manifest.json", _manifest(args))
     return 0
 
 
@@ -332,12 +324,9 @@ def cmd_profile(args) -> int:
         "argmax_value": curve.argmax_value,
         "comparators": comparators,
         "warnings": list(curve.warnings),
-        "manifest": _manifest("profile", {
-            "input": args.input, "family": args.family, "model": args.model,
-            "grid_start": float(curve.grid[0]), "grid_stop": float(curve.grid[-1]),
-            "grid_points": int(curve.grid.size), "refine": bool(args.refine),
-            "out": args.out,
-        }),
+        "manifest": _manifest(args, grid_start=float(curve.grid[0]),
+                              grid_stop=float(curve.grid[-1]),
+                              grid_points=int(curve.grid.size)),
     }
     _write_json(args.summary or args.out + ".summary.json", summary)
     return 0
@@ -348,12 +337,8 @@ def cmd_compare(args) -> int:
     y, design = read_data_csv(args.input)
     design = design.with_model(ModelKind(args.model))
     sides = {key: reduced_profile_loglik(y, dist, design) for key, dist in dists.items()}
-    report = {"lr": sides["a"].value - sides["b"].value}
-    for key, side in sides.items():
-        report[key] = {
-            "label": side.target_label, "det_term": side.det_term,
-            "jacobian_term": side.jacobian_term, "value": side.value,
-        }
+    report = {"lr": sides["a"].value - sides["b"].value,
+              **{key: asdict(side) for key, side in sides.items()}}
     n = design.n
     entropy = {key: dist.entropy() for key, dist in dists.items()}
     if None not in entropy.values():
@@ -370,9 +355,7 @@ def cmd_compare(args) -> int:
         report["gaussian_uniform_diagnostics"] = {
             "orientation": "gaussian_minus_uniform", **asdict(diag),
         }
-    report["manifest"] = _manifest("compare", {
-        "input": args.input, "a": args.a, "b": args.b, "model": args.model,
-    })
+    report["manifest"] = _manifest(args)
     if args.out:
         _write_json(args.out, report)
     print(json.dumps(report, indent=2))
@@ -385,9 +368,7 @@ def cmd_correlate(args) -> int:
     report = correlation_report(y, dists)
     if args.out:
         write_correlations(args.out, report)
-        _write_json(args.out + ".manifest.json", _manifest("correlate", {
-            "input": args.input, "targets": args.targets, "out": args.out,
-        }))
+        _write_json(args.out + ".manifest.json", _manifest(args))
     width = max(len(label) for label in report.labels)
     for label, c in zip(report.labels, report.correlations):
         print(f"{label:<{width}}  {c:8.4f}")
@@ -407,14 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ncols", type=int, default=30)
     p.add_argument("--effects", choices=list(EFFECTS), default="gaussian")
     p.add_argument("--intercept", type=float, default=5.0)
-    p.add_argument("--noise-sd", type=float, default=1.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("profile", help="profile a transformation family over a grid")
     p.add_argument("--family", choices=list(_sweeps()), required=True)
-    p.add_argument("--model", choices=["fixed", "random"], default="fixed")
+    p.add_argument("--model", choices=[m.value for m in ModelKind], default="fixed")
     p.add_argument("--input", required=True)
     p.add_argument("--grid-start", type=float)
     p.add_argument("--grid-stop", type=float)
@@ -429,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="log-likelihood ratio between two targets")
     p.add_argument("--a", required=True, help="target spec, e.g. t:nu=6.67")
     p.add_argument("--b", required=True)
-    p.add_argument("--model", choices=["fixed", "random"], default="fixed")
+    p.add_argument("--model", choices=[m.value for m in ModelKind], default="fixed")
     p.add_argument("--input", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)

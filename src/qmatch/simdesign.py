@@ -2,7 +2,7 @@
 
 Data are generated on a balanced nrows x ncols grid as
 
-    y_k = intercept + a[row(k)] + b[col(k)] + noise_sd * e_k
+    y_k = intercept + a[row(k)] + b[col(k)] + e_k
 
 with the row effects a, column effects b drawn i.i.d. from the chosen
 effect distribution (standard Gaussian or standard Cauchy) and e_k i.i.d.
@@ -37,16 +37,12 @@ class SimConfig:
     ncols: int = 30
     effect_dist: str = "gaussian"
     intercept: float = 5.0
-    noise_sd: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.nrows < 2 or self.ncols < 2:
-            raise DomainError("need at least 2 rows and 2 columns")
+        DesignSpec(self.nrows, self.ncols)
         if self.effect_dist not in EFFECTS:
             raise DomainError(f"effect_dist must be one of {tuple(EFFECTS)}")
-        if not (self.noise_sd > 0.0 and np.isfinite(self.noise_sd)):
-            raise DomainError("noise_sd must be positive")
         if not np.isfinite(self.intercept):
             raise DomainError("intercept must be finite")
         if not (0 <= int(self.seed) < 2**64):
@@ -69,8 +65,7 @@ def simulate(config: SimConfig) -> SimOutput:
     dist = EFFECTS[config.effect_dist]
     row_eff = dist.quantile(_uniforms(rng, config.nrows))
     col_eff = dist.quantile(_uniforms(rng, config.ncols))
-    noise = config.noise_sd * EFFECTS["gaussian"].quantile(
-        _uniforms(rng, config.nrows * config.ncols))
+    noise = EFFECTS["gaussian"].quantile(_uniforms(rng, config.nrows * config.ncols))
     design = DesignSpec(nrows=config.nrows, ncols=config.ncols)
     rows, cols = design.rows_cols()
     effects = row_eff[rows] + col_eff[cols]

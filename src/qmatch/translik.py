@@ -43,7 +43,7 @@ DEFAULT_BOXCOX_GRID = np.arange(-20, 21) * 0.05
 
 @dataclass(frozen=True)
 class ReducedProfileLoglik:
-    target_label: str
+    label: str
     det_term: float
     jacobian_term: float
     value: float
@@ -84,7 +84,7 @@ def _score(label, log_det, jacobian) -> ReducedProfileLoglik:
     ``jacobian``."""
     det_term = -0.5 * log_det
     return ReducedProfileLoglik(
-        target_label=label,
+        label=label,
         det_term=det_term,
         jacobian_term=jacobian,
         value=det_term + jacobian,
@@ -294,7 +294,11 @@ def correlation_report(y, dists) -> CorrelationReport:
     if y.size < 3:
         raise DomainError("correlation report needs n >= 3")
     pc = percentiles(y)
-    yc = y - y.mean()
+    # The correlation does not depend on the scale of y.  Scaling y by an
+    # exact power of two, to put max|y| in [1/2, 1), keeps its sums of
+    # squares and products clear of overflow and underflow.
+    yc = np.ldexp(y, -math.frexp(max(-y.min(), y.max()))[1])
+    yc -= yc.mean()
     ss_y = float(yc @ yc)
     if ss_y == 0.0:
         raise DomainError("response has zero variance")

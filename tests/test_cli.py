@@ -140,6 +140,16 @@ class TestSimulateCommand:
                    "--out", str(tmp_path / "missing_dir" / "d.csv")])
         assert rc == 1
 
+    def test_noise_sd_flag_is_gone(self, tmp_path, capsys):
+        # Noise is standard normal; a caller still passing --noise-sd fails
+        # with a usage error instead of having it ignored.
+        out = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--noise-sd", "1", "--seed", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--noise-sd" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProfileCommand:
     def test_t_family_summary(self, bench_csv, tmp_path):
@@ -405,6 +415,63 @@ def _outputs(monkeypatch, workdir):
         name: [line for line in Path(name).read_text().splitlines() if '"timestamp"' not in line]
         for name in ("curve.csv", "curve.csv.summary.json", "compare.json", "corr.csv")
     }
+
+
+def _subparser(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+class TestManifest:
+    """Each manifest records every flag of its command as parsed."""
+
+    @pytest.mark.parametrize("argv, manifest_of", [
+        (["simulate", "--seed", "3", "--nrows", "3", "--ncols", "2", "--effects", "cauchy",
+          "--intercept", "-1.5", "--out", "{tmp}/d.csv"],
+         lambda tmp: json.loads((tmp / "d.csv.manifest.json").read_text())),
+        (["compare", "--a", "t:nu=4", "--b", "logistic", "--model", "random",
+          "--input", "{bench}", "--out", "{tmp}/lr.json"],
+         lambda tmp: json.loads((tmp / "lr.json").read_text())["manifest"]),
+        (["compare", "--a", "gaussian", "--b", "uniform", "--input", "{bench}"], None),
+        (["correlate", "--input", "{bench}", "--targets", "gaussian,t:nu=5",
+          "--out", "{tmp}/cors.csv"],
+         lambda tmp: json.loads((tmp / "cors.csv.manifest.json").read_text())),
+    ])
+    def test_every_flag_is_recorded(self, bench_csv, tmp_path, capsys, argv, manifest_of):
+        argv = [a.format(tmp=tmp_path, bench=bench_csv) for a in argv]
+        assert main(argv) == 0
+        if manifest_of is None:
+            manifest = json.loads(capsys.readouterr().out)["manifest"]
+        else:
+            manifest = manifest_of(tmp_path)
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert manifest["command"] == argv[0]
+        assert manifest["seed"] == parsed.get("seed")
+        for action in _subparser(argv[0])._actions:
+            if action.dest != "help":
+                assert manifest["config"][action.dest] == parsed[action.dest], action.dest
+
+    @pytest.mark.parametrize("grid", [
+        [],
+        ["--grid-start", "0.1", "--grid-stop", "0.5", "--grid-step", "0.15"],
+    ])
+    def test_profile_records_the_resolved_grid(self, bench_csv, tmp_path, grid):
+        argv = ["profile", "--family", "t", "--model", "random", "--refine", *grid,
+                "--input", str(bench_csv), "--out", str(tmp_path / "c.csv"),
+                "--summary", str(tmp_path / "s.json")]
+        assert main(argv) == 0
+        config = json.loads((tmp_path / "s.json").read_text())["manifest"]["config"]
+        parsed = vars(cli.build_parser().parse_args(argv))
+        params = [float(line.split(",")[0])
+                  for line in (tmp_path / "c.csv").read_text().splitlines()[1:]]
+        resolved = {"grid_start": params[0], "grid_stop": params[-1],
+                    "grid_points": len(params)}
+        for action in _subparser("profile")._actions:
+            if action.dest != "help":
+                assert action.dest in config
+                assert config[action.dest] == resolved.get(action.dest, parsed[action.dest])
+        assert {k: config[k] for k in resolved} == resolved
 
 
 class TestCellOrder:

@@ -539,6 +539,17 @@ class TestCorrelationReport:
         assert np.all(rep.correlations < 1.0)
         assert int(np.argmax(rep.correlations)) == 0
 
+    @pytest.mark.parametrize("k", [-900, -600, -520, 520, 600, 1000])
+    def test_exact_power_of_two_scale_changes_nothing(self, k):
+        # Pearson correlation is scale invariant; at these scales the sums
+        # of squares of y itself overflow or underflow.
+        y = bench(0).y
+        targets = [Gaussian(), Uniform(), StudentT(1.0), AlphaBeta(-0.05, -0.05)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = correlation_report(np.ldexp(y, k), targets)
+        assert np.array_equal(scaled.correlations, correlation_report(y, targets).correlations)
+
     def test_degenerate_inputs_rejected(self):
         out = bench(0)
         with pytest.raises(DomainError):
