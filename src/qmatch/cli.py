@@ -58,6 +58,15 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _platform() -> str:
+    """``platform.platform()``'s Linux form without its processor field, whose
+    first lookup runs ``uname -p`` in a subprocess; none of these calls
+    starts a process."""
+    libc = "".join(platform.libc_ver())
+    return "-".join(filter(None, [platform.system(), platform.release(), platform.machine(),
+                                  libc and "with-" + libc]))
+
+
 def _manifest(args, **resolved) -> dict:
     """The run's record: every flag as parsed, with ``resolved`` replacing
     the flags a command resolves further, and the versions behind it."""
@@ -69,7 +78,7 @@ def _manifest(args, **resolved) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "platform": platform.platform(),
+        "platform": _platform(),
         "seed": getattr(args, "seed", None),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -128,15 +137,25 @@ _DATA_DTYPE = np.dtype([("index", np.int64), ("row", np.int64), ("col", np.int64
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _numpy_reads_as_csv(path) -> bool:
-    """Whether numpy's parse of the file can only agree with the row loop's.
+# numpy opens a path with one of these suffixes through a decompressor; a
+# plain-text file so named is the row loop's to read.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-    It can disagree on a file holding an ASCII separator character (see
-    ``_SEPARATORS``) or a field longer than the csv module's field limit.
-    An unquoted field lies within one line, while a quoted one may span
-    lines, so a file longer than the limit must hold no quote character and
-    no line longer than the limit.
+
+def _numpy_reads_as_csv(path) -> bool:
+    """Whether numpy, given the path, reads the file as the row loop does.
+
+    numpy opens a name with a compressed-file suffix (any letter case, see
+    ``_COMPRESSED_SUFFIXES``) through a decompressor and a name holding
+    ``://`` as a URL.  Its parse can disagree on a file holding an ASCII
+    separator character (see ``_SEPARATORS``) or a field longer than the
+    csv module's field limit.  An unquoted field lies within one line,
+    while a quoted one may span lines, so a file longer than the limit must
+    hold no quote character and no line longer than the limit.
     """
+    name = os.fsdecode(path)
+    if name.lower().endswith(_COMPRESSED_SUFFIXES) or "://" in name:
+        return False
     limit = csv.field_size_limit()
     with open(path, "rb") as fb:
         short = os.fstat(fb.fileno()).st_size <= limit
@@ -159,11 +178,18 @@ def _numpy_reads_as_csv(path) -> bool:
     return True
 
 
-def _read_columns(fh, path):
-    """The data rows after the header as (index, row, col, y) arrays from one
-    numpy parse, or None when the row loop must read them instead: the file
-    fails ``_numpy_reads_as_csv``, numpy rejects a line or finds no rows, or
-    a y is not finite (the row loop keeps its reading of those)."""
+def _read_columns(path, header_lines):
+    """The data rows after the first ``header_lines`` lines as (index, row,
+    col, y) arrays from one numpy parse of the file by path, or None when the
+    row loop must read them instead: the file fails ``_numpy_reads_as_csv``,
+    numpy rejects a line or finds no rows, or a y is not finite (the row loop
+    keeps its reading of those).
+
+    numpy reads a path in chunks in C, where it would iterate a handle line
+    by line in Python.  It opens the file with newline translation, so a CR
+    or CRLF inside a quoted field reaches the parser as LF; int() and
+    float() strip either as whitespace.
+    """
     if not _numpy_reads_as_csv(path):
         return None
     with warnings.catch_warnings():
@@ -173,8 +199,9 @@ def _read_columns(fh, path):
         # that warning fails the parse, and the row loop rejects the line.
         warnings.filterwarnings("error", category=DeprecationWarning)
         try:
-            table = np.loadtxt(fh, dtype=_DATA_DTYPE, delimiter=",", comments=None,
-                               quotechar='"', ndmin=1)
+            table = np.loadtxt(os.fsdecode(path), dtype=_DATA_DTYPE, delimiter=",",
+                               comments=None, quotechar='"', skiprows=header_lines,
+                               encoding="utf-8", ndmin=1)
         except (ValueError, DeprecationWarning):  # also UnicodeDecodeError
             return None
     if table.size == 0 or not np.all(np.isfinite(table["y"])):
@@ -203,9 +230,10 @@ def read_data_csv(path):
     """Read a data file (columns index,row,col,y) into a response and design.
 
     Lines may list the cells in any order: each y is placed by its cell.
-    The rows are parsed column-wise by numpy; a file that parse declines is
-    read by the csv-module row loop, which gives the same values for every
-    file both accept.
+    The csv module reads the header; numpy then parses the file by path,
+    column-wise, skipping the physical lines the header took.  A file that
+    parse declines is read by the csv-module row loop, which gives the same
+    values for every file both accept.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -213,7 +241,8 @@ def read_data_csv(path):
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["index", "row", "col", "y"]:
                 raise DomainError(f"{path}: expected header index,row,col,y")
-            columns = _read_columns(fh, path)
+            # line_num counts the physical lines the header took.
+            columns = _read_columns(path, reader.line_num)
             if columns is None:
                 fh.seek(0)
                 reader = csv.reader(fh)
@@ -236,15 +265,23 @@ _WRITE_BLOCK_ROWS = 65536
 
 
 def _write_data_csv(path, y, design):
-    """Write a response as a data file (index,row,col,y), cells column-major."""
+    """Write a response as a data file (index,row,col,y), cells column-major.
+
+    Each block of rows is one %-format call over its interleaved fields,
+    which writes the same bytes as formatting each row on its own.
+    """
     rows, cols = design.rows_cols()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,row,col,y\n")
         for start in range(0, design.n, _WRITE_BLOCK_ROWS):
             block = slice(start, start + _WRITE_BLOCK_ROWS)
-            recs = zip(range(start, start + _WRITE_BLOCK_ROWS), rows[block].tolist(),
-                       cols[block].tolist(), y[block].tolist())
-            fh.write("".join(["%d,%d,%d,%.17g\n" % rec for rec in recs]))
+            m = len(y[block])
+            fields = [None] * (4 * m)
+            fields[0::4] = range(start, start + m)
+            fields[1::4] = rows[block].tolist()
+            fields[2::4] = cols[block].tolist()
+            fields[3::4] = y[block].tolist()
+            fh.write(("%d,%d,%d,%.17g\n" * m) % tuple(fields))
 
 
 def cmd_simulate(args) -> int:

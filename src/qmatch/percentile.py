@@ -36,19 +36,19 @@ def percentiles(y) -> PercentileVector:
     if not np.all(np.isfinite(y)):
         raise DomainError("input values must be finite")
     # Midranks give (F(y-) + F(y+))/2 directly.  A tie run of length k at
-    # 0-based sorted positions a..a+k-1 has 1-based midrank a + (k+1)/2;
-    # twice that, 2a + k + 1, is an integer, exact in float64, so p is the
-    # correctly rounded (2a+k)/(2n).  Signed zeros compare equal, so 0.0
-    # and -0.0 form one run.  Every member of a run gets the same value,
-    # and a and k depend only on the sorted values, so any sort order of
-    # the ties gives the same p: the sort need not be stable.
+    # 0-based sorted positions a..a+k-1 has 1-based midrank a + (k+1)/2, so
+    # p = (2a + k)/(2n).  The run's start plus its end, a + (a + k), is that
+    # numerator as an exact integer, so one division per run gives the
+    # correctly rounded p, which is then scattered to the run's members.
+    # Signed zeros compare equal, so 0.0 and -0.0 form one run.  a and k
+    # depend only on the sorted values, so any sort order of the ties gives
+    # the same p: the sort need not be stable.
     n = y.size
     order = np.argsort(y)
     ys = y[order]
     starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
-    lengths = np.diff(np.append(starts, n))
-    twice_r = np.empty(n)
-    twice_r[order] = np.repeat(2.0 * starts + lengths + 1.0, lengths)
-    p = (twice_r - 1.0) / (2.0 * n)
+    ends = np.append(starts[1:], n)
+    p = np.empty(n)
+    p[order] = np.repeat((starts + ends) / (2.0 * n), ends - starts)
     return PercentileVector(p=p, n=int(n))
 

@@ -10,11 +10,12 @@ midpoint-rule entropy quadrature, a derivative-free optimizer for the
 variance-components fit, the explicit n x n covariance, the fitted
 quadratic form, and a data file written one csv-module row at a time.
 
-Two older routes are kept verbatim as bit-for-bit references: the model
+Three older routes are kept verbatim as bit-for-bit references: the model
 fits in numpy-array arithmetic (``numpy_fit``), which the package's
 float-tuple Newton solver and in-place decomposition must reproduce
-exactly, and the golden-section search that evaluated both interior points
-of every bracket (``two_point_golden_max``).
+exactly, the golden-section search that evaluated both interior points
+of every bracket (``two_point_golden_max``), and the percentiles from twice
+the midrank (``twice_midrank_percentiles``).
 
 Importing this module gives every target class a ``cdf`` method for the
 round-trip checks: the closed form where one exists, NotImplementedError
@@ -209,6 +210,21 @@ def rankdata_percentiles(y) -> np.ndarray:
     """(F(y-) + F(y+))/2 at each observation, from scipy's average ranks."""
     y = np.asarray(y, dtype=float)
     return (2.0 * rankdata(y, method="average") - 1.0) / (2.0 * y.size)
+
+
+def twice_midrank_percentiles(y) -> np.ndarray:
+    """The package's earlier midrank percentiles, kept verbatim as a
+    bit-for-bit reference: twice each tie run's 1-based midrank, 2a + k + 1,
+    scattered back through the sort order, then (twice_r - 1) / (2n)."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    order = np.argsort(y)
+    ys = y[order]
+    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
+    lengths = np.diff(np.append(starts, n))
+    twice_r = np.empty(n)
+    twice_r[order] = np.repeat(2.0 * starts + lengths + 1.0, lengths)
+    return (twice_r - 1.0) / (2.0 * n)
 
 
 def fit_random_numeric(z, design: DesignSpec) -> ModelFit:

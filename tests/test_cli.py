@@ -9,6 +9,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import urllib.request
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -104,7 +105,26 @@ class TestSimulateCommand:
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
         assert manifest["scipy"] == scipy.__version__
-        assert manifest["platform"] == platform.platform()
+        system = f"{platform.system()}-{platform.release()}-{platform.machine()}"
+        assert manifest["platform"].startswith(system)
+
+    def test_manifest_starts_no_process(self, tmp_path, monkeypatch):
+        # platform caches what it looked up; empty its caches so that the
+        # manifest takes the path of a first call in a fresh process.
+        monkeypatch.setattr(platform, "_uname_cache", None)
+        monkeypatch.setattr(platform, "_platform_cache", {})
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a subprocess was started")
+
+        # platform swallows an OSError from a subprocess; AssertionError is
+        # not one.
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        out = tmp_path / "d.csv"
+        assert main(["simulate", "--seed", "3", "--nrows", "2", "--ncols", "2",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+        assert manifest["platform"].startswith(platform.system())
 
     def test_unix_line_endings(self, bench_csv):
         assert b"\r" not in bench_csv.read_bytes()
@@ -524,6 +544,23 @@ def _row_loop_outcome(path):
         return _read_outcome(path)
 
 
+def _assert_reads_as_row_loop(path, capsys, row_loop):
+    """The file reads as the row loop reads it, through the row loop or not
+    as ``row_loop`` says, and ``compare`` exits on it accordingly: 0 on
+    finite data, 3 on a non-finite y or a read error."""
+    with mock.patch.object(cli, "_read_rows", wraps=cli._read_rows) as rows:
+        got = _read_outcome(path)
+    assert rows.called == row_loop
+    want = _row_loop_outcome(path)
+    assert got == want
+    rc = main(["compare", "--a", "gaussian", "--b", "uniform", "--input", str(path)])
+    if want[0] == "error":
+        assert rc == 3
+        assert want[1] in capsys.readouterr().err
+    else:
+        assert rc == (0 if np.isfinite(np.frombuffer(want[0])).all() else 3)
+
+
 GRID_2X2 = ["0,0,0,1.5", "1,1,0,-2.25", "2,0,1,0.125", "3,1,1,3.0"]
 GRID_3X4 = [f"{k},{k % 3},{k // 3},{(k * 7) % 12 / 8}" for k in range(12)]
 
@@ -534,7 +571,8 @@ def _data_file(lines, header="index,row,col,y", end="\n"):
 
 class TestDataFileFormat:
     @pytest.mark.parametrize("effects", ["gaussian", "cauchy"])
-    @pytest.mark.parametrize("nrows, ncols", [(2, 2), (50, 30), (1000, 300)])
+    # 256 x 256 is exactly one write block; 1000 x 300 ends in a partial one.
+    @pytest.mark.parametrize("nrows, ncols", [(2, 2), (50, 30), (256, 256), (1000, 300)])
     def test_writer_matches_row_writer(self, tmp_path, nrows, ncols, effects):
         data, rows = tmp_path / "data.csv", tmp_path / "rows.csv"
         assert main(["simulate", "--nrows", str(nrows), "--ncols", str(ncols),
@@ -579,19 +617,37 @@ class TestDataFileFormat:
                      id="long-finite-y"),
         pytest.param(_data_file([*GRID_2X2[:3], '3,1,1,"' + "\n" * 140000 + '3.0"']), True,
                      id="long-quoted-y-across-lines"),
+        pytest.param(_data_file(GRID_2X2, header='"index\n",row,col,y'), False,
+                     id="quoted-header-across-lines"),
+        pytest.param(_data_file(GRID_2X2, end="\r"), False, id="cr-line-ends"),
+        pytest.param(_data_file([*GRID_2X2[:3], '3,1,1,"3.0\r"']), False, id="cr-in-quoted-y"),
     ])
     def test_reads_as_row_loop(self, tmp_path, capsys, text, row_loop):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(cli, "_read_rows", wraps=cli._read_rows) as rows:
-            got = _read_outcome(path)
-        assert rows.called == row_loop
-        want = _row_loop_outcome(path)
-        assert got == want
-        if want[0] == "error":
-            assert main(["compare", "--a", "gaussian", "--b", "uniform",
-                         "--input", str(path)]) == 3
-            assert want[1] in capsys.readouterr().err
+        _assert_reads_as_row_loop(path, capsys, row_loop)
+
+    # numpy opens a path with a lower-case compressed-file suffix through a
+    # decompressor; a plain-text file so named, in any case, is the row loop's.
+    @pytest.mark.parametrize("name", ["data.csv.gz", "data.csv.bz2", "data.csv.xz",
+                                      "data.csv.lzma", "data.csv.GZ"])
+    def test_compressed_suffix_reads_as_row_loop(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_text(_data_file(GRID_2X2))
+        _assert_reads_as_row_loop(path, capsys, row_loop=True)
+
+    def test_url_like_name_reads_as_row_loop(self, tmp_path, capsys, monkeypatch):
+        # numpy takes a relative name holding "://" for a URL and would fetch
+        # it; the file on disk at that name is the row loop's to read.
+        def no_network(*args, **kwargs):
+            raise AssertionError("a URL was opened")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        path = "http://host/data.csv"
+        Path(path).write_text(_data_file(GRID_2X2))
+        _assert_reads_as_row_loop(path, capsys, row_loop=True)
 
     def test_float_to_int_warning_sends_file_to_row_loop(self, tmp_path, capsys):
         # numpy before 2.0 truncates "1.0" read as an integer and only warns.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import quantile_match, rankdata_percentiles
+from oracles import quantile_match, rankdata_percentiles, twice_midrank_percentiles
 from qmatch import DomainError, Gaussian, Logistic, Uniform, percentiles
 
 finite_values = st.floats(
@@ -56,6 +56,23 @@ def test_bit_equal_to_scipy_midranks_at_scale():
     a = percentiles(y).p
     b = rankdata_percentiles(y)
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_normal = np.random.default_rng(8).standard_normal(300_000)
+ORACLE_CASES = {
+    "tie-free": _normal[:1000],
+    "tie-heavy": np.round(_normal[:1000], 1),
+    "signed-zeros": np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0]),
+    "n=1": np.array([7.0]),
+    "n=2": np.array([2.0, -3.0]),
+    "n=300000": _normal,
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_bit_equal_to_twice_midrank_oracle(name):
+    y = ORACLE_CASES[name]
+    assert percentiles(y).p.tobytes() == twice_midrank_percentiles(y).tobytes()
 
 
 def test_single_point():
