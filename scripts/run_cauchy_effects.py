@@ -17,6 +17,7 @@ from qmatch import (
     SimConfig,
     StudentT,
     correlation_report,
+    percentiles,
     profile_alpha,
     profile_student_t,
     reduced_profile_loglik,
@@ -37,13 +38,16 @@ def main(argv=None):
     print(f"seed {args.seed}: n = {out.design.n} "
           f"({out.design.nrows} x {out.design.ncols}), cauchy effects")
 
-    a_curve = profile_alpha(out.y, design, refine=True)
+    # The sweeps and the baselines read y only through its ranking, made
+    # once; the correlation report also reads the values of y.
+    ranked = percentiles(out.y)
+    a_curve = profile_alpha(ranked, design, refine=True)
     write_curve(args.outdir / "alpha_profile.csv", a_curve)
     alpha_hat = a_curve.argmax_param
     print(f"  power family:  alpha_hat = {alpha_hat:.4f} "
           f"(value {a_curve.argmax_value:.2f})")
 
-    t_curve = profile_student_t(out.y, design, refine=True)
+    t_curve = profile_student_t(ranked, design, refine=True)
     write_curve(args.outdir / "t_profile.csv", t_curve)
     inv_nu_hat = t_curve.argmax_param
     nu_hat = float("inf") if inv_nu_hat == 0.0 else 1.0 / inv_nu_hat
@@ -51,7 +55,7 @@ def main(argv=None):
           f"value {t_curve.argmax_value:.2f})")
 
     for label, dist in (("gaussian", Gaussian()), ("logistic", Logistic())):
-        r = reduced_profile_loglik(out.y, dist, design)
+        r = reduced_profile_loglik(ranked, dist, design)
         print(f"  {label:14s} value {r.value:.2f}")
 
     targets = [

@@ -13,6 +13,7 @@ from qmatch import (
     ModelKind,
     SimConfig,
     lr_diagnostics_gaussian_uniform,
+    percentiles,
     profile_student_t,
     simulate,
 )
@@ -30,10 +31,12 @@ def main(argv=None):
     print(f"seed {args.seed}: n = {out.design.n} "
           f"({out.design.nrows} x {out.design.ncols}), gaussian effects")
 
+    # Every statistic below reads y only through its ranking, made once.
+    ranked = percentiles(out.y)
     curves = {}
     for model in (ModelKind.FIXED_EFFECTS, ModelKind.RANDOM_EFFECTS):
         design = out.design.with_model(model)
-        curve = profile_student_t(out.y, design, refine=True)
+        curve = profile_student_t(ranked, design, refine=True)
         curves[model.value] = curve
         write_curve(args.outdir / f"t_profile_{model.value}.csv", curve)
         print(f"  {model.value:6s} model: argmax inv_nu = {curve.argmax_param:.4f} "
@@ -44,7 +47,7 @@ def main(argv=None):
           f"range [{gaps.min():.1f}, {gaps.max():.1f}]")
 
     design = out.design.with_model(ModelKind.FIXED_EFFECTS)
-    diag = lr_diagnostics_gaussian_uniform(out.y, design)
+    diag = lr_diagnostics_gaussian_uniform(ranked, design)
     print("  gaussian vs uniform:")
     print(f"    det term        {diag.det_term:10.1f}   (linear prediction {diag.det_term_linear:.1f})")
     print(f"    correction term {diag.correction_term:10.1f}   (linear prediction {diag.correction_linear:.1f})")

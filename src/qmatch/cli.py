@@ -36,6 +36,7 @@ import scipy
 from . import __version__
 from .errors import DomainError, NumericError, TargetSpecError, UsageError
 from .linmodel import DesignSpec, ModelKind, fit
+from .percentile import percentiles
 from .simdesign import EFFECTS, SimConfig, simulate
 from .targetdist import (
     TARGET_GRAMMAR,
@@ -141,6 +142,9 @@ _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # plain-text file so named is the row loop's to read.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
+# Bytes per read of the scan in ``_numpy_reads_as_csv``.
+_SCAN_BLOCK = 1 << 20
+
 
 def _numpy_reads_as_csv(path) -> bool:
     """Whether numpy, given the path, reads the file as the row loop does.
@@ -159,21 +163,29 @@ def _numpy_reads_as_csv(path) -> bool:
     limit = csv.field_size_limit()
     with open(path, "rb") as fb:
         short = os.fstat(fb.fileno()).st_size <= limit
-        longest = run = 0  # run: the length so far of the line the block ends in
-        while block := fb.read(1 << 20):
+        run = 0  # the length so far of the line the last block ends in
+        while block := fb.read(_SCAN_BLOCK):
+            # Four memchr-speed searches, one per separator, cost less than
+            # one regex character-class or numpy range-test pass.
             if any(sep in block for sep in _SEPARATORS):
                 return False
             if short:
                 continue
             if b'"' in block:
                 return False
-            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-            if ends.size:
-                longest = max(longest, run + int(ends[0]) + 1, int(np.diff(ends).max(initial=0)))
-                run = len(block) - 1 - int(ends[-1])
-            else:
-                run += len(block)
-            if max(longest, run) > limit:
+            # Hop from line end to line end.  While a byte follows the
+            # ``limit`` bytes after the last line end, the next line end
+            # must lie among them, and the last one there is the next hop.
+            # Then the block's last line end starts the carried run.
+            last = -1 - run  # the last line end, relative to this block
+            while last + limit < len(block) - 1:
+                end = block.rfind(b"\n", max(last + 1, 0), last + limit + 1)
+                if end < 0:
+                    return False
+                last = end
+            end = block.rfind(b"\n", max(last + 1, 0))
+            run = len(block) - 1 - (last if end < 0 else end)
+            if run > limit:
                 return False
     return True
 
@@ -320,9 +332,10 @@ def _grid_from_args(args):
 
 
 def _sweeps():
-    """Each --family's sweep; all take (y, design, grid, refine).  The table
-    is built when called, so a sweep rebound on this module (bench/spans.py
-    wraps them to trace them) is the one that runs."""
+    """Each --family's sweep; all take (data, design, grid, refine), the
+    data being the raw response for Box-Cox and its ranking otherwise.  The
+    table is built when called, so a sweep rebound on this module
+    (bench/spans.py wraps them to trace them) is the one that runs."""
     return {"t": profile_student_t, "alpha": profile_alpha, "boxcox": boxcox_profile}
 
 
@@ -330,16 +343,19 @@ def cmd_profile(args) -> int:
     grid = _grid_from_args(args)
     y, design = read_data_csv(args.input)
     design = design.with_model(ModelKind(args.model))
-    curve = _sweeps()[args.family](y, design, grid, refine=args.refine)
+    # Box-Cox transforms the data values; every other sweep and comparator
+    # reads only the ranking, made once.
+    data = y if args.family == "boxcox" else percentiles(y)
+    curve = _sweeps()[args.family](data, design, grid, refine=args.refine)
     if args.family == "t":
         comparators = {
-            "gaussian_value": reduced_profile_loglik(y, Gaussian(), design).value,
+            "gaussian_value": reduced_profile_loglik(data, Gaussian(), design).value,
         }
     elif args.family == "alpha":
-        t_curve = profile_student_t(y, design, refine=args.refine)
+        t_curve = profile_student_t(data, design, refine=args.refine)
         comparators = {
-            "gaussian_value": reduced_profile_loglik(y, Gaussian(), design).value,
-            "logistic_value": reduced_profile_loglik(y, Logistic(), design).value,
+            "gaussian_value": reduced_profile_loglik(data, Gaussian(), design).value,
+            "logistic_value": reduced_profile_loglik(data, Logistic(), design).value,
             "t_family_argmax": {
                 "inv_nu": t_curve.argmax_param,
                 "value": t_curve.argmax_value,
@@ -373,7 +389,8 @@ def cmd_compare(args) -> int:
     dists = {"a": parse_target(args.a), "b": parse_target(args.b)}
     y, design = read_data_csv(args.input)
     design = design.with_model(ModelKind(args.model))
-    sides = {key: reduced_profile_loglik(y, dist, design) for key, dist in dists.items()}
+    ranked = percentiles(y)
+    sides = {key: reduced_profile_loglik(ranked, dist, design) for key, dist in dists.items()}
     report = {"lr": sides["a"].value - sides["b"].value,
               **{key: asdict(side) for key, side in sides.items()}}
     n = design.n

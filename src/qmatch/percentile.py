@@ -11,6 +11,13 @@ value (2a + k - 2)/(2n).  Everything downstream consumes these percentiles
 only at the data points; no interpolant between them is ever constructed,
 so every reported statistic depends on the data through its rank vector
 alone.
+
+A ``PercentileVector`` keeps the ranking in sort order: the permutation
+that sorts y and the percentiles in that order, which are nondecreasing
+and depend on the sorted values alone.  Sums over the observations (the
+likelihood's jacobian, the correlation report's products) are taken in
+that order, so they are exactly invariant under any reordering of y; only
+a model fit needs the data order back (``unsort``).
 """
 
 from __future__ import annotations
@@ -24,12 +31,27 @@ from .errors import DomainError
 
 @dataclass(frozen=True, eq=False)
 class PercentileVector:
-    p: np.ndarray  # values in (0,1), aligned with the input vector
+    order: np.ndarray     # the permutation that sorts the input vector
+    p_sorted: np.ndarray  # values in (0,1) in sorted order, nondecreasing
     n: int
+
+    def unsort(self, v) -> np.ndarray:
+        """A vector aligned with ``p_sorted`` put back in data order."""
+        out = np.empty(self.n)
+        out[self.order] = v
+        return out
+
+    @property
+    def p(self) -> np.ndarray:
+        """The percentiles aligned with the input vector."""
+        return self.unsort(self.p_sorted)
 
 
 def percentiles(y) -> PercentileVector:
-    """Percentile values of each observation within its own sample."""
+    """Percentile values of each observation within its own sample; a
+    ``PercentileVector`` is returned as it is."""
+    if isinstance(y, PercentileVector):
+        return y
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise DomainError("input must be a nonempty 1-d vector")
@@ -39,16 +61,14 @@ def percentiles(y) -> PercentileVector:
     # 0-based sorted positions a..a+k-1 has 1-based midrank a + (k+1)/2, so
     # p = (2a + k)/(2n).  The run's start plus its end, a + (a + k), is that
     # numerator as an exact integer, so one division per run gives the
-    # correctly rounded p, which is then scattered to the run's members.
+    # correctly rounded p, which is then repeated over the run's members.
     # Signed zeros compare equal, so 0.0 and -0.0 form one run.  a and k
     # depend only on the sorted values, so any sort order of the ties gives
-    # the same p: the sort need not be stable.
+    # the same p_sorted: the sort need not be stable.
     n = y.size
     order = np.argsort(y)
     ys = y[order]
     starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
     ends = np.append(starts[1:], n)
-    p = np.empty(n)
-    p[order] = np.repeat((starts + ends) / (2.0 * n), ends - starts)
-    return PercentileVector(p=p, n=int(n))
-
+    p_sorted = np.repeat((starts + ends) / (2.0 * n), ends - starts)
+    return PercentileVector(order=order, p_sorted=p_sorted, n=int(n))

@@ -15,6 +15,13 @@ because the dropped terms cancel.  Except for the Box-Cox comparator, which
 transforms the data values themselves, all statistics depend on y only
 through its rank vector, so any strictly increasing relabeling of the data
 leaves them bit-for-bit unchanged.
+
+Each rank-based function takes the raw response or its ranking, the
+``PercentileVector`` that ``percentiles(y)`` returns, so a caller that
+evaluates several targets on one response ranks it once.  Targets are
+evaluated on the sorted percentiles, and the jacobian term and the
+correlations are summed in sort order, so they are exactly invariant
+under any reordering of y; only the model fit sees z in data order.
 """
 
 from __future__ import annotations
@@ -92,8 +99,15 @@ def _score(label, log_det, jacobian) -> ReducedProfileLoglik:
 
 
 def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec):
-    z, lqd = dist.transform(pc.p)
-    return _score(dist.label(), fit(z, design).log_det_sigma_hat, float(np.sum(lqd)))
+    # Q and log Q' act elementwise, so z evaluated in sort order and put
+    # back in data order has the bits of z evaluated in data order.  The
+    # jacobian is summed in sort order, which depends on the sorted data
+    # alone.  Neither log Q' nor the sorted z is held through the fit.
+    z, lqd = dist.transform(pc.p_sorted)
+    jacobian = float(np.sum(lqd))
+    del lqd
+    z = pc.unsort(z)
+    return _score(dist.label(), fit(z, design).log_det_sigma_hat, jacobian)
 
 
 def reduced_profile_loglik(y, dist: TargetDistribution, design: DesignSpec) -> ReducedProfileLoglik:
@@ -294,18 +308,23 @@ def correlation_report(y, dists) -> CorrelationReport:
     if y.size < 3:
         raise DomainError("correlation report needs n >= 3")
     pc = percentiles(y)
-    # The correlation does not depend on the scale of y.  Scaling y by an
-    # exact power of two, to put max|y| in [1/2, 1), keeps its sums of
-    # squares and products clear of overflow and underflow.
-    yc = np.ldexp(y, -math.frexp(max(-y.min(), y.max()))[1])
+    # Every sum runs in sort order, so the report is exactly invariant
+    # under any reordering of y.  The correlation does not depend on the
+    # scale of y either.  Scaling y by an exact power of two, to put
+    # max|y| in [1/2, 1), keeps its sums of squares and products clear of
+    # overflow and underflow.
+    yc = y[pc.order]
+    np.ldexp(yc, -math.frexp(max(-yc[0], yc[-1]))[1], out=yc)
     yc -= yc.mean()
     ss_y = float(yc @ yc)
     if ss_y == 0.0:
         raise DomainError("response has zero variance")
     cors = np.empty(len(dists))
     for j, dist in enumerate(dists):
-        t = np.asarray(dist.quantile(pc.p))
-        tc = t - t.mean()
+        tc = np.asarray(dist.quantile(pc.p_sorted))
+        if np.may_share_memory(tc, pc.p_sorted):  # centered in place below
+            tc = tc.copy()
+        tc -= tc.mean()
         ss_t = float(tc @ tc)
         if ss_t == 0.0:
             raise DomainError(f"transform {dist.label()} has zero variance")

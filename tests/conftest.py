@@ -1,4 +1,5 @@
 import functools
+import importlib
 
 import numpy as np
 import pytest
@@ -23,3 +24,23 @@ def random_design(out):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260818)
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """A list that grows by one for each sort ``percentiles`` makes, under
+    whatever name it is called; a ranking passed back in, returned as it
+    is, adds nothing."""
+    calls = []
+    module = importlib.import_module("qmatch.percentile")
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def argsort(self, *args, **kwargs):
+            calls.append(1)
+            return np.argsort(*args, **kwargs)
+
+    monkeypatch.setattr(module, "np", CountingNumpy())
+    return calls

@@ -10,12 +10,15 @@ midpoint-rule entropy quadrature, a derivative-free optimizer for the
 variance-components fit, the explicit n x n covariance, the fitted
 quadratic form, and a data file written one csv-module row at a time.
 
-Three older routes are kept verbatim as bit-for-bit references: the model
-fits in numpy-array arithmetic (``numpy_fit``), which the package's
-float-tuple Newton solver and in-place decomposition must reproduce
-exactly, the golden-section search that evaluated both interior points
-of every bracket (``two_point_golden_max``), and the percentiles from twice
-the midrank (``twice_midrank_percentiles``).
+Older routes are kept verbatim as references: the model fits in
+numpy-array arithmetic (``numpy_fit``), which the package's float-tuple
+Newton solver and in-place decomposition must reproduce exactly, the
+golden-section search that evaluated both interior points of every
+bracket (``two_point_golden_max``), the percentiles from twice the midrank
+(``twice_midrank_percentiles``), the reduced value and the correlations
+evaluated in data order (``data_order_reduced``,
+``data_order_correlations``), and the data-file scan that located every
+line end (``line_end_scan_reads_as_csv``).
 
 Importing this module gives every target class a ``cdf`` method for the
 round-trip checks: the closed form where one exists, NotImplementedError
@@ -25,6 +28,7 @@ otherwise.
 import csv
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +49,11 @@ from qmatch import (
     StudentT,
     TargetDistribution,
     Uniform,
+    fit,
     percentiles,
     student_t_log_density,
 )
+from qmatch.cli import _COMPRESSED_SUFFIXES, _SEPARATORS
 from qmatch.linmodel import (
     _DEGENERATE_REL,
     _NEWTON_MAX_ITER,
@@ -62,7 +68,7 @@ from qmatch.linmodel import (
     _response,
     decompose,
 )
-from qmatch.translik import _GOLDEN, _REFINE_XTOL
+from qmatch.translik import _GOLDEN, _REFINE_XTOL, ReducedProfileLoglik
 from qmatch.targetdist import _array_method
 
 
@@ -525,3 +531,63 @@ def two_point_golden_max(f, lo, mid, f_mid, hi):
             if fb > best_f:
                 best_x, best_f = b, fb
     return best_x, best_f
+
+
+# -- evaluation in data order --------------------------------------------------
+# The package's reduced value and correlation report as they were before
+# targets were evaluated on the sorted percentiles.
+
+
+def data_order_reduced(y, dist: TargetDistribution, design: DesignSpec) -> ReducedProfileLoglik:
+    """The reduced profile value with Q and log Q' evaluated, and the
+    jacobian summed, in data order."""
+    z, lqd = dist.transform(percentiles(y).p)
+    det_term = -0.5 * fit(z, design).log_det_sigma_hat
+    jacobian = float(np.sum(lqd))
+    return ReducedProfileLoglik(label=dist.label(), det_term=det_term,
+                                jacobian_term=jacobian, value=det_term + jacobian)
+
+
+def data_order_correlations(y, dists) -> np.ndarray:
+    """Correlation of y with each quantile-matched version of itself, every
+    sum taken in data order."""
+    y = np.asarray(y, dtype=float)
+    p = percentiles(y).p
+    yc = np.ldexp(y, -math.frexp(max(-y.min(), y.max()))[1])
+    yc -= yc.mean()
+    ss_y = float(yc @ yc)
+    cors = []
+    for dist in dists:
+        t = np.asarray(dist.quantile(p))
+        tc = t - t.mean()
+        cors.append(float(yc @ tc) / math.sqrt(ss_y * float(tc @ tc)))
+    return np.array(cors)
+
+
+def line_end_scan_reads_as_csv(path, block_size=1 << 20) -> bool:
+    """The package's earlier check of whether numpy reads a data file as
+    the csv-module row loop does, which located every line end of each
+    block with numpy."""
+    name = os.fsdecode(path)
+    if name.lower().endswith(_COMPRESSED_SUFFIXES) or "://" in name:
+        return False
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fb:
+        short = os.fstat(fb.fileno()).st_size <= limit
+        longest = run = 0  # run: the length so far of the line the block ends in
+        while block := fb.read(block_size):
+            if any(sep in block for sep in _SEPARATORS):
+                return False
+            if short:
+                continue
+            if b'"' in block:
+                return False
+            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            if ends.size:
+                longest = max(longest, run + int(ends[0]) + 1, int(np.diff(ends).max(initial=0)))
+                run = len(block) - 1 - int(ends[-1])
+            else:
+                run += len(block)
+            if max(longest, run) > limit:
+                return False
+    return True

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in process through main(argv)."""
 
 import argparse
+import csv
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import write_data_csv_rows
+from oracles import line_end_scan_reads_as_csv, write_data_csv_rows
 from qmatch import AlphaBeta, DesignSpec, DomainError, Gaussian, SimConfig, StudentT, simulate
 from qmatch import cli
 from qmatch.cli import (
@@ -388,6 +389,27 @@ class TestCompareCommand:
         assert "target spec grammar" in err
 
 
+class TestOneRankingPerCommand:
+    """A command ranks its response once and hands the ranking to every
+    rank-based call; Box-Cox reads the data values and ranks nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--a", "gaussian", "--b", "uniform"],
+        ["profile", "--family", "t", "--refine"],
+        ["profile", "--family", "alpha", "--refine"],
+    ], ids=["compare", "profile-t", "profile-alpha"])
+    def test_one_sort(self, bench_csv, tmp_path, capsys, sorts, argv):
+        assert main([*argv, "--input", str(bench_csv), "--out", str(tmp_path / "x")]) == 0
+        assert len(sorts) == 1
+
+    def test_boxcox_sorts_nothing(self, tmp_path, sorts):
+        data = str(tmp_path / "positive.csv")
+        assert main(["simulate", "--seed", "3", "--intercept", "20", "--out", data]) == 0
+        assert main(["profile", "--family", "boxcox", "--input", data,
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        assert sorts == []
+
+
 class TestCorrelateCommand:
     def test_uniform_column_matches_rank_correlation(self, bench_csv, capsys):
         assert main(["correlate", "--input", str(bench_csv),
@@ -675,6 +697,28 @@ class TestDataFileFormat:
         path = tmp_path_factory.mktemp("fields") / "data.csv"
         path.write_bytes(_data_file(lines).encode("utf-8"))
         assert _read_outcome(path) == _row_loop_outcome(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 40), min_size=1, max_size=40),
+           trailing=st.integers(0, 40), block=st.integers(1, 64),
+           limit=st.integers(1, 32), quote=st.booleans())
+    def test_line_scan_matches_line_end_oracle(self, tmp_path_factory, lengths, trailing,
+                                               block, limit, quote):
+        # Small csv field limits and scan blocks put long lines across
+        # block boundaries; each file goes where locating every line end
+        # sends it.
+        text = b"".join(b"1" * k + b"\n" for k in lengths) + b"2" * trailing
+        if quote:
+            text = b'"' + text
+        path = tmp_path_factory.mktemp("scan") / "data.csv"
+        path.write_bytes(text)
+        old_limit = csv.field_size_limit(limit)
+        try:
+            with mock.patch.object(cli, "_SCAN_BLOCK", block):
+                got = cli._numpy_reads_as_csv(path)
+            assert got == line_end_scan_reads_as_csv(path, block)
+        finally:
+            csv.field_size_limit(old_limit)
 
 
 class TestInputValidation:

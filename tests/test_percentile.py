@@ -41,9 +41,13 @@ tie_prone_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 3.0, 1e12, -1e12]
 @given(st.lists(tie_prone_values, min_size=1, max_size=300))
 @settings(max_examples=200, deadline=None)
 def test_bit_equal_to_scipy_midranks(values):
-    a = percentiles(values).p
+    pc = percentiles(values)
+    a = pc.p
     b = rankdata_percentiles(values)
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    # The ranking holds a sorting permutation and the percentiles in its order.
+    assert np.all(np.diff(np.array(values)[pc.order]) >= 0)
+    assert np.array_equal(pc.p_sorted, a[pc.order])
 
 
 def test_bit_equal_to_scipy_midranks_at_scale():

@@ -37,9 +37,10 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def test_gaussian_effects_curve_matches_cli(tmp_path, capsys):
+def test_gaussian_effects_curve_matches_cli(tmp_path, capsys, sorts):
     outdir = tmp_path / "out"
     load_script("run_gaussian_effects").main(["--seed", "0", "--outdir", str(outdir)])
+    assert len(sorts) == 1  # one ranking serves every statistic
     assert "gaussian vs uniform" in capsys.readouterr().out
     for model in ("fixed", "random"):
         rows = read_rows(outdir / f"t_profile_{model}.csv")
@@ -50,9 +51,12 @@ def test_gaussian_effects_curve_matches_cli(tmp_path, capsys):
     assert (outdir / "t_profile_fixed.csv").read_bytes() == expect
 
 
-def test_cauchy_effects_outputs(tmp_path, capsys):
+def test_cauchy_effects_outputs(tmp_path, capsys, sorts):
     outdir = tmp_path / "out"
     load_script("run_cauchy_effects").main(["--seed", "2", "--outdir", str(outdir)])
+    # The sweeps and baselines share one ranking; the correlation report
+    # reads the values of y and ranks them itself.
+    assert len(sorts) == 2
     assert "correlation of y" in capsys.readouterr().out
     rows = read_rows(outdir / "correlations.csv")
     assert rows[0] == ["target", "correlation"]

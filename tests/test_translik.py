@@ -17,10 +17,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import bench, fixed_design, random_design
-from oracles import Affine, entropy_quadrature, two_point_golden_max
+from oracles import (
+    Affine,
+    data_order_correlations,
+    data_order_reduced,
+    entropy_quadrature,
+    two_point_golden_max,
+)
 from qmatch import (
     AlphaBeta,
     DegenerateFitError,
+    DesignSpec,
     DomainError,
     Gaussian,
     Logistic,
@@ -105,6 +112,77 @@ class TestReducedValue:
         b = reduced_profile_loglik(y2, dist, d)
         assert a.value == b.value
         assert a.det_term == b.det_term
+
+
+# Every family at its endpoints, and the fixed shapes.
+ENDPOINT_TARGETS = [StudentT(0.0), StudentT(5e-324), StudentT(1.0), AlphaBeta(-1.0, -1.0),
+                    AlphaBeta(0.0, 0.0), AlphaBeta(1.0, 1.0), Uniform(), Gaussian(), Logistic()]
+
+
+class TestSortOrderEvaluation:
+    """Targets are evaluated on the sorted percentiles and z is put back in
+    data order for the fit: the fit sees the same bits as an evaluation in
+    data order, and only the jacobian's summation order changes."""
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["tie-free", "tie-heavy"])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("dist", ENDPOINT_TARGETS, ids=lambda d: d.label())
+    def test_matches_data_order_evaluation(self, dist, model, ties):
+        out = bench(4)
+        y = np.round(out.y, 1) if ties else out.y
+        design = out.design.with_model(model)
+        got = reduced_profile_loglik(y, dist, design)
+        want = data_order_reduced(y, dist, design)
+        assert got.det_term == want.det_term
+        assert abs(got.jacobian_term - want.jacobian_term) <= 1e-13 * abs(want.jacobian_term)
+        assert abs(got.value - want.value) <= 1e-13 * abs(want.value)
+
+    @pytest.mark.parametrize("effects", ["gaussian", "cauchy"])
+    def test_correlations_match_data_order(self, effects):
+        y = bench(5, effects).y
+        for data in (y, np.round(y, 1)):
+            got = correlation_report(data, ENDPOINT_TARGETS).correlations
+            assert_allclose(got, data_order_correlations(data, ENDPOINT_TARGETS),
+                            rtol=1e-13, atol=0)
+
+    def test_ranking_is_accepted_in_place_of_y(self):
+        out = bench(6, "cauchy")
+        d = fixed_design(out)
+        pc = percentiles(out.y)
+        grid = [0.0, 0.5, 1.0]
+        for f in (lambda v: reduced_profile_loglik(v, StudentT(0.3), d),
+                  lambda v: loglik_ratio(v, Gaussian(), Logistic(), d),
+                  lambda v: lr_diagnostics_gaussian_uniform(v, d),
+                  lambda v: profile_student_t(v, d, grid=grid, refine=True).argmax_value,
+                  lambda v: profile_alpha(v, d, grid=grid, refine=True).argmax_value):
+            assert f(pc) == f(out.y)
+
+    @given(
+        values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e12]) |
+                        st.floats(-1e12, 1e12), min_size=12, max_size=12),
+        data=st.data(),
+        model=st.sampled_from(list(ModelKind)),
+        dist=st.sampled_from(ENDPOINT_TARGETS),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_under_any_permutation(self, values, data, model, dist):
+        y = np.array(values)
+        perm = np.array(data.draw(st.permutations(range(y.size))))
+        pc = percentiles(y)
+        assert percentiles(pc) is pc
+        # Only the fit sees the data order; the jacobian does not.
+        design = DesignSpec(3, 4, model)
+        try:
+            jacobians = [reduced_profile_loglik(v, dist, design).jacobian_term
+                         for v in (y, y[perm])]
+        except (DegenerateFitError, NumericError):  # a degenerate layout
+            jacobians = [0.0, 0.0]
+        assert jacobians[0] == jacobians[1]
+        try:
+            cors = [correlation_report(v, ENDPOINT_TARGETS).correlations for v in (y, y[perm])]
+        except DomainError:  # zero variance
+            return
+        assert np.array_equal(cors[0], cors[1])
 
 
 class TestQuantilePasses:
@@ -549,6 +627,18 @@ class TestCorrelationReport:
             warnings.simplefilter("error")
             scaled = correlation_report(np.ldexp(y, k), targets)
         assert np.array_equal(scaled.correlations, correlation_report(y, targets).correlations)
+
+    def test_target_returning_its_argument(self):
+        # Each target's quantiles are centered in place; a quantile that
+        # hands back the percentiles themselves must leave them intact for
+        # the next target.
+        class Identity(Uniform):
+            def quantile(self, p):
+                return p
+
+        y = bench(0).y
+        got = correlation_report(y, [Identity(), Uniform()]).correlations
+        assert got[0] == got[1] == correlation_report(y, [Uniform()]).correlations[0]
 
     def test_degenerate_inputs_rejected(self):
         out = bench(0)
