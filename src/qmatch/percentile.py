@@ -49,7 +49,15 @@ class PercentileVector:
 
 def percentiles(y) -> PercentileVector:
     """Percentile values of each observation within its own sample; a
-    ``PercentileVector`` is returned as it is."""
+    ``PercentileVector`` is returned as it is.
+
+    A tie-free sample, which the sorted values show by having no equal
+    neighbours, gets the rankit grid (2i - 1)/(2n) built directly in one
+    array.  A sample with ties keeps the run-length construction, since
+    each tie run shares one midrank that the grid does not give; that
+    path is left as it was, so samples with ties cost no more.  Both paths
+    form each p as the same exact odd integer over 2n.
+    """
     if isinstance(y, PercentileVector):
         return y
     y = np.asarray(y, dtype=float)
@@ -68,7 +76,14 @@ def percentiles(y) -> PercentileVector:
     n = y.size
     order = np.argsort(y)
     ys = y[order]
-    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
-    ends = np.append(starts[1:], n)
-    p_sorted = np.repeat((starts + ends) / (2.0 * n), ends - starts)
+    new_run = ys[1:] != ys[:-1]
+    if new_run.all():
+        # No ties: each run is one value, k = 1 at a = 0..n-1, so p is
+        # (2a + 1)/(2n): the same exact odd integer and the same division.
+        p_sorted = np.arange(1.0, 2.0 * n, 2.0)
+        p_sorted /= 2.0 * n
+    else:
+        starts = np.flatnonzero(np.concatenate(([True], new_run)))
+        ends = np.append(starts[1:], n)
+        p_sorted = np.repeat((starts + ends) / (2.0 * n), ends - starts)
     return PercentileVector(order=order, p_sorted=p_sorted, n=int(n))

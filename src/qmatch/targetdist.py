@@ -58,7 +58,8 @@ def _array_method(method):
     @functools.wraps(method)
     def wrapper(self, p):
         arr = np.asarray(p, dtype=float)
-        if np.any(~np.isfinite(arr) | (arr <= 0.0) | (arr >= 1.0)):
+        # A NaN makes the min and the max NaN, and fails both comparisons.
+        if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
             raise DomainError("probabilities must lie strictly inside (0, 1)")
         out = method(self, arr)
         return float(out) if arr.ndim == 0 else out
@@ -77,9 +78,18 @@ def _logistic_lqd(p):
     return -(np.log(p) + np.log1p(-p))
 
 
+def _fresh(x):
+    """An uninitialized float array shaped like x (0-d for a scalar), for
+    an in-place chain that must not write into x."""
+    return np.empty(np.shape(x))
+
+
 def _gaussian_lqd(z):
-    # -log phi(z) at z = ndtri(p)
-    return 0.5 * LOG_2PI + 0.5 * z * z
+    # -log phi(z) at z = ndtri(p): 0.5 * LOG_2PI + 0.5 * z * z in one array
+    out = np.multiply(0.5, z, out=_fresh(z))
+    out *= z
+    out += 0.5 * LOG_2PI
+    return out
 
 
 def student_t_log_density(inv_nu, x):
@@ -93,11 +103,13 @@ def student_t_log_density(inv_nu, x):
         raise DomainError("student_t_log_density requires 0 < inv_nu <= 1")
     x = np.asarray(x, dtype=float)
     nu = 1.0 / inv_nu
-    out = (
-        -sc.betaln(0.5, nu / 2.0)
-        - 0.5 * math.log(nu)
-        - (nu + 1.0) / 2.0 * np.log1p(x * x / nu)
-    )
+    # -betaln(1/2, nu/2) - log(nu)/2 - (nu + 1)/2 log1p(x^2/nu), in that
+    # order, in one fresh array.
+    out = np.multiply(x, x, out=_fresh(x))
+    out /= nu
+    np.log1p(out, out=out)
+    out *= (nu + 1.0) / 2.0
+    np.subtract(-sc.betaln(0.5, nu / 2.0) - 0.5 * math.log(nu), out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -228,7 +240,8 @@ class StudentT(TargetDistribution):
     def _lqd_at(self, p, z):
         if self._is_gaussian():
             return _gaussian_lqd(z)
-        return -student_t_log_density(self.inv_nu, z)
+        lqd = np.asarray(student_t_log_density(self.inv_nu, z))
+        return np.negative(lqd, out=lqd)
 
     def entropy(self):
         x = self.inv_nu
@@ -247,12 +260,33 @@ class StudentT(TargetDistribution):
         )
 
 
+# Below this |a|, power_limb's a * log x can be subnormal.
+_SUBNORMAL_PRODUCT_BELOW = 2.0**-900
+_TINY = np.finfo(float).tiny
+
+
 def power_limb(a, log_x):
     """(x^a - 1)/a from log x, with the a -> 0 limit log x; expm1 keeps
-    small a accurate."""
+    small a accurate.
+
+    The result is one fresh array, written in place; log_x is never
+    written, and at a == 0 it is returned itself.
+    """
     if a == 0.0:
         return log_x
-    return np.expm1(a * log_x) / a
+    out = np.multiply(a, log_x, out=_fresh(log_x))
+    # A subnormal a * log x has lost its precision, and the quotient would
+    # be log x quantized; the series' next term, a (log x)^2 / 2, is below
+    # 1e-308 relative there, so the limit log x is the value.  A nonzero
+    # log of a float, or a difference of two such logs, has magnitude at
+    # least 2^-105, so from |a| = 2^-900 up a * log x is zero or normal
+    # and no element needs the test.
+    subnormal = np.abs(out) < _TINY if abs(a) < _SUBNORMAL_PRODUCT_BELOW else None
+    np.expm1(out, out=out)
+    out /= a
+    if subnormal is not None:
+        np.copyto(out, log_x, where=subnormal)
+    return out
 
 
 @dataclass(frozen=True)
@@ -274,15 +308,22 @@ class AlphaBeta(TargetDistribution):
     def quantile(self, p):
         if self.alpha == 0.0 and self.beta == 0.0:
             return _logistic_q(p)
-        return power_limb(self.alpha, np.log(p)) - power_limb(self.beta, np.log(1.0 - p))
+        log_q = np.subtract(1.0, p, out=_fresh(p))
+        np.log(log_q, out=log_q)
+        q = power_limb(self.alpha, np.log(p))
+        q -= power_limb(self.beta, log_q)
+        return q
 
     def _lqd_at(self, p, z):
         # Q'(p) = p^(alpha-1) + (1-p)^(beta-1)
         if self.alpha == 0.0 and self.beta == 0.0:
             return _logistic_lqd(p)
-        return np.logaddexp(
-            (self.alpha - 1.0) * np.log(p), (self.beta - 1.0) * np.log1p(-p)
-        )
+        lower = np.log(p)
+        lower *= self.alpha - 1.0
+        upper = np.negative(p, out=_fresh(p))
+        np.log1p(upper, out=upper)
+        upper *= self.beta - 1.0
+        return np.logaddexp(lower, upper, out=upper)
 
     def entropy(self):
         if self.alpha == 0.0 and self.beta == 0.0:

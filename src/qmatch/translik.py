@@ -289,10 +289,13 @@ def boxcox_profile(y, design: DesignSpec, grid=None, refine=False) -> ProfileCur
     lo, hi = float(log_y.min()), float(log_y.max())
     slog = float(np.sum(log_y))
     n = log_y.size
+    shifted = {}  # log y - c for each c used so far; power_limb never writes it
 
     def evaluate(g):
         c = hi if g > 0.0 else lo
-        log_det = fit(power_limb(g, log_y - c), design).log_det_sigma_hat + 2.0 * n * g * c
+        if c not in shifted:
+            shifted[c] = log_y - c
+        log_det = fit(power_limb(g, shifted[c]), design).log_det_sigma_hat + 2.0 * n * g * c
         return _score(f"boxcox(g={g:g})", log_det, (g - 1.0) * slog)
 
     return _sweep("boxcox", grid, evaluate, refine)

@@ -17,8 +17,13 @@ golden-section search that evaluated both interior points of every
 bracket (``two_point_golden_max``), the percentiles from twice the midrank
 (``twice_midrank_percentiles``), the reduced value and the correlations
 evaluated in data order (``data_order_reduced``,
-``data_order_correlations``), and the data-file scan that located every
-line end (``line_end_scan_reads_as_csv``).
+``data_order_correlations``), the data-file scan that located every
+line end (``line_end_scan_reads_as_csv``), and the expressions that built
+each full-length temporary on its own: the run-length percentiles for
+every sample (``run_length_percentiles``), the targets' Q and log Q'
+(``expression_transform``, ``expression_power_limb``,
+``expression_student_t_log_density``) and the Box-Cox profile that shifted
+log y for every fit (``per_fit_shift_boxcox_profile``).
 
 Importing this module gives every target class a ``cdf`` method for the
 round-trip checks: the closed form where one exists, NotImplementedError
@@ -68,8 +73,8 @@ from qmatch.linmodel import (
     _response,
     decompose,
 )
-from qmatch.translik import _GOLDEN, _REFINE_XTOL, ReducedProfileLoglik
-from qmatch.targetdist import _array_method
+from qmatch.translik import _GOLDEN, _REFINE_XTOL, ReducedProfileLoglik, _score, _sweep
+from qmatch.targetdist import LOG_2PI, _array_method
 
 
 def _cdf_method(method):
@@ -591,3 +596,70 @@ def line_end_scan_reads_as_csv(path, block_size=1 << 20) -> bool:
             if max(longest, run) > limit:
                 return False
     return True
+
+
+# -- one full-length temporary per operation ----------------------------------
+# The package's expressions as they were before its in-place chains and its
+# tie-free ranking; the package must give the same bits.
+
+
+def run_length_percentiles(y):
+    """(order, p_sorted) with the tie-run construction used for every
+    sample, tie-free or not."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    order = np.argsort(y)
+    ys = y[order]
+    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
+    ends = np.append(starts[1:], n)
+    return order, np.repeat((starts + ends) / (2.0 * n), ends - starts)
+
+
+def expression_power_limb(a, log_x):
+    """(x^a - 1)/a as one expression, with no test for a subnormal a * log x."""
+    if a == 0.0:
+        return log_x
+    return np.expm1(a * log_x) / a
+
+
+def expression_student_t_log_density(inv_nu, x):
+    x = np.asarray(x, dtype=float)
+    nu = 1.0 / inv_nu
+    return (
+        -sc.betaln(0.5, nu / 2.0)
+        - 0.5 * math.log(nu)
+        - (nu + 1.0) / 2.0 * np.log1p(x * x / nu)
+    )
+
+
+def expression_transform(dist, p):
+    """(Q(p), log Q'(p)) for a Gaussian, non-Gaussian StudentT or non-logistic
+    AlphaBeta target and a float array p."""
+    if isinstance(dist, Gaussian):
+        z = sc.ndtri(p)
+        return z, 0.5 * LOG_2PI + 0.5 * z * z
+    if isinstance(dist, StudentT):
+        z = dist.quantile(p)
+        return z, -expression_student_t_log_density(dist.inv_nu, z)
+    if isinstance(dist, AlphaBeta):
+        z = (expression_power_limb(dist.alpha, np.log(p))
+             - expression_power_limb(dist.beta, np.log(1.0 - p)))
+        return z, np.logaddexp((dist.alpha - 1.0) * np.log(p),
+                               (dist.beta - 1.0) * np.log1p(-p))
+    raise NotImplementedError(f"no expression for {dist.kind}")
+
+
+def per_fit_shift_boxcox_profile(y, design: DesignSpec, grid, refine=False):
+    """The Box-Cox profile with log y - c formed anew for every fit."""
+    log_y = np.log(np.asarray(y, dtype=float))
+    lo, hi = float(log_y.min()), float(log_y.max())
+    slog = float(np.sum(log_y))
+    n = log_y.size
+
+    def evaluate(g):
+        c = hi if g > 0.0 else lo
+        log_det = (fit(expression_power_limb(g, log_y - c), design).log_det_sigma_hat
+                   + 2.0 * n * g * c)
+        return _score(f"boxcox(g={g:g})", log_det, (g - 1.0) * slog)
+
+    return _sweep("boxcox", grid, evaluate, refine)

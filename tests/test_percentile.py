@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import quantile_match, rankdata_percentiles, twice_midrank_percentiles
@@ -37,7 +37,26 @@ def test_signed_zeros_are_one_tie_group():
 # extremes of finite_values.
 tie_prone_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 3.0, 1e12, -1e12]) | finite_values
 
+_normal = np.random.default_rng(8).standard_normal(300_000)
 
+
+def _one_tie(at):
+    """The tie-free _normal[:1000] with the sorted value at position ``at``
+    repeated over its right neighbour: one tie, at that place in the order."""
+    y = _normal[:1000].copy()
+    order = np.argsort(y)
+    y[order[at + 1]] = y[order[at]]
+    return y.tolist()
+
+
+# Around the tie-free fast path: a large tie-free sample, one tie first,
+# in the middle and last, and the signed zeros (one tie) beside a lone -0.0.
+@example(_normal.tolist())
+@example(_one_tie(0))
+@example(_one_tie(499))
+@example(_one_tie(998))
+@example([-0.0, 1.0])
+@example([0.0, -0.0, 1.0])
 @given(st.lists(tie_prone_values, min_size=1, max_size=300))
 @settings(max_examples=200, deadline=None)
 def test_bit_equal_to_scipy_midranks(values):
@@ -62,7 +81,6 @@ def test_bit_equal_to_scipy_midranks_at_scale():
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-_normal = np.random.default_rng(8).standard_normal(300_000)
 ORACLE_CASES = {
     "tie-free": _normal[:1000],
     "tie-heavy": np.round(_normal[:1000], 1),
@@ -92,6 +110,8 @@ def test_rejects_empty_and_nonfinite():
         percentiles([1.0, float("inf")])
 
 
+@example(_normal.tolist())
+@example([-0.0, 1.0])
 @given(st.lists(finite_values, min_size=1, max_size=200, unique=True))
 @settings(max_examples=100, deadline=None)
 def test_tie_free_sorted_values_are_the_rankit_grid(values):

@@ -116,7 +116,8 @@ class TestReducedValue:
 
 # Every family at its endpoints, and the fixed shapes.
 ENDPOINT_TARGETS = [StudentT(0.0), StudentT(5e-324), StudentT(1.0), AlphaBeta(-1.0, -1.0),
-                    AlphaBeta(0.0, 0.0), AlphaBeta(1.0, 1.0), Uniform(), Gaussian(), Logistic()]
+                    AlphaBeta(0.0, 0.0), AlphaBeta(5e-324, 5e-324), AlphaBeta(5e-324, 0.0),
+                    AlphaBeta(1.0, 1.0), Uniform(), Gaussian(), Logistic()]
 
 
 class TestSortOrderEvaluation:
@@ -550,6 +551,62 @@ class TestBoxcoxProfile:
         assert coarse.argmax_param == pytest.approx(0.9, abs=1e-12)
         assert refined.argmax_value >= coarse.argmax_value
         assert 0.9 < refined.argmax_param < 0.95
+
+
+def _reduced_terms(target):
+    def terms(y, design, theta):
+        r = reduced_profile_loglik(y, target(theta), design)
+        return r.value, r.det_term, r.jacobian_term
+    return terms
+
+
+def _boxcox_terms(y, design, g):
+    curve = boxcox_profile(y, design, [g])
+    return curve.values[0], curve.det_terms[0], curve.jacobian_terms[0]
+
+
+# Every seam where a family meets a closed-form limit: the parameter at the
+# limit, the sides it is approached from, the value's terms as a function
+# of the parameter, a bound on the value's slope there, and a tolerance
+# relative to the larger term.  The slopes on 50x30 data measure at most
+# 1.2e3 (t at 0), 8.3e3 (t at 1), 9.2e2 (alpha-beta) and 29 (Box-Cox).
+# The t tolerance is stdtrit's seam against ndtri and tandg: at
+# inv_nu = 1e-300 the value is 3.0e-11 from inv_nu = 0, and at 1 - 2^-53
+# up to 7.2e-11 from inv_nu = 1, under 5e-14 of the terms.  The other
+# families reach their limit's value exactly.
+SEAMS = {
+    "t:inv_nu=0": (0.0, (1.0,), _reduced_terms(StudentT), 2e3, 5e-14),
+    "t:inv_nu=1": (1.0, (-1.0,), _reduced_terms(StudentT), 1e4, 5e-14),
+    "alpha=0": (0.0, (1.0, -1.0), _reduced_terms(lambda a: AlphaBeta(a, 0.0)), 2e3, 1e-15),
+    "beta=0": (0.0, (1.0, -1.0), _reduced_terms(lambda b: AlphaBeta(0.0, b)), 2e3, 1e-15),
+    "alpha=beta=0": (0.0, (1.0, -1.0), _reduced_terms(lambda a: AlphaBeta(a, a)), 2e3, 1e-15),
+    "boxcox:g=0": (0.0, (1.0, -1.0), _boxcox_terms, 100.0, 1e-15),
+}
+
+
+class TestSeams:
+    """Each family is continuous at its closed-form limits, with parameters
+    down to the smallest subnormal, where a product with the parameter
+    loses its precision."""
+
+    @given(
+        seam=st.sampled_from(list(SEAMS)),
+        offset=st.floats(5e-324, 1e-6) | st.sampled_from([5e-324, 1e-320, 1e-310, 1e-300]),
+        seed=st.integers(0, 3),
+        model=st.sampled_from(list(ModelKind)),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_value_approaches_the_limit(self, seam, offset, seed, model, data):
+        limit, sides, terms, slope, tol = SEAMS[seam]
+        theta = limit + data.draw(st.sampled_from(sides)) * offset
+        out = simulate(SimConfig(seed=seed, intercept=20.0)) if seam.startswith("boxcox") \
+            else bench(seed, "cauchy")
+        design = out.design.with_model(model)
+        value, *_ = terms(out.y, design, theta)
+        at_limit, det_term, jacobian_term = terms(out.y, design, limit)
+        bound = slope * abs(theta - limit) + tol * max(abs(det_term), abs(jacobian_term))
+        assert abs(value - at_limit) <= bound, (theta, value - at_limit)
 
 
 class TestEntropyQuadrature:
