@@ -633,13 +633,24 @@ def expression_student_t_log_density(inv_nu, x):
 
 
 def expression_transform(dist, p):
-    """(Q(p), log Q'(p)) for a Gaussian, non-Gaussian StudentT or non-logistic
-    AlphaBeta target and a float array p."""
-    if isinstance(dist, Gaussian):
+    """(Q(p), log Q'(p)) for a Gaussian, StudentT or non-logistic AlphaBeta
+    target and a float array p.
+
+    Q comes from scipy directly, one special-function call on the whole
+    array, not from the target's ``quantile``: ``ndtri`` for the Gaussian
+    and for a t whose nu = 1/inv_nu is inf, ``tandg`` in degrees for the
+    Cauchy, ``stdtrit`` for every other t.
+    """
+    gaussian_t = isinstance(dist, StudentT) and (
+        dist.inv_nu == 0.0 or math.isinf(1.0 / dist.inv_nu))
+    if isinstance(dist, Gaussian) or gaussian_t:
         z = sc.ndtri(p)
         return z, 0.5 * LOG_2PI + 0.5 * z * z
     if isinstance(dist, StudentT):
-        z = dist.quantile(p)
+        if dist.inv_nu == 1.0:
+            z = sc.tandg(180.0 * (p - 0.5))
+        else:
+            z = sc.stdtrit(1.0 / dist.inv_nu, p)
         return z, -expression_student_t_log_density(dist.inv_nu, z)
     if isinstance(dist, AlphaBeta):
         z = (expression_power_limb(dist.alpha, np.log(p))

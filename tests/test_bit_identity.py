@@ -37,6 +37,10 @@ IDS = [f"{r}x{c}-seed{s}" for r, c, s in DATASETS]
 
 TARGETS = [Gaussian(), StudentT(0.15), StudentT(1.0), AlphaBeta(-0.05, -0.05),
            AlphaBeta(0.3, 0.0), AlphaBeta(0.0, -0.4), AlphaBeta(1.0, -1.0)]
+# More t targets on the 50x30 data: the default grid's first interior
+# point, middle and last interior point, and the correlate default nu = 6.67.
+# The 1000x300 case keeps the two above.
+SMALL_T_TARGETS = [StudentT(0.02), StudentT(0.5), StudentT(0.98), StudentT.from_nu(6.67)]
 # Exponents on both sides of the subnormal test's 2^-900 and the grids' ends.
 EXPONENTS = [-1.0, -0.05, -1e-300, 2.0**-900, 0.05, 1.0, 7.5]
 
@@ -70,7 +74,7 @@ def test_percentiles(shape, effects):
 def test_transforms(shape, effects):
     p = percentiles(dataset(*shape, effects).y).p_sorted
     p_before = p.copy()
-    for dist in TARGETS:
+    for dist in TARGETS + (SMALL_T_TARGETS if p.size <= 1500 else []):
         z, lqd = dist.transform(p)
         want_z, want_lqd = expression_transform(dist, p)
         assert_same_bits(z, want_z)

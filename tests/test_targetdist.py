@@ -7,6 +7,7 @@ frozen here.
 """
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -23,10 +24,12 @@ from qmatch import (
     Logistic,
     StudentT,
     Uniform,
+    percentiles,
     student_t_log_density,
 )
 from qmatch import targetdist
 from qmatch.targetdist import TARGET_GRAMMAR, TARGETS, parse_target, parse_target_list
+from qmatch.translik import DEFAULT_T_GRID
 
 # mpmath oracles.
 NDTRI_ORACLE = {
@@ -228,6 +231,63 @@ class TestTransform:
                 dist.transform(p)
 
 
+def _rankits(n):
+    return np.arange(1.0, 2.0 * n, 2.0) / (2.0 * n)
+
+
+# Degrees of freedom stdtrit serves on the default t grid (its two ends
+# are the Gaussian and the Cauchy closed forms).
+DEFAULT_GRID_DFS = [1.0 / float(g) for g in DEFAULT_T_GRID[1:-1]]
+
+PAIRED_INPUTS = {
+    "rankits-1": _rankits(1),
+    "rankits-2": _rankits(2),
+    "rankits-3": _rankits(3),
+    "rankits-1499": _rankits(1499),
+    "rankits-1500": _rankits(1500),
+    # A tie run over the middle positions, off 1/2 and at 1/2.
+    "ties-straddle-half": percentiles([1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0, 4.0, 5.0, 6.0]).p_sorted,
+    "ties-at-half": percentiles([1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 4.0, 5.0]).p_sorted,
+    "all-equal": percentiles(np.full(7, 2.5)).p_sorted,
+    "reversed": _rankits(1500)[::-1],
+    "shuffled": np.random.default_rng(17).permutation(_rankits(1499)),
+    "empty": np.empty(0),
+}
+
+
+class TestPairedStdtrit:
+    """The t quantile evaluates stdtrit once per exactly mirrored pair of
+    percentiles and keeps the bits of one stdtrit call per point."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(df=st.one_of(st.floats(1.0, 1e6), st.sampled_from(DEFAULT_GRID_DFS)),
+           p=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+    def test_stdtrit_is_odd_at_exact_complements(self, df, p):
+        # 1 - p is exact for p in (1/2, 1); the pairing rests on this.
+        assert np.array_equal(_bits(sc.stdtrit(df, p)), _bits(-sc.stdtrit(df, 1.0 - p)))
+
+    @pytest.mark.parametrize("inv_nu", [0.02, 0.15, 0.98, 1.0 / 6.67],
+                             ids=["0.02", "0.15", "0.98", "nu=6.67"])
+    @pytest.mark.parametrize("name", list(PAIRED_INPUTS))
+    def test_quantile_keeps_stdtrit_bits(self, name, inv_nu):
+        p = PAIRED_INPUTS[name]
+        p_before = p.copy()
+        z = StudentT(inv_nu).quantile(p)
+        assert z.shape == p.shape
+        assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / inv_nu, p)))
+        assert np.array_equal(_bits(p), _bits(p_before))
+
+    def test_median_is_positive_zero(self):
+        z = StudentT(0.15).quantile(PAIRED_INPUTS["all-equal"])
+        assert np.array_equal(_bits(z), np.zeros(7, dtype=np.int64))
+
+    def test_scalar_gives_a_float(self):
+        for p in (0.3, 0.5, 0.7):
+            z = StudentT(0.15).quantile(p)
+            assert type(z) is float
+            assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / 0.15, p)))
+
+
 class TestRoundTrip:
     CDF_KINDS = [Gaussian(), Uniform(), Logistic(), StudentT(0.0),
                  StudentT(0.15), StudentT(0.5), StudentT(1.0)]
@@ -303,6 +363,18 @@ class TestStudentTLogDensity:
     def test_requires_positive_inv_nu(self):
         with pytest.raises(DomainError):
             student_t_log_density(0.0, 1.0)
+
+    @pytest.mark.parametrize("inv_nu", [5e-324, 1e-310])
+    def test_subnormal_inv_nu_is_the_gaussian_log_density(self, inv_nu):
+        # nu = 1/inv_nu overflows to inf: the Gaussian, with no inf * 0.
+        x = np.array([-3.0, -0.5, 0.0, 1.0, 40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = student_t_log_density(inv_nu, x)
+            scalar = student_t_log_density(inv_nu, 1.0)
+        assert np.array_equal(_bits(got), _bits(-0.5 * targetdist.LOG_2PI - 0.5 * x * x))
+        assert type(scalar) is float
+        assert scalar == -0.5 * targetdist.LOG_2PI - 0.5
 
 
 class TestEntropy:
