@@ -38,8 +38,8 @@ def main(argv=None):
     print(f"seed {args.seed}: n = {out.design.n} "
           f"({out.design.nrows} x {out.design.ncols}), cauchy effects")
 
-    # The sweeps, the baselines and the correlation report share one
-    # ranking; the report also reads the values of y.
+    # The sweeps and the baselines read y only through its ranking, made
+    # once; the correlation report also reads the values of y.
     ranked = percentiles(out.y)
     a_curve = profile_alpha(ranked, design, refine=True)
     write_curve(args.outdir / "alpha_profile.csv", a_curve)
@@ -64,7 +64,7 @@ def main(argv=None):
         Gaussian(),
         StudentT(inv_nu_hat),
     ]
-    rep = correlation_report(out.y, targets, ranking=ranked)
+    rep = correlation_report(out.y, targets)
     print("  correlation of y with each transformed version:")
     width = max(len(label) for label in rep.labels)
     for label, c in zip(rep.labels, rep.correlations):

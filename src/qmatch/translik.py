@@ -301,43 +301,22 @@ def boxcox_profile(y, design: DesignSpec, grid=None, refine=False) -> ProfileCur
     return _sweep("boxcox", grid, evaluate, refine)
 
 
-def _sorted_by(y, pc):
-    """y in the sort order of ``pc``, which must be y's own ranking: it
-    sorts y, and its percentiles tie exactly where y's values do."""
-    if y.ndim != 1 or pc.n != y.size:
-        raise DomainError("ranking is not the ranking of y")
-    ys = y[pc.order]
-    p = pc.p_sorted
-    if not (np.all(ys[1:] >= ys[:-1]) and np.array_equal(ys[1:] != ys[:-1], p[1:] != p[:-1])):
-        raise DomainError("ranking is not the ranking of y")
-    return ys
-
-
-def correlation_report(y, dists, ranking=None) -> CorrelationReport:
+def correlation_report(y, dists) -> CorrelationReport:
     """Pearson correlation of the raw response with each quantile-matched
-    version of itself.
-
-    ``ranking``, when given, is ``percentiles(y)`` already made by the
-    caller, and saves the sort.  It must sort y and tie exactly where y
-    does; otherwise ``DomainError``.
-    """
+    version of itself."""
     dists = list(dists)
     if not dists:
         raise DomainError("at least one target distribution is required")
     y = np.asarray(y, dtype=float)
     if y.size < 3:
         raise DomainError("correlation report needs n >= 3")
+    pc = percentiles(y)
     # Every sum runs in sort order, so the report is exactly invariant
     # under any reordering of y.  The correlation does not depend on the
     # scale of y either.  Scaling y by an exact power of two, to put
     # max|y| in [1/2, 1), keeps its sums of squares and products clear of
     # overflow and underflow.
-    if ranking is None:
-        pc = percentiles(y)
-        yc = y[pc.order]
-    else:
-        pc = ranking
-        yc = _sorted_by(y, pc)
+    yc = y[pc.order]
     np.ldexp(yc, -math.frexp(max(-yc[0], yc[-1]))[1], out=yc)
     yc -= yc.mean()
     ss_y = float(yc @ yc)

@@ -697,30 +697,6 @@ class TestCorrelationReport:
         got = correlation_report(y, [Identity(), Uniform()]).correlations
         assert got[0] == got[1] == correlation_report(y, [Uniform()]).correlations[0]
 
-    @pytest.mark.parametrize("effects", ["gaussian", "cauchy"])
-    def test_given_ranking_gives_the_same_bits(self, effects):
-        y = bench(3, effects).y
-        targets = [Gaussian(), Uniform(), StudentT(0.15), StudentT(1.0), AlphaBeta(-0.05, -0.05)]
-        want = correlation_report(y, targets).correlations
-        got = correlation_report(y, targets, ranking=percentiles(y)).correlations
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        ties = np.round(y)
-        assert np.array_equal(
-            correlation_report(ties, targets, ranking=percentiles(ties)).correlations,
-            correlation_report(ties, targets).correlations)
-
-    def test_ranking_of_other_data_rejected(self):
-        y = bench(0).y
-        same_order_no_ties = np.array([1.0, 2.0, 2.5, 3.0])
-        for data, ranking in [
-            (y, percentiles(-y)),                           # does not sort y
-            (y, percentiles(y[:-1])),                       # another length
-            (np.array([1.0, 2.0, 2.0, 3.0]), percentiles(same_order_no_ties)),  # ties differ
-            (same_order_no_ties, percentiles([1.0, 2.0, 2.0, 3.0])),
-        ]:
-            with pytest.raises(DomainError):
-                correlation_report(data, [Gaussian()], ranking=ranking)
-
     def test_degenerate_inputs_rejected(self):
         out = bench(0)
         with pytest.raises(DomainError):
