@@ -35,7 +35,7 @@ import scipy
 
 from . import __version__
 from .errors import DomainError, NumericError, TargetSpecError, UsageError
-from .linmodel import DesignSpec, ModelKind, fit
+from .linmodel import DesignSpec, ModelKind
 from .percentile import percentiles
 from .simdesign import EFFECTS, SimConfig, simulate
 from .targetdist import (
@@ -46,6 +46,7 @@ from .targetdist import (
     parse_target_list,
 )
 from .translik import (
+    boxcox_evaluator,
     boxcox_profile,
     correlation_report,
     gaussian_uniform_diagnostics,
@@ -364,11 +365,10 @@ def cmd_profile(args) -> int:
             },
         }
     else:
-        # The g = 1 transform is affine, so its profile value is the plain
-        # identity fit (the jacobian coefficient g - 1 vanishes).
-        comparators = {
-            "identity_value": -0.5 * fit(y, design).log_det_sigma_hat,
-        }
+        # The curve's own evaluator at g = 1, also on a grid without 1.  It
+        # is called directly: a one-point sweep would turn a degenerate
+        # identity fit from a domain error (exit 3) into a numeric one.
+        comparators = {"identity_value": boxcox_evaluator(y, design)(1.0).value}
 
     write_curve(args.out, curve)
     summary = {

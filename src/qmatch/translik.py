@@ -76,7 +76,7 @@ class GaussianUniformDiagnostics:
     det_term_linear: float          # -1/2 log(12) n
     correction_term: float          # sum log Q'_gauss(p_i), exact
     correction_linear: float        # n times the Gaussian entropy
-    lr: float                       # det_term + correction_term
+    lr: float                       # gaussian value minus uniform value
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,14 +130,18 @@ def lr_diagnostics_gaussian_uniform(y, design: DesignSpec) -> GaussianUniformDia
 
 def gaussian_uniform_diagnostics(gauss: ReducedProfileLoglik, unif: ReducedProfileLoglik,
                                  n: int) -> GaussianUniformDiagnostics:
-    """Diagnostics from the already evaluated gaussian and uniform sides."""
-    det = gauss.det_term - unif.det_term
+    """Diagnostics from the already evaluated gaussian and uniform sides.
+
+    ``lr`` is the difference of the two values, the float ``loglik_ratio``
+    and ``compare`` report; it equals det_term + correction_term up to
+    rounding, the uniform jacobian being 0.
+    """
     return GaussianUniformDiagnostics(
-        det_term=det,
+        det_term=gauss.det_term - unif.det_term,
         det_term_linear=-0.5 * math.log(12.0) * n,
         correction_term=gauss.jacobian_term,
         correction_linear=n * Gaussian().entropy(),
-        lr=det + gauss.jacobian_term,
+        lr=gauss.value - unif.value,
     )
 
 
@@ -177,6 +181,11 @@ def _golden_max(f, lo, mid, f_mid, hi):
 
 
 def _sweep(family, grid, evaluate, refine):
+    """Evaluate every grid point, then refine an interior argmax if asked.
+
+    A grid point whose fit fails, or whose value is not finite, is a failed
+    point: NaN in the curve and a warning naming it.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("parameter grid must be nonempty")
@@ -187,6 +196,8 @@ def _sweep(family, grid, evaluate, refine):
     for i, param in enumerate(grid):
         try:
             r = evaluate(float(param))
+            if not math.isfinite(r.value):
+                raise NumericError(f"value is {r.value}")
         except (DegenerateFitError, NumericError) as exc:
             warnings.append(f"{family} grid point {param:g} failed: {exc}")
             continue
@@ -232,11 +243,12 @@ def _sweep(family, grid, evaluate, refine):
     )
 
 
-def _family_grid(grid, default, field, bounds):
-    """The sweep grid (``default`` when None), checked against the
-    family's range for ``field``."""
+def _family_grid(grid, default, field, lo=-math.inf, hi=math.inf):
+    """The sweep grid (``default`` when None), checked to be finite and to
+    lie in the family's range [lo, hi] for ``field``, before any fit."""
     grid = np.asarray(default if grid is None else grid, dtype=float)
-    lo, hi = bounds[field]
+    if not np.all(np.isfinite(grid)):
+        raise DomainError(f"{field} grid points must be finite")
     if grid.size and (grid.min() < lo or grid.max() > hi):
         raise DomainError(f"{field} grid must lie in [{lo:g}, {hi:g}]")
     return grid
@@ -244,7 +256,7 @@ def _family_grid(grid, default, field, bounds):
 
 def profile_student_t(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
     """Reduced profile over the t family, swept in inv_nu = 1/nu."""
-    grid = _family_grid(grid, DEFAULT_T_GRID, "inv_nu", StudentT.bounds)
+    grid = _family_grid(grid, DEFAULT_T_GRID, "inv_nu", *StudentT.bounds["inv_nu"])
     pc = percentiles(y)
     return _sweep(
         "student_t", grid,
@@ -255,7 +267,7 @@ def profile_student_t(y, design: DesignSpec, grid=None, refine=False) -> Profile
 
 def profile_alpha(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
     """Reduced profile over the alpha-beta family along the diagonal alpha = beta."""
-    grid = _family_grid(grid, DEFAULT_ALPHA_GRID, "alpha", AlphaBeta.bounds)
+    grid = _family_grid(grid, DEFAULT_ALPHA_GRID, "alpha", *AlphaBeta.bounds["alpha"])
     pc = percentiles(y)
     return _sweep(
         "alpha_beta_diagonal", grid,
@@ -264,14 +276,15 @@ def profile_alpha(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurv
     )
 
 
-def boxcox_profile(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
-    """Power-transformation profile on the raw (positive) response, for any
-    real exponent g.
+def boxcox_evaluator(y, design: DesignSpec):
+    """Box-Cox's reduced profile value as a function of the exponent g,
+    on the raw (positive) response, for any real g.
 
     For exponent g the response is transformed to (y^g - 1)/g (log y at
     g = 0), the model is fitted, and the profile value is
     -1/2 log det Sigma_hat + (g - 1) sum log y.  This comparator operates
-    on the data values themselves, not on ranks.
+    on the data values themselves, not on ranks.  At g = 1 the transform
+    is affine, so that value is the identity fit's.
 
     The fit is computed in the log domain.  With c = max log y for g > 0
     and c = min log y otherwise, (y^g - 1)/g equals e^(gc) times
@@ -283,22 +296,24 @@ def boxcox_profile(y, design: DesignSpec, grid=None, refine=False) -> ProfileCur
     y = np.asarray(y, dtype=float)
     if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
         raise DomainError("power-transformation profile requires strictly positive data")
-    if grid is None:
-        grid = DEFAULT_BOXCOX_GRID
     log_y = np.log(y)
     lo, hi = float(log_y.min()), float(log_y.max())
     slog = float(np.sum(log_y))
     n = log_y.size
-    shifted = {}  # log y - c for each c used so far; power_limb never writes it
+    shifted = {c: log_y - c for c in (lo, hi)}  # power_limb never writes them
 
     def evaluate(g):
         c = hi if g > 0.0 else lo
-        if c not in shifted:
-            shifted[c] = log_y - c
         log_det = fit(power_limb(g, shifted[c]), design).log_det_sigma_hat + 2.0 * n * g * c
-        return _score(f"boxcox(g={g:g})", log_det, (g - 1.0) * slog)
+        return _score("boxcox", log_det, (g - 1.0) * slog)
 
-    return _sweep("boxcox", grid, evaluate, refine)
+    return evaluate
+
+
+def boxcox_profile(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
+    """Power-transformation profile: ``boxcox_evaluator`` swept over g."""
+    grid = _family_grid(grid, DEFAULT_BOXCOX_GRID, "g")
+    return _sweep("boxcox", grid, boxcox_evaluator(y, design), refine)
 
 
 def correlation_report(y, dists) -> CorrelationReport:

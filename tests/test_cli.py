@@ -313,6 +313,54 @@ class TestProfileCommand:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize("model", ["fixed", "random"])
+    def test_boxcox_identity_value_is_the_curve_at_one(self, tmp_path, model):
+        for seed in range(4):
+            data = tmp_path / f"positive{seed}.csv"
+            assert main(["simulate", "--seed", str(seed), "--intercept", "20",
+                         "--out", str(data)]) == 0
+            out = tmp_path / f"curve{seed}.csv"
+            assert main(["profile", "--family", "boxcox", "--model", model,
+                         "--input", str(data), "--out", str(out)]) == 0
+            summary = json.loads((tmp_path / f"curve{seed}.csv.summary.json").read_text())
+            with open(out, newline="") as fh:
+                at_one = [row for row in csv.DictReader(fh) if float(row["param"]) == 1.0]
+            assert len(at_one) == 1
+            assert summary["comparators"]["identity_value"] == float(at_one[0]["value"])
+
+    def test_boxcox_identity_value_off_the_grid(self, tmp_path):
+        data = tmp_path / "positive.csv"
+        assert main(["simulate", "--seed", "0", "--intercept", "20", "--out", str(data)]) == 0
+        comparators = []
+        for name, grid in (("default", []),
+                           ("custom", ["--grid-start", "0.1", "--grid-stop", "0.5",
+                                       "--grid-step", "0.1"])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["profile", "--family", "boxcox", "--input", str(data), *grid,
+                         "--out", str(out)]) == 0
+            summary = json.loads((tmp_path / f"{name}.csv.summary.json").read_text())
+            comparators.append(summary["comparators"])
+        assert 1.0 not in [float(line.split(",")[0])
+                           for line in (tmp_path / "custom.csv").read_text().splitlines()[1:]]
+        assert comparators[1] == comparators[0]
+
+    @pytest.mark.parametrize("model", ["fixed", "random"])
+    @pytest.mark.parametrize("nrows, ncols", [(5, 4), (50, 30)])
+    def test_boxcox_degenerate_identity_fit(self, tmp_path, capsys, model, nrows, ncols):
+        # y = 10 + row + 2 col is exactly additive: its identity fit has no
+        # interaction left, while the other grid exponents fit.
+        data = tmp_path / "additive.csv"
+        cells = [(r, c) for c in range(ncols) for r in range(nrows)]
+        data.write_text("index,row,col,y\n" + "".join(
+            f"{i},{r},{c},{10 + r + 2 * c}\n" for i, (r, c) in enumerate(cells)))
+        out = tmp_path / "x.csv"
+        rc = main(["profile", "--family", "boxcox", "--model", model, "--input", str(data),
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.summary.json").exists()
+
     def test_constant_response_is_numeric_failure(self, tmp_path, capsys):
         data = tmp_path / "const.csv"
         data.write_text(
@@ -343,7 +391,7 @@ class TestCompareCommand:
         diag = report["gaussian_uniform_diagnostics"]
         assert diag["det_term_linear"] == -0.5 * math.log(12) * 1500
         assert diag["correction_linear"] == 1500 * Gaussian().entropy()
-        assert diag["lr"] == pytest.approx(report["lr"], abs=1e-8)
+        assert diag["lr"] == report["lr"]
         approx = report["entropy_approximation"]
         assert approx["jacobian_b"] == 0.0
 
@@ -358,6 +406,7 @@ class TestCompareCommand:
         assert diag["det_term"] == report["b"]["det_term"] - report["a"]["det_term"]
         assert diag["correction_term"] == report["b"]["jacobian_term"]
         assert diag["correction_linear"] == report["entropy_approximation"]["jacobian_b"]
+        assert report["lr"] == -diag["lr"]
 
     def test_entropy_approximation_for_logistic(self, bench_csv, capsys):
         report = self.run_json(

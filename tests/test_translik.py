@@ -255,9 +255,7 @@ class TestGaussianUniformDiagnostics:
         out = bench(0)
         d = fixed_design(out)
         diag = lr_diagnostics_gaussian_uniform(out.y, d)
-        assert diag.lr == pytest.approx(
-            loglik_ratio(out.y, Gaussian(), Uniform(), d), abs=1e-8
-        )
+        assert diag.lr == loglik_ratio(out.y, Gaussian(), Uniform(), d)
 
     def test_linear_predictions(self):
         out = bench(0)
@@ -470,6 +468,45 @@ class TestSweepFailures:
         assert "0" in curve.warnings[0]
         ok = np.isfinite(curve.values)
         assert ok.sum() == curve.grid.size - 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_is_a_failed_point(self, bad):
+        # No exception, but a value that is not a number: a failed point
+        # all the same, with a warning naming it.
+        def evaluate(x):
+            v = bad if x == 0.5 else -((x - 0.6) ** 2)
+            return ReducedProfileLoglik("toy", v, 0.0, v)
+
+        curve = _sweep("toy", np.arange(5) * 0.25, evaluate, refine=False)
+        assert np.isnan(curve.values[2]) and np.isnan(curve.det_terms[2])
+        assert curve.warnings == (f"toy grid point 0.5 failed: value is {bad}",)
+        assert curve.argmax_param == 0.75
+
+    def test_overflowing_boxcox_exponent_is_a_failed_point(self):
+        # At g = 1e305, 2 n g c overflows and the value is NaN without an
+        # exception.
+        out = simulate(SimConfig(seed=0, intercept=20.0))
+        curve = boxcox_profile(out.y, fixed_design(out), grid=[0.5, 1, 2, 3, 1e305])
+        assert np.isnan(curve.values[-1])
+        assert np.all(np.isfinite(curve.values[:-1]))
+        assert curve.warnings == ("boxcox grid point 1e+305 failed: value is nan",)
+
+
+class TestNonFiniteGrid:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("profile, field", [
+        (profile_student_t, "inv_nu"), (profile_alpha, "alpha"), (boxcox_profile, "g"),
+    ])
+    def test_rejected_before_any_fit(self, monkeypatch, profile, field, bad):
+        def unfit(z, design):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr("qmatch.translik.fit", unfit)
+        out = simulate(SimConfig(seed=0, intercept=20.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{field} grid points must be finite$"):
+                profile(out.y, fixed_design(out), grid=[0.5, bad])
 
 
 class TestBoxcoxProfile:
