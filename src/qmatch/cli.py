@@ -383,7 +383,7 @@ def cmd_profile(args) -> int:
                               grid_stop=float(curve.grid[-1]),
                               grid_points=int(curve.grid.size)),
     }
-    _write_json(args.summary or args.out + ".summary.json", summary)
+    _write_json(args.out + ".summary.json", summary)
     return 0
 
 
@@ -459,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{MAX_GRID_POINTS} points")
     p.add_argument("--refine", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--summary", help="summary JSON path (default: <out>.summary.json)")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("compare", help="log-likelihood ratio between two targets")

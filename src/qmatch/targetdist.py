@@ -12,20 +12,26 @@ that parses back to the target.
 
 Families:
 
-* ``Gaussian``, ``Uniform``, ``Logistic`` -- fixed shapes.
+* ``Uniform`` -- a fixed shape.
 * ``StudentT`` -- parametrized by ``inv_nu`` = 1/nu in [0, 1], so the
   Gaussian (inv_nu = 0) and the Cauchy (inv_nu = 1) are both ordinary
   points of the family and a profile search runs over a compact interval.
+  ``Gaussian`` is the subclass with inv_nu fixed at 0.
 * ``AlphaBeta`` -- the two-parameter quantile family
   Q(p) = (p^alpha - 1)/alpha - ((1-p)^beta - 1)/beta, whose alpha = beta = 0
-  limit is the logistic quantile.
+  limit is the logistic quantile.  ``Logistic`` is the subclass with alpha
+  and beta fixed at 0.
+
+``Gaussian`` and ``Logistic`` inherit every method, so they compute what
+``StudentT(0)`` and ``AlphaBeta(0, 0)`` compute, bit for bit; only their
+labels differ, and they compare unequal to those members.
 
 Numerical notes.  Quantiles at parameter values that admit closed forms
-dispatch to those closed forms exactly: ``StudentT(0)`` runs the same code
-as ``Gaussian`` (bit-for-bit equal results), ``StudentT(1)`` uses the
-tangent in degree arguments so that the quartiles are exact (tandg(45) == 1,
-whereas tan(pi/4) rounds to 0.999...), and ``AlphaBeta(0, 0)`` runs the
-logistic code.  Elsewhere in the t family, ``stdtrit`` runs once per
+dispatch to those closed forms, written once in the family's methods:
+inv_nu = 0 runs ``ndtri``, ``StudentT(1)`` uses the tangent in degree
+arguments so that the quartiles are exact (tandg(45) == 1, whereas
+tan(pi/4) rounds to 0.999...), and alpha = beta = 0 runs the logistic
+forms.  Elsewhere in the t family, ``stdtrit`` runs once per
 exactly mirrored pair of percentiles, p < 1/2 and q with 1 - q == p
 (exact, since q > 1/2), and q takes -Q(p).  On scipy 1.17.1 ``stdtrit``
 is itself odd bit for bit at such points, so Q keeps the bits of one
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy import special as sc
@@ -69,17 +75,6 @@ def _array_method(method):
         return float(out) if arr.ndim == 0 else out
 
     return wrapper
-
-
-# Shared closed forms.  Logistic and the alpha=beta=0 member of the
-# alpha-beta family must agree bit-for-bit, so both call these.
-
-def _logistic_q(p):
-    return np.log(p) - np.log1p(-p)
-
-
-def _logistic_lqd(p):
-    return -(np.log(p) + np.log1p(-p))
 
 
 def _fresh(x):
@@ -214,21 +209,6 @@ class TargetDistribution:
 
 
 @dataclass(frozen=True)
-class Gaussian(TargetDistribution):
-    kind = "gaussian"
-
-    @_array_method
-    def quantile(self, p):
-        return sc.ndtri(p)
-
-    def _lqd_at(self, p, z):
-        return _gaussian_lqd(z)
-
-    def entropy(self):
-        return 0.5 * (1.0 + LOG_2PI)
-
-
-@dataclass(frozen=True)
 class Uniform(TargetDistribution):
     kind = "uniform"
 
@@ -244,28 +224,13 @@ class Uniform(TargetDistribution):
 
 
 @dataclass(frozen=True)
-class Logistic(TargetDistribution):
-    kind = "logistic"
-
-    @_array_method
-    def quantile(self, p):
-        return _logistic_q(p)
-
-    def _lqd_at(self, p, z):
-        return _logistic_lqd(p)
-
-    def entropy(self):
-        return 2.0
-
-
-@dataclass(frozen=True)
 class StudentT(TargetDistribution):
     """Student-t family indexed by the reciprocal degrees of freedom.
 
-    ``inv_nu = 0`` is the Gaussian (dispatched to the Gaussian code path so
-    results are bit-identical), ``inv_nu = 1`` the Cauchy.  So is any
-    subnormal ``inv_nu`` below about 5.6e-309, for which nu = 1/inv_nu
-    overflows to inf.
+    ``inv_nu = 0`` is the Gaussian, evaluated by its closed forms (``ndtri``,
+    the Gaussian log density and entropy); so is any subnormal ``inv_nu``
+    below about 5.6e-309, for which nu = 1/inv_nu overflows to inf.
+    ``inv_nu = 1`` is the Cauchy.  ``Gaussian`` is the inv_nu = 0 member.
     """
 
     inv_nu: float
@@ -273,11 +238,12 @@ class StudentT(TargetDistribution):
     kind = "student_t"
     bounds = {"inv_nu": (0.0, 1.0)}
 
-    @classmethod
-    def from_nu(cls, nu):
+    @staticmethod
+    def from_nu(nu):
+        """The t member with nu degrees of freedom (nu = inf is inv_nu = 0)."""
         if not (nu >= 1.0):
             raise DomainError("nu must be >= 1 (inv_nu in [0, 1])")
-        return cls(0.0 if math.isinf(nu) else 1.0 / nu)
+        return StudentT(0.0 if math.isinf(nu) else 1.0 / nu)
 
     @_array_method
     def quantile(self, p):
@@ -346,7 +312,9 @@ class AlphaBeta(TargetDistribution):
 
     The subtraction of 1/alpha and 1/beta is an affine shift, irrelevant to
     every fitted likelihood, chosen so the alpha, beta -> 0 limits exist in
-    code.  alpha = beta = 0 runs the logistic closed forms.
+    code.  alpha = beta = 0 runs the logistic closed forms, log p - log(1-p)
+    and its log derivative, and has the logistic entropy 2.  ``Logistic`` is
+    that member.
     """
 
     alpha: float
@@ -358,7 +326,7 @@ class AlphaBeta(TargetDistribution):
     @_array_method
     def quantile(self, p):
         if self.alpha == 0.0 and self.beta == 0.0:
-            return _logistic_q(p)
+            return np.log(p) - np.log1p(-p)
         log_q = np.subtract(1.0, p, out=_fresh(p))
         np.log(log_q, out=log_q)
         q = power_limb(self.alpha, np.log(p))
@@ -368,7 +336,7 @@ class AlphaBeta(TargetDistribution):
     def _lqd_at(self, p, z):
         # Q'(p) = p^(alpha-1) + (1-p)^(beta-1)
         if self.alpha == 0.0 and self.beta == 0.0:
-            return _logistic_lqd(p)
+            return -(np.log(p) + np.log1p(-p))
         lower = np.log(p)
         lower *= self.alpha - 1.0
         upper = np.negative(p, out=_fresh(p))
@@ -380,6 +348,29 @@ class AlphaBeta(TargetDistribution):
         if self.alpha == 0.0 and self.beta == 0.0:
             return 2.0
         return None
+
+
+@dataclass(frozen=True)
+class Gaussian(StudentT):
+    """The t family's inv_nu = 0 member under its own label; with no spec
+    field (empty ``bounds``) its label is the bare kind."""
+
+    inv_nu: float = dataclass_field(default=0.0, init=False, repr=False)
+
+    kind = "gaussian"
+    bounds = {}
+
+
+@dataclass(frozen=True)
+class Logistic(AlphaBeta):
+    """The alpha-beta family's alpha = beta = 0 member under its own label;
+    with no spec field (empty ``bounds``) its label is the bare kind."""
+
+    alpha: float = dataclass_field(default=0.0, init=False, repr=False)
+    beta: float = dataclass_field(default=0.0, init=False, repr=False)
+
+    kind = "logistic"
+    bounds = {}
 
 
 # The target-spec table.  Labels write specs with the canonical kind and

@@ -184,11 +184,9 @@ def _sweep(family, grid, evaluate, refine):
     """Evaluate every grid point, then refine an interior argmax if asked.
 
     A grid point whose fit fails, or whose value is not finite, is a failed
-    point: NaN in the curve and a warning naming it.
+    point: NaN in the curve and a warning naming it.  ``grid`` is a float
+    array checked by ``_family_grid``.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise DomainError("parameter grid must be nonempty")
     values = np.full(grid.size, np.nan)
     dets = np.full(grid.size, np.nan)
     jacs = np.full(grid.size, np.nan)
@@ -244,12 +242,15 @@ def _sweep(family, grid, evaluate, refine):
 
 
 def _family_grid(grid, default, field, lo=-math.inf, hi=math.inf):
-    """The sweep grid (``default`` when None), checked to be finite and to
-    lie in the family's range [lo, hi] for ``field``, before any fit."""
+    """The sweep grid (``default`` when None) as a float array, checked to be
+    nonempty, finite and to lie in the family's range [lo, hi] for
+    ``field``, before any fit."""
     grid = np.asarray(default if grid is None else grid, dtype=float)
+    if grid.size == 0:
+        raise DomainError("parameter grid must be nonempty")
     if not np.all(np.isfinite(grid)):
         raise DomainError(f"{field} grid points must be finite")
-    if grid.size and (grid.min() < lo or grid.max() > hi):
+    if grid.min() < lo or grid.max() > hi:
         raise DomainError(f"{field} grid must lie in [{lo:g}, {hi:g}]")
     return grid
 

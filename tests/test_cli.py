@@ -191,14 +191,13 @@ class TestProfileCommand:
 
     def test_alpha_family_comparators(self, bench_csv, tmp_path):
         out = tmp_path / "alpha.csv"
-        summary_path = tmp_path / "s.json"
         rc = main(["profile", "--family", "alpha", "--input", str(bench_csv),
                    "--model", "random",
                    "--grid-start", "-0.5", "--grid-stop", "0.5",
                    "--grid-step", "0.05",
-                   "--out", str(out), "--summary", str(summary_path)])
+                   "--out", str(out)])
         assert rc == 0
-        summary = json.loads(summary_path.read_text())
+        summary = json.loads((tmp_path / "alpha.csv.summary.json").read_text())
         comp = summary["comparators"]
         assert {"gaussian_value", "logistic_value", "t_family_argmax"} <= set(comp)
         assert 0.0 <= comp["t_family_argmax"]["inv_nu"] <= 1.0
@@ -256,6 +255,19 @@ class TestProfileCommand:
         assert "target spec grammar" not in err
         # Refused before allocating: a grid would take 8 bytes a point.
         assert peak < 4 * MAX_GRID_POINTS
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("start,stop,step", [
+        ("0", "1", "0"), ("0", "1", "-0.1"), ("0.5", "0.1", "0.1"),
+    ], ids=["zero-step", "negative-step", "stop-below-start"])
+    def test_grid_without_points(self, tmp_path, capsys, start, stop, step):
+        rc = main(["profile", "--family", "t", "--input", str(tmp_path / "y.csv"),
+                   "--grid-start", start, "--grid-stop", stop, f"--grid-step={step}",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "grid must have positive step and stop >= start" in err
+        assert "target spec grammar" not in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_grid_of_max_points_is_accepted(self):
@@ -437,6 +449,14 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "target spec grammar" in err
 
+    @pytest.mark.parametrize("spec", ["t:nu=4,inv_nu=0.25", "alpha:a=0.1,alpha=0.2"])
+    def test_field_given_twice(self, bench_csv, capsys, spec):
+        rc = main(["compare", "--a", spec, "--b", "gaussian", "--input", str(bench_csv)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "given twice" in err
+        assert "target spec grammar" in err
+
 
 class TestOneRankingPerCommand:
     """A command ranks its response once and hands the ranking to every
@@ -549,10 +569,9 @@ class TestManifest:
     ])
     def test_profile_records_the_resolved_grid(self, bench_csv, tmp_path, grid):
         argv = ["profile", "--family", "t", "--model", "random", "--refine", *grid,
-                "--input", str(bench_csv), "--out", str(tmp_path / "c.csv"),
-                "--summary", str(tmp_path / "s.json")]
+                "--input", str(bench_csv), "--out", str(tmp_path / "c.csv")]
         assert main(argv) == 0
-        config = json.loads((tmp_path / "s.json").read_text())["manifest"]["config"]
+        config = json.loads((tmp_path / "c.csv.summary.json").read_text())["manifest"]["config"]
         parsed = vars(cli.build_parser().parse_args(argv))
         params = [float(line.split(",")[0])
                   for line in (tmp_path / "c.csv").read_text().splitlines()[1:]]
@@ -784,6 +803,15 @@ class TestInputValidation:
         rc = main(["compare", "--a", "gaussian", "--b", "uniform",
                    "--input", str(bad)])
         assert rc == 3
+
+    @pytest.mark.parametrize("text", ["index,row,col,y\n", "index,row,col,y",
+                                      "index,row,col,y\n\n"])
+    def test_header_only(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        rc = main(["compare", "--a", "gaussian", "--b", "uniform", "--input", str(bad)])
+        assert rc == 3
+        assert f"{bad}: no data rows" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path):
         rc = main(["profile", "--family", "t",

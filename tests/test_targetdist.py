@@ -28,6 +28,7 @@ from qmatch import (
     student_t_log_density,
 )
 from qmatch import targetdist
+from qmatch.errors import TargetSpecError
 from qmatch.targetdist import TARGET_GRAMMAR, TARGETS, parse_target, parse_target_list
 from qmatch.translik import DEFAULT_T_GRID
 
@@ -288,6 +289,43 @@ class TestPairedStdtrit:
             z = StudentT(0.15).quantile(p)
             assert type(z) is float
             assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / 0.15, p)))
+
+
+class TestFamilyMembers:
+    """Gaussian is the t family's inv_nu = 0 member and Logistic the
+    alpha-beta family's alpha = beta = 0 member, each under its own label."""
+
+    MEMBERS = [(Gaussian(), StudentT(0.0)), (Logistic(), AlphaBeta(0.0, 0.0))]
+    MEMBER_IDS = ["gaussian", "logistic"]
+
+    def test_subclasses_at_the_fixed_parameters(self):
+        assert isinstance(Gaussian(), StudentT) and Gaussian().inv_nu == 0.0
+        assert isinstance(Logistic(), AlphaBeta)
+        assert (Logistic().alpha, Logistic().beta) == (0.0, 0.0)
+        # The t family's constructor from nu builds a t member on any class.
+        assert type(Gaussian.from_nu(4.0)) is StudentT
+
+    def test_parameters_cannot_be_given(self):
+        with pytest.raises(TypeError):
+            Gaussian(0.5)
+        with pytest.raises(TypeError):
+            Logistic(0.1)
+        with pytest.raises(TargetSpecError):
+            parse_target("gaussian:inv_nu=0.5")
+
+    @pytest.mark.parametrize("named, member", MEMBERS, ids=MEMBER_IDS)
+    def test_unequal_to_the_family_member(self, named, member):
+        assert named != member and member != named
+        assert named.label() != member.label()
+
+    @pytest.mark.parametrize("p", [
+        _rankits(1), _rankits(2), _rankits(1500), PAIRED_INPUTS["ties-straddle-half"],
+    ], ids=["rankits-1", "rankits-2", "rankits-1500", "ties"])
+    @pytest.mark.parametrize("named, member", MEMBERS, ids=MEMBER_IDS)
+    def test_bit_equal_to_the_family_member(self, named, member, p):
+        for got, want in zip(named.transform(p), member.transform(p)):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(named.entropy()), _bits(member.entropy()))
 
 
 class TestRoundTrip:

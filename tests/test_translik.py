@@ -509,6 +509,18 @@ class TestNonFiniteGrid:
                 profile(out.y, fixed_design(out), grid=[0.5, bad])
 
 
+class TestEmptyGrid:
+    @pytest.mark.parametrize("profile", [profile_student_t, profile_alpha, boxcox_profile])
+    def test_rejected_before_any_fit(self, monkeypatch, profile):
+        def unfit(z, design):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr("qmatch.translik.fit", unfit)
+        out = simulate(SimConfig(seed=0, intercept=20.0))
+        with pytest.raises(DomainError, match="^parameter grid must be nonempty$"):
+            profile(out.y, fixed_design(out), grid=[])
+
+
 class TestBoxcoxProfile:
     def test_unit_exponent_matches_identity_fit(self):
         out = bench(0)
