@@ -49,6 +49,7 @@ from .translik import (
     boxcox_evaluator,
     boxcox_profile,
     correlation_report,
+    family_grid,
     gaussian_uniform_diagnostics,
     profile_alpha,
     profile_student_t,
@@ -223,17 +224,18 @@ def _read_columns(path, header_lines):
 
 
 def _read_rows(reader, path):
-    """The data rows after the header as (index, row, col, y) arrays, one
-    csv record at a time; each malformed row is reported by its number."""
+    """The data rows the reader has left as (index, row, col, y) arrays, one
+    csv record at a time; a malformed row is reported by the physical line
+    it ends on."""
     recs = []
-    for lineno, fields in enumerate(reader, start=2):
+    for fields in reader:
         if not fields:
             continue
         try:
             index, row, col, y = fields
             recs.append((int(index), int(row), int(col), float(y)))
         except ValueError:  # also a row without exactly four fields
-            raise DomainError(f"{path}:{lineno}: malformed row") from None
+            raise DomainError(f"{path}:{reader.line_num}: malformed row") from None
     if not recs:
         raise DomainError(f"{path}: no data rows")
     return tuple(np.array(field) for field in zip(*recs))
@@ -244,9 +246,9 @@ def read_data_csv(path):
 
     Lines may list the cells in any order: each y is placed by its cell.
     The csv module reads the header; numpy then parses the file by path,
-    column-wise, skipping the physical lines the header took.  A file that
-    parse declines is read by the csv-module row loop, which gives the same
-    values for every file both accept.
+    column-wise, skipping the physical lines the header took.  For a file
+    that parse declines, the csv-module row loop reads on from the header,
+    which gives the same values for every file both accept.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -257,9 +259,6 @@ def read_data_csv(path):
             # line_num counts the physical lines the header took.
             columns = _read_columns(path, reader.line_num)
             if columns is None:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
                 columns = _read_rows(reader, path)
         except UnicodeDecodeError:
             raise DomainError(f"{path}: not UTF-8 text") from None
@@ -343,7 +342,7 @@ def _sweeps():
 
 
 def cmd_profile(args) -> int:
-    grid = _grid_from_args(args)
+    grid = family_grid(args.family, _grid_from_args(args))
     y, design = read_data_csv(args.input)
     design = design.with_model(ModelKind(args.model))
     # Box-Cox transforms the data values; every other sweep and comparator

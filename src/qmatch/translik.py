@@ -43,9 +43,11 @@ from .targetdist import (
     power_limb,
 )
 
-DEFAULT_T_GRID = np.arange(51) * 0.02          # inv_nu in [0, 1]
-DEFAULT_ALPHA_GRID = np.arange(-100, 101) * 0.01
-DEFAULT_BOXCOX_GRID = np.arange(-20, 21) * 0.05
+# Each profiled family, by its ``--family`` name: the swept parameter, its
+# default grid and its range.
+_FAMILIES = {"t": ("inv_nu", np.arange(51) * 0.02, *StudentT.bounds["inv_nu"]),
+             "alpha": ("alpha", np.arange(-100, 101) * 0.01, *AlphaBeta.bounds["alpha"]),
+             "boxcox": ("g", np.arange(-20, 21) * 0.05, -math.inf, math.inf)}
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ def _sweep(family, grid, evaluate, refine):
 
     A grid point whose fit fails, or whose value is not finite, is a failed
     point: NaN in the curve and a warning naming it.  ``grid`` is a float
-    array checked by ``_family_grid``.
+    array checked by ``family_grid``.
     """
     values = np.full(grid.size, np.nan)
     dets = np.full(grid.size, np.nan)
@@ -241,10 +243,11 @@ def _sweep(family, grid, evaluate, refine):
     )
 
 
-def _family_grid(grid, default, field, lo=-math.inf, hi=math.inf):
-    """The sweep grid (``default`` when None) as a float array, checked to be
-    nonempty, finite and to lie in the family's range [lo, hi] for
-    ``field``, before any fit."""
+def family_grid(family, grid=None):
+    """The sweep grid of ``family``, a ``--family`` name (its default grid
+    when ``grid`` is None), as a float array, checked to be nonempty, finite
+    and to lie in the family's range, before any fit."""
+    field, default, lo, hi = _FAMILIES[family]
     grid = np.asarray(default if grid is None else grid, dtype=float)
     if grid.size == 0:
         raise DomainError("parameter grid must be nonempty")
@@ -257,7 +260,7 @@ def _family_grid(grid, default, field, lo=-math.inf, hi=math.inf):
 
 def profile_student_t(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
     """Reduced profile over the t family, swept in inv_nu = 1/nu."""
-    grid = _family_grid(grid, DEFAULT_T_GRID, "inv_nu", *StudentT.bounds["inv_nu"])
+    grid = family_grid("t", grid)
     pc = percentiles(y)
     return _sweep(
         "student_t", grid,
@@ -268,7 +271,7 @@ def profile_student_t(y, design: DesignSpec, grid=None, refine=False) -> Profile
 
 def profile_alpha(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
     """Reduced profile over the alpha-beta family along the diagonal alpha = beta."""
-    grid = _family_grid(grid, DEFAULT_ALPHA_GRID, "alpha", *AlphaBeta.bounds["alpha"])
+    grid = family_grid("alpha", grid)
     pc = percentiles(y)
     return _sweep(
         "alpha_beta_diagonal", grid,
@@ -313,7 +316,7 @@ def boxcox_evaluator(y, design: DesignSpec):
 
 def boxcox_profile(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
     """Power-transformation profile: ``boxcox_evaluator`` swept over g."""
-    grid = _family_grid(grid, DEFAULT_BOXCOX_GRID, "g")
+    grid = family_grid("boxcox", grid)
     return _sweep("boxcox", grid, boxcox_evaluator(y, design), refine)
 
 

@@ -30,7 +30,7 @@ from qmatch import (
     student_t_log_density,
 )
 from qmatch.targetdist import power_limb
-from qmatch.translik import DEFAULT_BOXCOX_GRID
+from qmatch.translik import family_grid
 
 DATASETS = [(50, 30, seed) for seed in range(16)] + [(1000, 300, 1)]
 IDS = [f"{r}x{c}-seed{s}" for r, c, s in DATASETS]
@@ -112,7 +112,7 @@ def test_boxcox_curves(shape, model):
     out = dataset(*shape, intercept=20.0)
     y, design = out.y, out.design.with_model(model)
     before = y.copy()
-    want = per_fit_shift_boxcox_profile(y, design, DEFAULT_BOXCOX_GRID, refine=True)
+    want = per_fit_shift_boxcox_profile(y, design, family_grid("boxcox"), refine=True)
     # A second call on the same y sees the same shifted arrays' values.
     for _ in range(2):
         got = boxcox_profile(y, design, refine=True)

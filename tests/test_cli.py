@@ -33,6 +33,7 @@ from qmatch.cli import (
     parse_target_list,
     read_data_csv,
 )
+from qmatch.translik import family_grid
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +257,44 @@ class TestProfileCommand:
         # Refused before allocating: a grid would take 8 bytes a point.
         assert peak < 4 * MAX_GRID_POINTS
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("family, grid, message", [
+        ("t", ["--grid-start", "0", "--grid-stop", "2", "--grid-step", "0.5"],
+         "inv_nu grid must lie in [0, 1]"),
+        ("alpha", ["--grid-start=-5", "--grid-stop", "1", "--grid-step", "0.5"],
+         "alpha grid must lie in [-1, 1]"),
+    ])
+    def test_grid_outside_family_range(self, tmp_path, capsys, monkeypatch, family, grid,
+                                       message):
+        # The family's range is checked with the other flags, before the
+        # data are read: a missing input is never opened.
+        def unread(path):
+            raise AssertionError("grid accepted")
+
+        monkeypatch.setattr("qmatch.cli.read_data_csv", unread)
+        rc = main(["profile", "--family", family, "--input", str(tmp_path / "missing.csv"),
+                   *grid, "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_boxcox_grid_has_no_range(self, tmp_path, monkeypatch):
+        class Read(Exception):
+            pass
+
+        def read(path):
+            raise Read
+
+        monkeypatch.setattr("qmatch.cli.read_data_csv", read)
+        with pytest.raises(Read):
+            main(["profile", "--family", "boxcox", "--input", str(tmp_path / "y.csv"),
+                  "--grid-start=-400", "--grid-stop", "400", "--grid-step", "1",
+                  "--out", str(tmp_path / "x.csv")])
+
+    @pytest.mark.parametrize("family", list(cli._sweeps()))
+    def test_every_family_has_a_grid(self, family):
+        grid = family_grid(family)
+        assert grid.dtype == np.float64 and grid.ndim == 1 and grid.size > 0
 
     @pytest.mark.parametrize("start,stop,step", [
         ("0", "1", "0"), ("0", "1", "-0.1"), ("0.5", "0.1", "0.1"),
@@ -826,6 +865,20 @@ class TestInputValidation:
         rc = main(["compare", "--a", "gaussian", "--b", "uniform", "--input", str(bad)])
         assert rc == 3
         assert f"{bad}:3: malformed row" in capsys.readouterr().err
+
+    # A record may span physical lines; a malformed row is named by the
+    # physical line it ends on.
+    @pytest.mark.parametrize("text, line", [
+        (_data_file([GRID_2X2[0], "1,1,0,x", *GRID_2X2[2:]], header='"index\n",row,col,y'), 4),
+        (_data_file([GRID_2X2[0], '1,1,0,"-2.25\n"', "2,0,1,x", GRID_2X2[3]]), 5),
+    ], ids=["after-two-line-header", "after-two-line-record"])
+    def test_malformed_row_names_its_physical_line(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(bad) == ("error", f"{bad}:{line}: malformed row")
+        rc = main(["compare", "--a", "gaussian", "--b", "uniform", "--input", str(bad)])
+        assert rc == 3
+        assert f"{bad}:{line}: malformed row" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, grammar", [
         (["compare", "--a", "frob", "--b", "gaussian"], True),

@@ -30,7 +30,7 @@ from qmatch import (
 from qmatch import targetdist
 from qmatch.errors import TargetSpecError
 from qmatch.targetdist import TARGET_GRAMMAR, TARGETS, parse_target, parse_target_list
-from qmatch.translik import DEFAULT_T_GRID
+from qmatch.translik import family_grid
 
 # mpmath oracles.
 NDTRI_ORACLE = {
@@ -238,7 +238,7 @@ def _rankits(n):
 
 # Degrees of freedom stdtrit serves on the default t grid (its two ends
 # are the Gaussian and the Cauchy closed forms).
-DEFAULT_GRID_DFS = [1.0 / float(g) for g in DEFAULT_T_GRID[1:-1]]
+DEFAULT_GRID_DFS = [1.0 / float(g) for g in family_grid("t")[1:-1]]
 
 PAIRED_INPUTS = {
     "rankits-1": _rankits(1),
