@@ -3,6 +3,14 @@
 A design (``DesignSpec``) is the grid's shape and a model class; a response
 lists the grid column-major, cell (r, c) at position c * nrows + r.
 
+A fit is one preparation step and one model solve.  The preparation is
+the same for both models: it checks that the response is finite and not
+constant, rescales it by an exact power of two 2**-k when its magnitude
+would over- or underflow the sums of squares, decomposes it into the three
+contrast sums of squares below, and refuses a decomposition without
+interaction variation.  The model solve turns the sums into variances and
+log det Sigma_hat, which are scaled back by 4**k and 2k n log 2.
+
 Two model classes are supported.
 
 Fixed effects: mean additive in row and column (mu_ij = a_i + b_j), errors
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,6 +98,10 @@ class DesignSpec:
     model: ModelKind = ModelKind.FIXED_EFFECTS
 
     def __post_init__(self):
+        try:
+            operator.index(self.nrows), operator.index(self.ncols)
+        except TypeError:
+            raise DomainError("nrows and ncols must be integers") from None
         if self.nrows < 2 or self.ncols < 2:
             raise DomainError("need at least 2 rows and 2 columns")
 
@@ -176,14 +189,10 @@ def decompose(z, design: DesignSpec) -> ProjectionDecomposition:
     )
 
 
-def _fit_scaled(z, design: DesignSpec, fit_from_dec) -> ModelFit:
-    """fit_from_dec(decompose(z), design) for a response whose likelihood is
-    bounded.
-
-    When max|z| lies outside ``_SAFE_SCALE`` the fit is made of z * 2**-k,
-    with k putting max|z| in [1/2, 1), and scaled back: every variance by
-    4**k, log det Sigma_hat by 2k n log 2.  Both are exact.
-    """
+def _prepare(z, design: DesignSpec):
+    """The decomposition of a response whose likelihood is bounded, and the
+    exponent k it was taken at: that of z * 2**-k, where k = 0 unless
+    max|z| lies outside ``_SAFE_SCALE`` and k puts max|z| in [1/2, 1)."""
     z = _response(z, design)
     lo, hi = float(z.min()), float(z.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -204,47 +213,39 @@ def _fit_scaled(z, design: DesignSpec, fit_from_dec) -> ModelFit:
             "no interaction variation left after transformation; "
             "the likelihood is unbounded"
         )
-    fit = fit_from_dec(dec, design)
-    if k == 0:
-        return fit
+    return dec, k
 
-    def variance(v):
-        try:
-            return None if v is None else math.ldexp(v, 2 * k)
-        except OverflowError:  # a variance beyond the float range
-            return math.inf
 
+def _scaled_variance(v, k):
+    try:
+        return None if v is None else math.ldexp(v, 2 * k)
+    except OverflowError:  # a variance beyond the float range
+        return math.inf
+
+
+def _model_fit(design, k, log_det, sigma2, sigma2_row=None, sigma2_col=None) -> ModelFit:
+    """The fit of z from that of z * 2**-k: every variance scaled back by
+    4**k, log det Sigma_hat by 2k n log 2.  Both are exact, and at k = 0
+    they change nothing (x + 0.0 is x, ldexp(v, 0) is v)."""
     return ModelFit(
-        log_det_sigma_hat=fit.log_det_sigma_hat + 2 * k * design.n * math.log(2.0),
-        sigma2=variance(fit.sigma2),
-        sigma2_row=variance(fit.sigma2_row),
-        sigma2_col=variance(fit.sigma2_col),
-    )
-
-
-def _fixed_fit_from_dec(dec: ProjectionDecomposition, design: DesignSpec) -> ModelFit:
-    n = design.n
-    sigma2 = dec.s_err / n
-    return ModelFit(
-        log_det_sigma_hat=n * math.log(sigma2),
-        sigma2=sigma2,
-        sigma2_row=None,
-        sigma2_col=None,
+        log_det_sigma_hat=log_det + 2 * k * design.n * math.log(2.0),
+        sigma2=_scaled_variance(sigma2, k),
+        sigma2_row=_scaled_variance(sigma2_row, k),
+        sigma2_col=_scaled_variance(sigma2_col, k),
     )
 
 
 def fit_fixed(z, design: DesignSpec) -> ModelFit:
     """ML fit of the additive fixed-effects model with spherical errors."""
-    return _fit_scaled(z, design, _fixed_fit_from_dec)
+    dec, k = _prepare(z, design)
+    sigma2 = dec.s_err / design.n
+    return _model_fit(design, k, design.n * math.log(sigma2), sigma2)
 
 
 def _objective(lam, dec: ProjectionDecomposition):
     lam_r, lam_c, lam_e = lam
-    lam0 = lam_r + lam_c - lam_e
-    if min(lam_r, lam_c, lam_e, lam0) <= 0.0:
-        return math.inf
     return (
-        math.log(lam0)
+        math.log(lam_r + lam_c - lam_e)
         + dec.d_row * math.log(lam_r) + dec.s_row / lam_r
         + dec.d_col * math.log(lam_c) + dec.s_col / lam_c
         + dec.d_err * math.log(lam_e) + dec.s_err / lam_e
@@ -369,7 +370,9 @@ def _solve_eigenvalues(dec: ProjectionDecomposition):
     return tuple(v * scale for v in best)
 
 
-def _random_fit_from_eigenvalues(design, dec, lam):
+def _random_fit(design, dec, k, lam) -> ModelFit:
+    """The random-effects fit with eigenvalues lam of a response prepared
+    at exponent k."""
     lam_r, lam_c, lam_e = lam
     log_det = (
         math.log(lam_r + lam_c - lam_e)
@@ -377,21 +380,17 @@ def _random_fit_from_eigenvalues(design, dec, lam):
         + dec.d_col * math.log(lam_c)
         + dec.d_err * math.log(lam_e)
     )
-    return ModelFit(
-        log_det_sigma_hat=log_det,
-        sigma2=lam_e,
-        sigma2_row=max((lam_r - lam_e) / design.ncols, 0.0),
-        sigma2_col=max((lam_c - lam_e) / design.nrows, 0.0),
+    return _model_fit(
+        design, k, log_det, lam_e,
+        max((lam_r - lam_e) / design.ncols, 0.0),
+        max((lam_c - lam_e) / design.nrows, 0.0),
     )
-
-
-def _random_fit_from_dec(dec: ProjectionDecomposition, design: DesignSpec) -> ModelFit:
-    return _random_fit_from_eigenvalues(design, dec, _solve_eigenvalues(dec))
 
 
 def fit_random_balanced(z, design: DesignSpec) -> ModelFit:
     """ML fit of the intercept-plus-two-variance-components model."""
-    return _fit_scaled(z, design, _random_fit_from_dec)
+    dec, k = _prepare(z, design)
+    return _random_fit(design, dec, k, _solve_eigenvalues(dec))
 
 
 def fit(z, design: DesignSpec) -> ModelFit:

@@ -245,10 +245,12 @@ def _sweep(family, grid, evaluate, refine):
 
 def family_grid(family, grid=None):
     """The sweep grid of ``family``, a ``--family`` name (its default grid
-    when ``grid`` is None), as a float array, checked to be nonempty, finite
-    and to lie in the family's range, before any fit."""
+    when ``grid`` is None), as a float array, checked to be one-dimensional,
+    nonempty, finite and to lie in the family's range, before any fit."""
     field, default, lo, hi = _FAMILIES[family]
     grid = np.asarray(default if grid is None else grid, dtype=float)
+    if grid.ndim != 1:
+        raise DomainError("parameter grid must be one-dimensional")
     if grid.size == 0:
         raise DomainError("parameter grid must be nonempty")
     if not np.all(np.isfinite(grid)):

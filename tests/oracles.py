@@ -65,11 +65,10 @@ from qmatch.linmodel import (
     _NEWTON_TOL,
     _SAFE_SCALE,
     ProjectionDecomposition,
-    _fit_scaled,
-    _fixed_fit_from_dec,
     _grid,
     _objective,
-    _random_fit_from_eigenvalues,
+    _prepare,
+    _random_fit,
     _response,
     decompose,
 )
@@ -243,10 +242,7 @@ def fit_random_numeric(z, design: DesignSpec) -> ModelFit:
 
     Kept as an independent route for cross-checking the active-set solver.
     """
-    return _fit_scaled(z, design, _numeric_fit_from_dec)
-
-
-def _numeric_fit_from_dec(dec, design: DesignSpec) -> ModelFit:
+    dec, k = _prepare(z, design)
     total = dec.s_row + dec.s_col + dec.s_err
     n = design.n
     scale = total / n
@@ -275,7 +271,7 @@ def _numeric_fit_from_dec(dec, design: DesignSpec) -> ModelFit:
         raise NumericError("variance-component optimizer did not converge")
     s2, s2r, s2c = res.x
     lam = np.array([s2 + c * s2r, s2 + r * s2c, s2]) * scale
-    return _random_fit_from_eigenvalues(design, dec, lam)
+    return _random_fit(design, dec, k, lam)
 
 
 def quadratic_form(z, fit: ModelFit, design: DesignSpec) -> float:
@@ -337,7 +333,7 @@ def write_data_csv_rows(path, y, design: DesignSpec):
 
 
 # -- model fits in numpy-array arithmetic -------------------------------------
-# The package's decompose, _fit_scaled and interior Newton solver, as they
+# The package's decompose, scaled fit and interior Newton solver, as they
 # were before the solver moved to Python floats and the decomposition to
 # in-place updates.  Only the names of the functions they call differ.
 
@@ -506,14 +502,19 @@ def numpy_solve_eigenvalues(dec: ProjectionDecomposition):
     return best * scale
 
 
+def _numpy_fixed_fit_from_dec(dec, design: DesignSpec) -> ModelFit:
+    sigma2 = dec.s_err / design.n
+    return ModelFit(design.n * math.log(sigma2), sigma2, None, None)
+
+
 def _numpy_random_fit_from_dec(dec, design: DesignSpec) -> ModelFit:
-    return _random_fit_from_eigenvalues(design, dec, numpy_solve_eigenvalues(dec))
+    return _random_fit(design, dec, 0, numpy_solve_eigenvalues(dec))
 
 
 def numpy_fit(z, design: DesignSpec) -> ModelFit:
     """The design's model fitted in numpy-array arithmetic."""
     if design.model == ModelKind.FIXED_EFFECTS:
-        return numpy_fit_scaled(z, design, _fixed_fit_from_dec)
+        return numpy_fit_scaled(z, design, _numpy_fixed_fit_from_dec)
     return numpy_fit_scaled(z, design, _numpy_random_fit_from_dec)
 
 

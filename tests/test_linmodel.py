@@ -59,6 +59,18 @@ def additive_lstsq_sigma2(z, r, c):
     return float(resid @ resid) / (r * c)
 
 
+class TestDesignShape:
+    @pytest.mark.parametrize("nrows, ncols", [(2.5, 30), (50, 3.0), ("5", 4), (None, 4)])
+    def test_non_integer_shape_rejected(self, nrows, ncols):
+        with pytest.raises(DomainError, match="^nrows and ncols must be integers$"):
+            DesignSpec(nrows, ncols)
+
+    def test_numpy_integers_accepted(self):
+        d = DesignSpec(np.int64(5), np.int32(4))
+        assert d.n == 20
+        assert d == DesignSpec(5, 4)
+
+
 class TestDecompose:
     def test_constant_vector(self):
         # 2.5 is dyadic so the projections are exactly zero in floats.
@@ -267,13 +279,26 @@ class TestFitRandomBalanced:
 
 class TestExtremeScale:
     @pytest.mark.parametrize("model", list(ModelKind))
-    @pytest.mark.parametrize("e", [600, -600])
+    @pytest.mark.parametrize("e", [600, -600, 510, -510])
     def test_power_of_two_scaling_shifts_log_det(self, rng, model, e):
         z = random_effects_data(rng, 6, 5)
         d = design(6, 5, model)
-        base = fit(z, d).log_det_sigma_hat
+        base_fit = fit(z, d)
+        scaled_fit = fit(2.0**e * z, d)
+        base = base_fit.log_det_sigma_hat
         shift = 2 * e * d.n * math.log(2.0)
-        assert fit(2.0**e * z, d).log_det_sigma_hat == pytest.approx(base + shift, rel=1e-12)
+        assert scaled_fit.log_det_sigma_hat == pytest.approx(base + shift, rel=1e-12)
+        # The variances scale by exactly 4**e, bit for bit, rounded once: to
+        # inf beyond the float range (e = 600), to a subnormal or zero below
+        # it (e = -600), in range at e = +-510.  None stays None.
+        for field in ("sigma2", "sigma2_row", "sigma2_col"):
+            base_v, got = getattr(base_fit, field), getattr(scaled_fit, field)
+            if base_v is None:
+                assert got is None, field
+                continue
+            with np.errstate(over="ignore"):
+                want = np.ldexp(base_v, 2 * e)
+            assert np.float64(got).tobytes() == want.tobytes(), (field, got, want)
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_sums_of_squares_do_not_overflow(self, rng, model):

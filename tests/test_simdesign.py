@@ -79,6 +79,8 @@ class TestConfigValidation:
             dict(intercept=float("inf")),
             dict(seed=-1),
             dict(seed=2**64),
+            dict(nrows=2.5),
+            dict(ncols=30.0),
         ],
     )
     def test_bad_configs(self, kwargs):

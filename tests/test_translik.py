@@ -521,6 +521,19 @@ class TestEmptyGrid:
             profile(out.y, fixed_design(out), grid=[])
 
 
+class TestGridShape:
+    @pytest.mark.parametrize("grid", [[[0.1, 0.2]], 0.3], ids=["2-d", "0-d"])
+    @pytest.mark.parametrize("profile", [profile_student_t, profile_alpha, boxcox_profile])
+    def test_rejected_before_any_fit(self, monkeypatch, profile, grid):
+        def unfit(z, design):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr("qmatch.translik.fit", unfit)
+        out = simulate(SimConfig(seed=0, intercept=20.0))
+        with pytest.raises(DomainError, match="^parameter grid must be one-dimensional$"):
+            profile(out.y, fixed_design(out), grid=grid)
+
+
 class TestBoxcoxProfile:
     def test_unit_exponent_matches_identity_fit(self):
         out = bench(0)
