@@ -40,15 +40,13 @@ from .percentile import percentiles
 from .simdesign import EFFECTS, SimConfig, simulate
 from .targetdist import (
     TARGET_GRAMMAR,
-    Gaussian,
-    Logistic,
     parse_target,
     parse_target_list,
 )
 from .translik import (
-    boxcox_evaluator,
     boxcox_profile,
     correlation_report,
+    family_evaluator,
     family_grid,
     gaussian_uniform_diagnostics,
     profile_alpha,
@@ -341,33 +339,31 @@ def _sweeps():
     return {"t": profile_student_t, "alpha": profile_alpha, "boxcox": boxcox_profile}
 
 
+# Each --family's comparators: summary key -> the family member, by its
+# --family name and parameter, whose value is reported.  Each is evaluated
+# directly, not as a one-point sweep, so a degenerate fit stays a domain
+# error (exit 3), and it is reported also on a grid without its point.
+_COMPARATORS = {
+    "t": {"gaussian_value": ("t", 0.0)},
+    "alpha": {"gaussian_value": ("t", 0.0), "logistic_value": ("alpha", 0.0)},
+    "boxcox": {"identity_value": ("boxcox", 1.0)},
+}
+
+
 def cmd_profile(args) -> int:
     grid = family_grid(args.family, _grid_from_args(args))
     y, design = read_data_csv(args.input)
-    design = design.with_model(ModelKind(args.model))
+    design = design.with_model(args.model)
     # Box-Cox transforms the data values; every other sweep and comparator
     # reads only the ranking, made once.
     data = y if args.family == "boxcox" else percentiles(y)
     curve = _sweeps()[args.family](data, design, grid, refine=args.refine)
-    if args.family == "t":
-        comparators = {
-            "gaussian_value": reduced_profile_loglik(data, Gaussian(), design).value,
-        }
-    elif args.family == "alpha":
+    comparators = {key: family_evaluator(family, data, design)(x).value
+                   for key, (family, x) in _COMPARATORS[args.family].items()}
+    if args.family == "alpha":
         t_curve = profile_student_t(data, design, refine=args.refine)
-        comparators = {
-            "gaussian_value": reduced_profile_loglik(data, Gaussian(), design).value,
-            "logistic_value": reduced_profile_loglik(data, Logistic(), design).value,
-            "t_family_argmax": {
-                "inv_nu": t_curve.argmax_param,
-                "value": t_curve.argmax_value,
-            },
-        }
-    else:
-        # The curve's own evaluator at g = 1, also on a grid without 1.  It
-        # is called directly: a one-point sweep would turn a degenerate
-        # identity fit from a domain error (exit 3) into a numeric one.
-        comparators = {"identity_value": boxcox_evaluator(y, design)(1.0).value}
+        comparators["t_family_argmax"] = {"inv_nu": t_curve.argmax_param,
+                                          "value": t_curve.argmax_value}
 
     write_curve(args.out, curve)
     summary = {
@@ -389,7 +385,7 @@ def cmd_profile(args) -> int:
 def cmd_compare(args) -> int:
     dists = {"a": parse_target(args.a), "b": parse_target(args.b)}
     y, design = read_data_csv(args.input)
-    design = design.with_model(ModelKind(args.model))
+    design = design.with_model(args.model)
     ranked = percentiles(y)
     sides = {key: reduced_profile_loglik(ranked, dist, design) for key, dist in dists.items()}
     report = {"lr": sides["a"].value - sides["b"].value,

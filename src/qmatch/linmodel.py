@@ -104,6 +104,10 @@ class DesignSpec:
             raise DomainError("nrows and ncols must be integers") from None
         if self.nrows < 2 or self.ncols < 2:
             raise DomainError("need at least 2 rows and 2 columns")
+        # A member's value, "fixed" or "random", stands for the member.
+        if self.model not in [m.value for m in ModelKind]:
+            raise DomainError(f"model must be one of {tuple(m.value for m in ModelKind)}")
+        object.__setattr__(self, "model", ModelKind(self.model))
 
     @classmethod
     def from_cells(cls, rows, cols, values):
@@ -131,7 +135,7 @@ class DesignSpec:
         return k % self.nrows, k // self.nrows
 
     def with_model(self, model: ModelKind) -> "DesignSpec":
-        return replace(self, model=ModelKind(model))
+        return replace(self, model=model)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ bit-equal outputs on any platform with the same numpy/scipy builds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,11 @@ class SimConfig:
             raise DomainError(f"effect_dist must be one of {tuple(EFFECTS)}")
         if not np.isfinite(self.intercept):
             raise DomainError("intercept must be finite")
-        if not (0 <= int(self.seed) < 2**64):
+        # An integer is what operator.index takes: int and numpy's integers,
+        # not a float, a string or a bool.
+        if isinstance(self.seed, bool) or not hasattr(type(self.seed), "__index__"):
+            raise DomainError("seed must be an integer")
+        if not (0 <= operator.index(self.seed) < 2**64):
             raise DomainError("seed must fit in an unsigned 64-bit integer")
 
 

@@ -22,6 +22,15 @@ evaluates several targets on one response ranks it once.  Targets are
 evaluated on the sorted percentiles, and the jacobian term and the
 correlations are summed in sort order, so they are exactly invariant
 under any reordering of y; only the model fit sees z in data order.
+
+Each profiled family, by its ``--family`` name (``t``, ``alpha``,
+``boxcox``), has one table row in ``_FAMILIES`` and one evaluator,
+``family_evaluator``: the function from the family's parameter to the
+reduced value of its member there.  A profile sweeps it over the family's
+grid, and every comparator ``qmatch profile`` reports is one of its values
+at a fixed member (the Gaussian is t at inv_nu = 0, the logistic is
+alpha-beta at alpha = 0, the identity is Box-Cox at g = 1).  So a
+comparator equals the curve's row at that point bit for bit.
 """
 
 from __future__ import annotations
@@ -43,11 +52,12 @@ from .targetdist import (
     power_limb,
 )
 
-# Each profiled family, by its ``--family`` name: the swept parameter, its
-# default grid and its range.
-_FAMILIES = {"t": ("inv_nu", np.arange(51) * 0.02, *StudentT.bounds["inv_nu"]),
-             "alpha": ("alpha", np.arange(-100, 101) * 0.01, *AlphaBeta.bounds["alpha"]),
-             "boxcox": ("g", np.arange(-20, 21) * 0.05, -math.inf, math.inf)}
+# Each profiled family, by its ``--family`` name: the name its warnings
+# give, the swept parameter, its default grid and its range.
+_FAMILIES = {"t": ("student_t", "inv_nu", np.arange(51) * 0.02, *StudentT.bounds["inv_nu"]),
+             "alpha": ("alpha_beta_diagonal", "alpha", np.arange(-100, 101) * 0.01,
+                       *AlphaBeta.bounds["alpha"]),
+             "boxcox": ("boxcox", "g", np.arange(-20, 21) * 0.05, -math.inf, math.inf)}
 
 
 @dataclass(frozen=True)
@@ -218,7 +228,8 @@ def _sweep(family, grid, evaluate, refine):
             return evaluate(t).value
 
         try:
-            x, v = _golden_max(
+            # _golden_max moves off the grid argmax only to a higher value.
+            argmax_param, argmax_value = _golden_max(
                 value_at,
                 float(grid[i_best - 1]), argmax_param, argmax_value, float(grid[i_best + 1]),
             )
@@ -229,9 +240,6 @@ def _sweep(family, grid, evaluate, refine):
                 f"{family} refinement point {tried[-1]:g} failed: {exc}; "
                 f"kept grid argmax {argmax_param:g}"
             )
-        else:
-            if v > argmax_value:
-                argmax_param, argmax_value = float(x), float(v)
     return ProfileCurve(
         grid=grid,
         values=values,
@@ -247,7 +255,7 @@ def family_grid(family, grid=None):
     """The sweep grid of ``family``, a ``--family`` name (its default grid
     when ``grid`` is None), as a float array, checked to be one-dimensional,
     nonempty, finite and to lie in the family's range, before any fit."""
-    field, default, lo, hi = _FAMILIES[family]
+    _, field, default, lo, hi = _FAMILIES[family]
     grid = np.asarray(default if grid is None else grid, dtype=float)
     if grid.ndim != 1:
         raise DomainError("parameter grid must be one-dimensional")
@@ -260,29 +268,39 @@ def family_grid(family, grid=None):
     return grid
 
 
+def family_evaluator(family, data, design: DesignSpec):
+    """The function x -> ``ReducedProfileLoglik`` of the member at x of
+    ``family``, a ``--family`` name: t at inv_nu = x and alpha-beta at
+    alpha = beta = x on the ranking of ``data``, and Box-Cox at exponent x
+    on the raw response ``data`` (see ``_boxcox_evaluator``).  Every swept
+    point and every comparator ``qmatch profile`` reports is one of its
+    values."""
+    if family == "boxcox":
+        return _boxcox_evaluator(data, design)
+    pc = percentiles(data)
+    if family == "t":
+        return lambda inv_nu: _reduced(pc, StudentT(inv_nu), design)
+    return lambda a: _reduced(pc, AlphaBeta(a, a), design)
+
+
+def _profile(family, data, design, grid, refine) -> ProfileCurve:
+    """``family``'s evaluator swept over its checked grid; the grid is
+    checked before the data are read."""
+    grid = family_grid(family, grid)
+    return _sweep(_FAMILIES[family][0], grid, family_evaluator(family, data, design), refine)
+
+
 def profile_student_t(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
     """Reduced profile over the t family, swept in inv_nu = 1/nu."""
-    grid = family_grid("t", grid)
-    pc = percentiles(y)
-    return _sweep(
-        "student_t", grid,
-        lambda inv_nu: _reduced(pc, StudentT(inv_nu), design),
-        refine,
-    )
+    return _profile("t", y, design, grid, refine)
 
 
 def profile_alpha(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
     """Reduced profile over the alpha-beta family along the diagonal alpha = beta."""
-    grid = family_grid("alpha", grid)
-    pc = percentiles(y)
-    return _sweep(
-        "alpha_beta_diagonal", grid,
-        lambda a: _reduced(pc, AlphaBeta(a, a), design),
-        refine,
-    )
+    return _profile("alpha", y, design, grid, refine)
 
 
-def boxcox_evaluator(y, design: DesignSpec):
+def _boxcox_evaluator(y, design: DesignSpec):
     """Box-Cox's reduced profile value as a function of the exponent g,
     on the raw (positive) response, for any real g.
 
@@ -317,9 +335,8 @@ def boxcox_evaluator(y, design: DesignSpec):
 
 
 def boxcox_profile(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
-    """Power-transformation profile: ``boxcox_evaluator`` swept over g."""
-    grid = family_grid("boxcox", grid)
-    return _sweep("boxcox", grid, boxcox_evaluator(y, design), refine)
+    """Power-transformation profile: ``_boxcox_evaluator`` swept over g."""
+    return _profile("boxcox", y, design, grid, refine)
 
 
 def correlation_report(y, dists) -> CorrelationReport:

@@ -70,6 +70,19 @@ class TestDesignShape:
         assert d.n == 20
         assert d == DesignSpec(5, 4)
 
+    @pytest.mark.parametrize("model", ["bogus", "Fixed"])
+    def test_unknown_model_rejected(self, model):
+        with pytest.raises(DomainError, match="^model must be one of"):
+            DesignSpec(5, 4, model=model)
+        with pytest.raises(DomainError, match="^model must be one of"):
+            DesignSpec(5, 4).with_model(model)
+
+    def test_model_value_is_its_member(self):
+        d = DesignSpec(5, 4, model="random")
+        assert d.model is ModelKind.RANDOM_EFFECTS
+        assert d == DesignSpec(5, 4).with_model(ModelKind.RANDOM_EFFECTS)
+        assert DesignSpec(5, 4).with_model("fixed").model is ModelKind.FIXED_EFFECTS
+
 
 class TestDecompose:
     def test_constant_vector(self):

@@ -81,11 +81,18 @@ class TestConfigValidation:
             dict(seed=2**64),
             dict(nrows=2.5),
             dict(ncols=30.0),
+            dict(seed=2.5),
+            dict(seed=True),
+            dict(seed="3"),
         ],
     )
     def test_bad_configs(self, kwargs):
         with pytest.raises(DomainError):
             SimConfig(**kwargs)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = simulate(SimConfig(nrows=4, ncols=3, seed=np.uint64(7)))
+        assert a.y.tobytes() == simulate(SimConfig(nrows=4, ncols=3, seed=7)).y.tobytes()
 
 
 class TestDistributionalShape:

@@ -46,7 +46,13 @@ from qmatch import (
     reduced_profile_loglik,
     simulate,
 )
-from qmatch.translik import ReducedProfileLoglik, _golden_max, _reduced, _sweep
+from qmatch.translik import (
+    ReducedProfileLoglik,
+    _golden_max,
+    _reduced,
+    _sweep,
+    family_evaluator,
+)
 
 GAUSS_ENTROPY = 0.5 * (1.0 + math.log(2.0 * math.pi))
 
@@ -341,6 +347,43 @@ class TestAlphaProfile:
         out = bench(0)
         with pytest.raises(DomainError):
             profile_alpha(out.y, fixed_design(out), grid=[-2.0, 0.0])
+
+
+class TestFamilyEvaluator:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("family, profile", [("t", profile_student_t),
+                                                 ("alpha", profile_alpha)])
+    def test_curve_rows_are_its_values(self, family, profile, model):
+        out = bench(2, "cauchy")
+        d = out.design.with_model(model)
+        evaluate = family_evaluator(family, out.y, d)
+        curve = profile(out.y, d)
+        for i in (0, 7, curve.grid.size - 1):
+            r = evaluate(float(curve.grid[i]))
+            assert (r.value, r.det_term, r.jacobian_term) == (
+                curve.values[i], curve.det_terms[i], curve.jacobian_terms[i])
+
+    def test_boxcox_curve_rows_are_its_values(self):
+        out = simulate(SimConfig(seed=3, intercept=20.0))
+        d = fixed_design(out)
+        evaluate = family_evaluator("boxcox", out.y, d)
+        curve = boxcox_profile(out.y, d)
+        assert [evaluate(float(g)).value for g in curve.grid] == list(curve.values)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_named_targets_are_members(self, model):
+        out = bench(0)
+        d = out.design.with_model(model)
+        ranked = percentiles(out.y)
+        for family, dist in (("t", Gaussian()), ("alpha", Logistic())):
+            assert (family_evaluator(family, ranked, d)(0.0).value
+                    == reduced_profile_loglik(ranked, dist, d).value)
+
+    def test_one_ranking(self, sorts):
+        out = bench(0)
+        evaluate = family_evaluator("alpha", out.y, fixed_design(out))
+        evaluate(0.0), evaluate(0.5)
+        assert len(sorts) == 1
 
 
 class TestRefinement:
