@@ -32,7 +32,6 @@ from .targetdist import (
     StudentT,
     TargetDistribution,
     Uniform,
-    student_t_log_density,
 )
 from .simdesign import SimConfig, SimOutput, simulate
 from .translik import (
@@ -53,7 +52,7 @@ __all__ = [
     "__version__",
     "QmatchError", "DomainError", "DegenerateFitError", "NumericError",
     "TargetDistribution", "Gaussian", "Uniform", "Logistic", "StudentT",
-    "AlphaBeta", "student_t_log_density",
+    "AlphaBeta",
     "PercentileVector", "percentiles",
     "DesignSpec", "ModelKind", "ModelFit", "ProjectionDecomposition",
     "decompose", "fit", "fit_fixed", "fit_random_balanced",

@@ -282,16 +282,16 @@ def _write_data_csv(path, y, design):
     Each block of rows is one %-format call over its interleaved fields,
     which writes the same bytes as formatting each row on its own.
     """
-    rows, cols = design.rows_cols()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,row,col,y\n")
         for start in range(0, design.n, _WRITE_BLOCK_ROWS):
             block = slice(start, start + _WRITE_BLOCK_ROWS)
             m = len(y[block])
+            cols, rows = np.divmod(np.arange(start, start + m), design.nrows)
             fields = [None] * (4 * m)
             fields[0::4] = range(start, start + m)
-            fields[1::4] = rows[block].tolist()
-            fields[2::4] = cols[block].tolist()
+            fields[1::4] = rows.tolist()
+            fields[2::4] = cols.tolist()
             fields[3::4] = y[block].tolist()
             fh.write(("%d,%d,%d,%.17g\n" * m) % tuple(fields))
 

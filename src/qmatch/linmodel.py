@@ -112,8 +112,11 @@ class DesignSpec:
     @classmethod
     def from_cells(cls, rows, cols, values):
         """The design whose cell (rows[k], cols[k]) holds values[k], and the
-        values in its column-major order.  rows and cols are integer arrays
-        that name each cell once."""
+        values in its column-major order.  rows and cols are nonempty arrays
+        of signed integers (or of Python ints, as the CLI reads an index
+        beyond int64) that name each cell once."""
+        if any(a.size == 0 or a.dtype.kind not in "iO" for a in (rows, cols)):
+            raise DomainError("layout indices must be nonempty signed integer arrays")
         design = cls(nrows=int(rows.max()) + 1, ncols=int(cols.max()) + 1)
         if rows.shape != (design.n,) or cols.shape != (design.n,):
             raise DomainError("layout index length must equal nrows*ncols")
@@ -129,10 +132,6 @@ class DesignSpec:
     @property
     def n(self) -> int:
         return self.nrows * self.ncols
-
-    def rows_cols(self):
-        k = np.arange(self.n)
-        return k % self.nrows, k // self.nrows
 
     def with_model(self, model: ModelKind) -> "DesignSpec":
         return replace(self, model=model)

@@ -21,13 +21,14 @@ bit-equal outputs on any platform with the same numpy/scipy builds.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .linmodel import DesignSpec
-from .targetdist import Gaussian, StudentT
+from .targetdist import Gaussian, StudentT, _is_real
 
 EFFECTS = {"gaussian": Gaussian(), "cauchy": StudentT(1.0)}
 
@@ -42,10 +43,11 @@ class SimConfig:
 
     def __post_init__(self):
         DesignSpec(self.nrows, self.ncols)
-        if self.effect_dist not in EFFECTS:
+        if not isinstance(self.effect_dist, str) or self.effect_dist not in EFFECTS:
             raise DomainError(f"effect_dist must be one of {tuple(EFFECTS)}")
-        if not np.isfinite(self.intercept):
-            raise DomainError("intercept must be finite")
+        # Neither inf, NaN nor an int too large for a float passes.
+        if not (_is_real(self.intercept) and abs(self.intercept) <= sys.float_info.max):
+            raise DomainError("intercept must be a finite real number")
         # An integer is what operator.index takes: int and numpy's integers,
         # not a float, a string or a bool.
         if isinstance(self.seed, bool) or not hasattr(type(self.seed), "__index__"):
@@ -71,7 +73,7 @@ def simulate(config: SimConfig) -> SimOutput:
     row_eff = dist.quantile(_uniforms(rng, config.nrows))
     col_eff = dist.quantile(_uniforms(rng, config.ncols))
     noise = EFFECTS["gaussian"].quantile(_uniforms(rng, config.nrows * config.ncols))
-    design = DesignSpec(nrows=config.nrows, ncols=config.ncols)
-    rows, cols = design.rows_cols()
-    effects = row_eff[rows] + col_eff[cols]
-    return SimOutput(y=config.intercept + effects + noise, design=design)
+    # Cell (r, c) at c * nrows + r: column-major.
+    effects = np.add.outer(col_eff, row_eff).ravel()
+    return SimOutput(y=config.intercept + effects + noise,
+                     design=DesignSpec(nrows=config.nrows, ncols=config.ncols))

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -77,18 +78,10 @@ def _array_method(method):
     return wrapper
 
 
-def _fresh(x):
-    """An uninitialized float array shaped like x (0-d for a scalar), for
-    an in-place chain that must not write into x."""
-    return np.empty(np.shape(x))
-
-
-def _gaussian_lqd(z):
-    # -log phi(z) at z = ndtri(p): 0.5 * LOG_2PI + 0.5 * z * z in one array
-    out = np.multiply(0.5, z, out=_fresh(z))
-    out *= z
-    out += 0.5 * LOG_2PI
-    return out
+def _is_real(v):
+    """Whether v is a real number, an int or a float (numpy's included),
+    and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _overflows_nu(inv_nu):
@@ -136,32 +129,6 @@ def _paired_stdtrit(df, p):
     return out
 
 
-def student_t_log_density(inv_nu, x):
-    """Log density of the Student-t law with nu = 1/inv_nu degrees of freedom.
-
-    Requires inv_nu > 0.  Where nu = 1/inv_nu overflows to inf (a
-    subnormal inv_nu) the law is the Gaussian, and its log density
-    -LOG_2PI/2 - x^2/2 is returned.  The constant uses betaln because the
-    equivalent gammaln difference cancels catastrophically as nu grows.
-    """
-    if not (0.0 < inv_nu <= 1.0):
-        raise DomainError("student_t_log_density requires 0 < inv_nu <= 1")
-    x = np.asarray(x, dtype=float)
-    if _overflows_nu(inv_nu):
-        out = _gaussian_lqd(x)
-        np.negative(out, out=out)
-    else:
-        nu = 1.0 / inv_nu
-        # -betaln(1/2, nu/2) - log(nu)/2 - (nu + 1)/2 log1p(x^2/nu), in that
-        # order, in one fresh array.
-        out = np.multiply(x, x, out=_fresh(x))
-        out /= nu
-        np.log1p(out, out=out)
-        out *= (nu + 1.0) / 2.0
-        np.subtract(-sc.betaln(0.5, nu / 2.0) - 0.5 * math.log(nu), out, out=out)
-    return float(out) if out.ndim == 0 else out
-
-
 class TargetDistribution:
     """Common interface: quantile, transform, entropy, label.
 
@@ -177,7 +144,7 @@ class TargetDistribution:
     def __post_init__(self):
         for name, (lo, hi) in self.bounds.items():
             v = getattr(self, name)
-            if not (np.isfinite(v) and lo <= v <= hi):
+            if not (_is_real(v) and lo <= v <= hi):
                 raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}]")
 
     def quantile(self, p):
@@ -241,7 +208,7 @@ class StudentT(TargetDistribution):
     @staticmethod
     def from_nu(nu):
         """The t member with nu degrees of freedom (nu = inf is inv_nu = 0)."""
-        if not (nu >= 1.0):
+        if not (_is_real(nu) and nu >= 1.0):
             raise DomainError("nu must be >= 1 (inv_nu in [0, 1])")
         return StudentT(0.0 if math.isinf(nu) else 1.0 / nu)
 
@@ -255,10 +222,21 @@ class StudentT(TargetDistribution):
         return _paired_stdtrit(1.0 / self.inv_nu, p)
 
     def _lqd_at(self, p, z):
+        # -log f(z) in one fresh array: z^2/2 + LOG_2PI/2 for the Gaussian,
+        # else (nu + 1)/2 log1p(z^2/nu) - C, C = -betaln(1/2, nu/2) - log(nu)/2;
+        # betaln, since the equivalent gammaln difference cancels
+        # catastrophically as nu grows.
+        out = np.multiply(z, z, out=np.empty_like(z, dtype=float))
         if _overflows_nu(self.inv_nu):
-            return _gaussian_lqd(z)
-        lqd = np.asarray(student_t_log_density(self.inv_nu, z))
-        return np.negative(lqd, out=lqd)
+            out *= 0.5
+            out += 0.5 * LOG_2PI
+            return out
+        nu = 1.0 / self.inv_nu
+        out /= nu
+        np.log1p(out, out=out)
+        out *= (nu + 1.0) / 2.0
+        out -= -sc.betaln(0.5, nu / 2.0) - 0.5 * math.log(nu)
+        return out
 
     def entropy(self):
         x = self.inv_nu
@@ -291,7 +269,7 @@ def power_limb(a, log_x):
     """
     if a == 0.0:
         return log_x
-    out = np.multiply(a, log_x, out=_fresh(log_x))
+    out = np.multiply(a, log_x, out=np.empty_like(log_x, dtype=float))
     # A subnormal a * log x has lost its precision, and the quotient would
     # be log x quantized; the series' next term, a (log x)^2 / 2, is below
     # 1e-308 relative there, so the limit log x is the value.  A nonzero
@@ -327,7 +305,7 @@ class AlphaBeta(TargetDistribution):
     def quantile(self, p):
         if self.alpha == 0.0 and self.beta == 0.0:
             return np.log(p) - np.log1p(-p)
-        log_q = np.subtract(1.0, p, out=_fresh(p))
+        log_q = np.subtract(1.0, p, out=np.empty_like(p, dtype=float))
         np.log(log_q, out=log_q)
         q = power_limb(self.alpha, np.log(p))
         q -= power_limb(self.beta, log_q)
@@ -339,7 +317,7 @@ class AlphaBeta(TargetDistribution):
             return -(np.log(p) + np.log1p(-p))
         lower = np.log(p)
         lower *= self.alpha - 1.0
-        upper = np.negative(p, out=_fresh(p))
+        upper = np.negative(p, out=np.empty_like(p, dtype=float))
         np.log1p(upper, out=upper)
         upper *= self.beta - 1.0
         return np.logaddexp(lower, upper, out=upper)

@@ -253,10 +253,14 @@ def _sweep(family, grid, evaluate, refine):
 
 def family_grid(family, grid=None):
     """The sweep grid of ``family``, a ``--family`` name (its default grid
-    when ``grid`` is None), as a float array, checked to be one-dimensional,
-    nonempty, finite and to lie in the family's range, before any fit."""
+    when ``grid`` is None), as a float array, checked to hold real numbers
+    (bools excluded), to be one-dimensional, nonempty, finite and to lie in
+    the family's range, before any fit."""
     _, field, default, lo, hi = _FAMILIES[family]
-    grid = np.asarray(default if grid is None else grid, dtype=float)
+    grid = np.asarray(default if grid is None else grid)
+    if grid.dtype.kind not in "iuf":
+        raise DomainError(f"{field} grid must lie in [{lo:g}, {hi:g}]")
+    grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise DomainError("parameter grid must be one-dimensional")
     if grid.size == 0:

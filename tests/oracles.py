@@ -56,7 +56,6 @@ from qmatch import (
     Uniform,
     fit,
     percentiles,
-    student_t_log_density,
 )
 from qmatch.cli import _COMPRESSED_SUFFIXES, _SEPARATORS
 from qmatch.linmodel import (
@@ -182,7 +181,7 @@ def log_quantile_derivative(dist: TargetDistribution, p):
                                       and dist.alpha == 0.0 and dist.beta == 0.0):
         return -(np.log(p) + np.log1p(-p))
     if isinstance(dist, StudentT):
-        return -student_t_log_density(dist.inv_nu, dist.quantile(p))
+        return -expression_student_t_log_density(dist.inv_nu, dist.quantile(p))
     if isinstance(dist, AlphaBeta):
         return np.logaddexp((dist.alpha - 1.0) * np.log(p), (dist.beta - 1.0) * np.log1p(-p))
     raise NotImplementedError(f"no log Q' formula for {dist.kind}")
@@ -286,7 +285,7 @@ def quadratic_form(z, fit: ModelFit, design: DesignSpec) -> float:
     g = _grid(z, design)
     zbar = g.mean()
     if design.model == ModelKind.FIXED_EFFECTS:
-        rows, cols = design.rows_cols()
+        cols, rows = np.divmod(np.arange(design.n), design.nrows)
         mu_hat = (g.mean(axis=1)[:, None] + g.mean(axis=0)[None, :] - zbar)[rows, cols]
     else:
         mu_hat = np.full(design.n, zbar)
@@ -309,7 +308,7 @@ def quadratic_form(z, fit: ModelFit, design: DesignSpec) -> float:
 
 def dense_covariance(design: DesignSpec, sigma2, sigma2_row, sigma2_col) -> np.ndarray:
     """Assemble the n x n covariance explicitly (test oracle for small n)."""
-    rows, cols = design.rows_cols()
+    cols, rows = np.divmod(np.arange(design.n), design.nrows)
     same_row = rows[:, None] == rows[None, :]
     same_col = cols[:, None] == cols[None, :]
     return (
@@ -322,7 +321,7 @@ def dense_covariance(design: DesignSpec, sigma2, sigma2_row, sigma2_col) -> np.n
 def write_data_csv_rows(path, y, design: DesignSpec):
     """A data file (index,row,col,y, cells column-major) written row by row
     through the csv module, each y as ``format(y, ".17g")``."""
-    rows, cols = design.rows_cols()
+    cols, rows = np.divmod(np.arange(design.n), design.nrows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "row", "col", "y"])

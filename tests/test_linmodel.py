@@ -65,6 +65,15 @@ class TestDesignShape:
         with pytest.raises(DomainError, match="^nrows and ncols must be integers$"):
             DesignSpec(nrows, ncols)
 
+    @pytest.mark.parametrize("rows, cols", [
+        (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+        (np.array([0.0, 1.0, 0.0, 1.0]), np.array([0, 0, 1, 1])),
+        (np.array([0, 1, 0, 1]), np.array([0.0, 0.0, 1.0, 1.0])),
+    ], ids=["empty", "float-rows", "float-cols"])
+    def test_from_cells_index_arrays_checked(self, rows, cols):
+        with pytest.raises(DomainError, match="^layout indices must be nonempty signed"):
+            DesignSpec.from_cells(rows, cols, np.ones(rows.size))
+
     def test_numpy_integers_accepted(self):
         d = DesignSpec(np.int64(5), np.int32(4))
         assert d.n == 20

@@ -23,30 +23,28 @@ class TestReproducibility:
         b = simulate(SimConfig(seed=1))
         assert not np.array_equal(a.y, b.y)
 
-    def test_stream_reconstruction(self):
+    @pytest.mark.parametrize("effects", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("nrows, ncols", [(5, 3), (1000, 300)])
+    def test_stream_reconstruction(self, nrows, ncols, effects):
         # Re-derive the exact output from the documented draw protocol:
         # PCG64(seed), uniforms (k + 0.5)/2^53, inverse CDF, order
         # rows -> cols -> noise, column-major layout.
-        cfg = SimConfig(nrows=5, ncols=3, effect_dist="gaussian", intercept=2.0, seed=42)
+        cfg = SimConfig(nrows=nrows, ncols=ncols, effect_dist=effects, intercept=2.0, seed=42)
         out = simulate(cfg)
         rng = np.random.default_rng(42)
 
         def unif(size):
             return (rng.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
 
-        row_eff = sc.ndtri(unif(5))
-        col_eff = sc.ndtri(unif(3))
-        noise = sc.ndtri(unif(15))
-        k = np.arange(15)
-        mu = row_eff[k % 5] + col_eff[k // 5]
-        assert np.array_equal(out.y, 2.0 + mu + noise)
+        def effect(u):
+            return sc.ndtri(u) if effects == "gaussian" else sc.tandg(180.0 * (u - 0.5))
 
-    def test_layout_is_column_major(self):
-        out = simulate(SimConfig(nrows=4, ncols=6, seed=9))
-        rows, cols = out.design.rows_cols()
-        k = np.arange(24)
-        assert np.array_equal(rows, k % 4)
-        assert np.array_equal(cols, k // 4)
+        row_eff = effect(unif(nrows))
+        col_eff = effect(unif(ncols))
+        noise = sc.ndtri(unif(nrows * ncols))
+        k = np.arange(nrows * ncols)
+        mu = row_eff[k % nrows] + col_eff[k // nrows]
+        assert np.array_equal(out.y.view(np.int64), (2.0 + mu + noise).view(np.int64))
 
     def test_true_mu_excludes_intercept(self):
         a = simulate(SimConfig(nrows=4, ncols=4, intercept=0.0, seed=5))
@@ -77,6 +75,12 @@ class TestConfigValidation:
             dict(ncols=0),
             dict(effect_dist="laplace"),
             dict(intercept=float("inf")),
+            dict(intercept="5"),
+            dict(intercept=None),
+            dict(intercept=True),
+            dict(intercept=10**400),
+            dict(intercept=float("nan")),
+            dict(effect_dist=["gaussian"]),
             dict(seed=-1),
             dict(seed=2**64),
             dict(nrows=2.5),

@@ -25,7 +25,6 @@ from qmatch import (
     StudentT,
     Uniform,
     percentiles,
-    student_t_log_density,
 )
 from qmatch import targetdist
 from qmatch.errors import TargetSpecError
@@ -388,33 +387,35 @@ class TestTargetSpecs:
 
 
 class TestStudentTLogDensity:
+    """The t log density log f(Q(p)) = -log Q'(p), read from ``transform``."""
+
     def test_cauchy_values(self):
-        assert abs(student_t_log_density(1.0, 0.0) - CAUCHY_LOGPDF_0) < 1e-14
-        assert abs(student_t_log_density(1.0, 1.0) - CAUCHY_LOGPDF_1) < 1e-14
+        # Q is exactly 0 at p = 1/2 and exactly 1 at p = 3/4.
+        assert StudentT(1.0).quantile(0.75) == 1.0
+        assert abs(-StudentT(1.0).transform(0.5)[1] - CAUCHY_LOGPDF_0) < 1e-14
+        assert abs(-StudentT(1.0).transform(0.75)[1] - CAUCHY_LOGPDF_1) < 1e-14
 
     def test_t5_against_oracle(self):
-        assert abs(student_t_log_density(0.2, 1.5) - T5_LOGPDF_15) < 1e-12
+        z, lqd = StudentT(0.2).transform(sc.stdtr(5, 1.5))
+        assert abs(z - 1.5) < 1e-14
+        assert abs(-lqd - T5_LOGPDF_15) < 1e-12
 
     def test_continuity_toward_gaussian(self):
-        x = 0.7
-        gauss = -0.5 * math.log(2.0 * math.pi) - 0.5 * x * x
-        assert abs(student_t_log_density(1e-8, x) - gauss) < 1e-6
-
-    def test_requires_positive_inv_nu(self):
-        with pytest.raises(DomainError):
-            student_t_log_density(0.0, 1.0)
+        z, lqd = StudentT(1e-8).transform(sc.ndtr(0.7))
+        gauss = -0.5 * math.log(2.0 * math.pi) - 0.5 * z * z
+        assert abs(-lqd - gauss) < 1e-6
 
     @pytest.mark.parametrize("inv_nu", [5e-324, 1e-310])
     def test_subnormal_inv_nu_is_the_gaussian_log_density(self, inv_nu):
         # nu = 1/inv_nu overflows to inf: the Gaussian, with no inf * 0.
-        x = np.array([-3.0, -0.5, 0.0, 1.0, 40.0])
+        p = sc.ndtr(np.array([-3.0, -0.5, 0.0, 1.0, 8.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = student_t_log_density(inv_nu, x)
-            scalar = student_t_log_density(inv_nu, 1.0)
-        assert np.array_equal(_bits(got), _bits(-0.5 * targetdist.LOG_2PI - 0.5 * x * x))
+            z, got = StudentT(inv_nu).transform(p)
+            scalar = StudentT(inv_nu).transform(0.5)[1]
+        assert np.array_equal(_bits(got), _bits(0.5 * targetdist.LOG_2PI + 0.5 * z * z))
         assert type(scalar) is float
-        assert scalar == -0.5 * targetdist.LOG_2PI - 0.5
+        assert scalar == 0.5 * targetdist.LOG_2PI
 
 
 class TestEntropy:
@@ -471,16 +472,26 @@ class TestAffine:
 
 
 class TestParameterValidation:
-    def test_inv_nu_range(self):
-        with pytest.raises(DomainError):
-            StudentT(-0.1)
-        with pytest.raises(DomainError):
-            StudentT(1.5)
-        with pytest.raises(DomainError):
-            StudentT.from_nu(0.5)
+    # Every field must be a real number in its range: a string, None, an
+    # array or a bool is refused like a value out of range.
+    @pytest.mark.parametrize("inv_nu", [-0.1, 1.5, "0.3", None, True, np.array([0.1, 0.2])])
+    def test_inv_nu_range(self, inv_nu):
+        with pytest.raises(DomainError, match=r"^inv_nu must lie in \[0, 1\]$"):
+            StudentT(inv_nu)
 
-    def test_alpha_beta_range(self):
-        with pytest.raises(DomainError):
-            AlphaBeta(1.2, 0.0)
-        with pytest.raises(DomainError):
-            AlphaBeta(0.0, -1.01)
+    @pytest.mark.parametrize("nu", [0.5, "5", None, True])
+    def test_nu_range(self, nu):
+        with pytest.raises(DomainError, match=r"^nu must be >= 1"):
+            StudentT.from_nu(nu)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (1.2, 0.0), (0.0, -1.01), (0.1, [0.1]), (np.array([0.1, 0.2]), 0.1), (False, 0.0),
+    ])
+    def test_alpha_beta_range(self, alpha, beta):
+        with pytest.raises(DomainError, match=r"^(alpha|beta) must lie in \[-1, 1\]$"):
+            AlphaBeta(alpha, beta)
+
+    def test_numpy_reals_accepted(self):
+        assert StudentT(np.float64(0.25)) == StudentT(0.25)
+        assert AlphaBeta(np.float32(0.5), np.int64(0)) == AlphaBeta(0.5, 0.0)
+        assert StudentT.from_nu(np.int64(4)) == StudentT(0.25)

@@ -318,10 +318,11 @@ class TestStudentTProfile:
         assert curve.grid[0] == 0.0
         assert curve.values[0] == gauss.value
 
-    def test_grid_domain_is_validated(self):
+    @pytest.mark.parametrize("grid", [[0.0, 1.2], ["a"], [True, False]])
+    def test_grid_domain_is_validated(self, grid):
         out = bench(0)
-        with pytest.raises(DomainError):
-            profile_student_t(out.y, fixed_design(out), grid=[0.0, 1.2])
+        with pytest.raises(DomainError, match=r"^inv_nu grid must lie in \[0, 1\]$"):
+            profile_student_t(out.y, fixed_design(out), grid=grid)
 
 
 class TestAlphaProfile:
@@ -343,10 +344,11 @@ class TestAlphaProfile:
         assert_allclose(b.values, a.values, rtol=1e-9)
         assert b.argmax_param == pytest.approx(a.argmax_param, abs=1e-12)
 
-    def test_grid_domain_is_validated(self):
+    @pytest.mark.parametrize("grid", [[-2.0, 0.0], ["a"], [True, False]])
+    def test_grid_domain_is_validated(self, grid):
         out = bench(0)
-        with pytest.raises(DomainError):
-            profile_alpha(out.y, fixed_design(out), grid=[-2.0, 0.0])
+        with pytest.raises(DomainError, match=r"^alpha grid must lie in \[-1, 1\]$"):
+            profile_alpha(out.y, fixed_design(out), grid=grid)
 
 
 class TestFamilyEvaluator:
