@@ -183,10 +183,10 @@ def _numpy_reads_as_csv(path) -> bool:
                 if end < 0:
                     return False
                 last = end
+            # The tail after the last line end is at most ``limit`` bytes,
+            # or the hop loop would have gone on.
             end = block.rfind(b"\n", max(last + 1, 0))
             run = len(block) - 1 - (last if end < 0 else end)
-            if run > limit:
-                return False
     return True
 
 
@@ -194,8 +194,9 @@ def _read_columns(path, header_lines):
     """The data rows after the first ``header_lines`` lines as (index, row,
     col, y) arrays from one numpy parse of the file by path, or None when the
     row loop must read them instead: the file fails ``_numpy_reads_as_csv``,
-    numpy rejects a line or finds no rows, or a y is not finite (the row loop
-    keeps its reading of those).
+    or numpy rejects a line or finds no rows.  numpy reads each spelling of
+    inf and nan that float() reads, to the same bits, and refuses the
+    others, so a non-finite y is left to the likelihood's check.
 
     numpy reads a path in chunks in C, where it would iterate a handle line
     by line in Python.  It opens the file with newline translation, so a CR
@@ -216,7 +217,7 @@ def _read_columns(path, header_lines):
                                encoding="utf-8", ndmin=1)
         except (ValueError, DeprecationWarning):  # also UnicodeDecodeError
             return None
-    if table.size == 0 or not np.all(np.isfinite(table["y"])):
+    if table.size == 0:
         return None
     return table["index"], table["row"], table["col"], table["y"]
 
@@ -255,9 +256,7 @@ def read_data_csv(path):
             if header is None or [h.strip() for h in header] != ["index", "row", "col", "y"]:
                 raise DomainError(f"{path}: expected header index,row,col,y")
             # line_num counts the physical lines the header took.
-            columns = _read_columns(path, reader.line_num)
-            if columns is None:
-                columns = _read_rows(reader, path)
+            columns = _read_columns(path, reader.line_num) or _read_rows(reader, path)
         except UnicodeDecodeError:
             raise DomainError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:

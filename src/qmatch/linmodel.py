@@ -112,9 +112,10 @@ class DesignSpec:
     @classmethod
     def from_cells(cls, rows, cols, values):
         """The design whose cell (rows[k], cols[k]) holds values[k], and the
-        values in its column-major order.  rows and cols are nonempty arrays
-        of signed integers (or of Python ints, as the CLI reads an index
-        beyond int64) that name each cell once."""
+        values in its column-major order.  rows and cols are nonempty
+        arrays or sequences of signed integers (or of Python ints, as the
+        CLI reads an index beyond int64) that name each cell once."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
         if any(a.size == 0 or a.dtype.kind not in "iO" for a in (rows, cols)):
             raise DomainError("layout indices must be nonempty signed integer arrays")
         design = cls(nrows=int(rows.max()) + 1, ncols=int(cols.max()) + 1)

@@ -41,11 +41,6 @@ class PercentileVector:
         out[self.order] = v
         return out
 
-    @property
-    def p(self) -> np.ndarray:
-        """The percentiles aligned with the input vector."""
-        return self.unsort(self.p_sorted)
-
 
 def percentiles(y) -> PercentileVector:
     """Percentile values of each observation within its own sample; a
@@ -63,8 +58,6 @@ def percentiles(y) -> PercentileVector:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise DomainError("input must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("input values must be finite")
     # Midranks give (F(y-) + F(y+))/2 directly.  A tie run of length k at
     # 0-based sorted positions a..a+k-1 has 1-based midrank a + (k+1)/2, so
     # p = (2a + k)/(2n).  The run's start plus its end, a + (a + k), is that
@@ -76,6 +69,9 @@ def percentiles(y) -> PercentileVector:
     n = y.size
     order = np.argsort(y)
     ys = y[order]
+    # -inf sorts first, and inf then nan last.
+    if not (np.isfinite(ys[0]) and np.isfinite(ys[-1])):
+        raise DomainError("input values must be finite")
     new_run = ys[1:] != ys[:-1]
     if new_run.all():
         # No ties: each run is one value, k = 1 at a = 0..n-1, so p is

@@ -49,6 +49,7 @@ from .targetdist import (
     StudentT,
     TargetDistribution,
     Uniform,
+    _is_real,
     power_limb,
 )
 
@@ -257,19 +258,24 @@ def family_grid(family, grid=None):
     (bools excluded), to be one-dimensional, nonempty, finite and to lie in
     the family's range, before any fit."""
     _, field, default, lo, hi = _FAMILIES[family]
-    grid = np.asarray(default if grid is None else grid)
-    if grid.dtype.kind not in "iuf":
-        raise DomainError(f"{field} grid must lie in [{lo:g}, {hi:g}]")
-    grid = np.asarray(grid, dtype=float)
+    points = default if grid is None else grid
+    try:
+        grid = np.asarray(points)
+    except ValueError:  # a ragged nesting of sequences
+        raise DomainError("parameter grid must be one-dimensional") from None
     if grid.ndim != 1:
         raise DomainError("parameter grid must be one-dimensional")
+    # numpy reads a bool among numbers as 0 or 1, so a listed grid's points
+    # are checked one by one.
+    if grid.dtype.kind not in "iuf" or grid is not points and not all(map(_is_real, points)):
+        raise DomainError(f"{field} grid must lie in [{lo:g}, {hi:g}]")
     if grid.size == 0:
         raise DomainError("parameter grid must be nonempty")
     if not np.all(np.isfinite(grid)):
         raise DomainError(f"{field} grid points must be finite")
     if grid.min() < lo or grid.max() > hi:
         raise DomainError(f"{field} grid must lie in [{lo:g}, {hi:g}]")
-    return grid
+    return np.asarray(grid, dtype=float)
 
 
 def family_evaluator(family, data, design: DesignSpec):

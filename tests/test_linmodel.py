@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    data_order_percentiles,
     dense_covariance,
     fit_random_numeric,
     numpy_decompose,
@@ -37,7 +38,6 @@ from qmatch import (
     fit,
     fit_fixed,
     fit_random_balanced,
-    percentiles,
     simulate,
 )
 from qmatch import linmodel
@@ -69,10 +69,23 @@ class TestDesignShape:
         (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
         (np.array([0.0, 1.0, 0.0, 1.0]), np.array([0, 0, 1, 1])),
         (np.array([0, 1, 0, 1]), np.array([0.0, 0.0, 1.0, 1.0])),
-    ], ids=["empty", "float-rows", "float-cols"])
+        ([], []),
+        ([0.0, 1.0, 0.0, 1.0], [0, 0, 1, 1]),
+        ((0, 1, 0, 1), (0.0, 0.0, 1.0, 1.0)),
+    ], ids=["empty", "float-rows", "float-cols", "empty-lists", "float-row-list",
+            "float-col-tuple"])
     def test_from_cells_index_arrays_checked(self, rows, cols):
         with pytest.raises(DomainError, match="^layout indices must be nonempty signed"):
-            DesignSpec.from_cells(rows, cols, np.ones(rows.size))
+            DesignSpec.from_cells(rows, cols, np.ones(len(rows)))
+
+    @pytest.mark.parametrize("seq", [list, tuple])
+    def test_from_cells_takes_integer_sequences(self, seq):
+        rows, cols = np.array([1, 0, 2, 1, 0, 2]), np.array([0, 1, 1, 1, 0, 0])
+        values = np.arange(6.0)
+        want_design, want = DesignSpec.from_cells(rows, cols, values)
+        design, got = DesignSpec.from_cells(seq(rows.tolist()), seq(cols.tolist()), values)
+        assert design == want_design == DesignSpec(3, 2)
+        assert got.tobytes() == want.tobytes()
 
     def test_numpy_integers_accepted(self):
         d = DesignSpec(np.int64(5), np.int32(4))
@@ -426,7 +439,7 @@ class TestBitIdenticalToNumpyFits:
         for effects in ("gaussian", "cauchy"):
             for seed in range(16):
                 out = simulate(SimConfig(effect_dist=effects, seed=seed))
-                p = percentiles(out.y).p
+                p = data_order_percentiles(out.y)
                 for dist in TARGETS:
                     z = dist.transform(p)[0]
                     for model in ModelKind:
@@ -440,7 +453,7 @@ class TestBitIdenticalToNumpyFits:
         cases = 0
         for effects, seed, dists in [("gaussian", 1, TARGETS), ("cauchy", 0, TARGETS[:1])]:
             out = simulate(SimConfig(nrows=1000, ncols=300, effect_dist=effects, seed=seed))
-            p = percentiles(out.y).p
+            p = data_order_percentiles(out.y)
             for dist in dists:
                 z = dist.transform(p)[0]
                 for model in ModelKind:

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import quantile_match, rankdata_percentiles, twice_midrank_percentiles
+from oracles import (
+    data_order_percentiles,
+    quantile_match,
+    rankdata_percentiles,
+    twice_midrank_percentiles,
+)
 from qmatch import DomainError, Gaussian, Logistic, Uniform, percentiles
 
 finite_values = st.floats(
@@ -17,7 +22,7 @@ finite_values = st.floats(
 
 def test_four_distinct_points():
     got = percentiles([1.2, 3.4, 0.5, 2.2])
-    assert np.array_equal(got.p, [0.375, 0.875, 0.125, 0.625])
+    assert np.array_equal(data_order_percentiles(got), [0.375, 0.875, 0.125, 0.625])
     assert got.n == 4
 
 
@@ -25,11 +30,12 @@ def test_tie_group():
     # F jumps by 2/3 across the doubled value: p = (0 + 2/3)/2 for the pair
     # and (2/3 + 1)/2 for the maximum.
     got = percentiles([1.0, 1.0, 2.0])
-    assert np.allclose(got.p, [1.0 / 3.0, 1.0 / 3.0, 5.0 / 6.0], rtol=0, atol=1e-15)
+    assert np.allclose(data_order_percentiles(got), [1.0 / 3.0, 1.0 / 3.0, 5.0 / 6.0],
+                       rtol=0, atol=1e-15)
 
 
 def test_signed_zeros_are_one_tie_group():
-    got = percentiles([0.0, -0.0, 1.0]).p
+    got = data_order_percentiles([0.0, -0.0, 1.0])
     assert np.array_equal(got, [1.0 / 3.0, 1.0 / 3.0, 5.0 / 6.0])
 
 
@@ -61,7 +67,7 @@ def _one_tie(at):
 @settings(max_examples=200, deadline=None)
 def test_bit_equal_to_scipy_midranks(values):
     pc = percentiles(values)
-    a = pc.p
+    a = data_order_percentiles(pc)
     b = rankdata_percentiles(values)
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
     # The ranking holds a sorting permutation and the percentiles in its order.
@@ -76,7 +82,7 @@ def test_bit_equal_to_scipy_midranks_at_scale():
     y = rng.integers(0, 1000, size=300_000).astype(float)
     zeros = np.flatnonzero(y == 0.0)
     y[zeros[::2]] = -0.0
-    a = percentiles(y).p
+    a = data_order_percentiles(y)
     b = rankdata_percentiles(y)
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -94,11 +100,11 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("name", list(ORACLE_CASES))
 def test_bit_equal_to_twice_midrank_oracle(name):
     y = ORACLE_CASES[name]
-    assert percentiles(y).p.tobytes() == twice_midrank_percentiles(y).tobytes()
+    assert data_order_percentiles(y).tobytes() == twice_midrank_percentiles(y).tobytes()
 
 
 def test_single_point():
-    assert percentiles([7.0]).p.tolist() == [0.5]
+    assert data_order_percentiles([7.0]).tolist() == [0.5]
 
 
 def test_rejects_empty_and_nonfinite():
@@ -108,6 +114,12 @@ def test_rejects_empty_and_nonfinite():
         percentiles([1.0, float("nan")])
     with pytest.raises(DomainError):
         percentiles([1.0, float("inf")])
+    # The check reads the sorted ends: -inf sorts first, inf and then nan
+    # last, wherever they stand in y.
+    inf, nan = float("inf"), float("nan")
+    for y in ([-inf, 1.0], [nan, 1.0, 2.0], [2.0, nan, -inf, 1.0], [nan], [inf, 0.5, nan]):
+        with pytest.raises(DomainError, match="^input values must be finite$"):
+            percentiles(y)
 
 
 @example(_normal.tolist())
@@ -118,7 +130,7 @@ def test_tie_free_sorted_values_are_the_rankit_grid(values):
     y = np.array(values)
     n = y.size
     expect = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    assert np.array_equal(np.sort(percentiles(y).p), expect)
+    assert np.array_equal(np.sort(data_order_percentiles(y)), expect)
 
 
 @given(st.lists(finite_values, min_size=1, max_size=120))
@@ -127,7 +139,7 @@ def test_sum_identity(values):
     # Each tie group of size k starting at sorted position a contributes
     # k(2a+k-2)/(2n); over all groups the total is always n/2, and fsum
     # makes the float sum exact.
-    p = percentiles(np.array(values)).p
+    p = data_order_percentiles(np.array(values))
     assert math.fsum(p) == len(values) / 2.0
 
 
@@ -135,19 +147,19 @@ def test_sum_identity(values):
 @settings(max_examples=100, deadline=None)
 def test_rank_invariance_under_increasing_maps(values):
     y = np.array(values)
-    base = percentiles(y).p
+    base = data_order_percentiles(y)
     mapped = np.tanh(y / 1e12) * 3.0 + 1.0
     # tanh can collapse floats that differ below its resolution; the
     # invariance claim only applies while the map stays injective.
     assume(np.unique(mapped).size == y.size)
-    assert np.array_equal(percentiles(mapped).p, base)
+    assert np.array_equal(data_order_percentiles(mapped), base)
     order = np.argsort(np.argsort(y)).astype(float)
-    assert np.array_equal(percentiles(order).p, base)
+    assert np.array_equal(data_order_percentiles(order), base)
 
 
 def test_cubing_preserves_percentiles(rng):
     y = rng.normal(size=500)
-    assert np.array_equal(percentiles(y**3).p, percentiles(y).p)
+    assert np.array_equal(data_order_percentiles(y**3), data_order_percentiles(y))
 
 
 @given(st.lists(finite_values, min_size=1, max_size=80, unique=True))
@@ -158,7 +170,7 @@ def test_tie_coherence_under_duplication(values):
     # straddles.
     y = np.array(values)
     n = y.size
-    doubled = percentiles(np.repeat(y, 2)).p
+    doubled = data_order_percentiles(np.repeat(y, 2))
     i = np.arange(1, n + 1)
     straddle = 0.5 * ((2 * (2 * i - 1) - 1) + (2 * (2 * i) - 1)) / (2.0 * 2 * n)
     expect_per_value = straddle[np.argsort(np.argsort(y))]
@@ -167,7 +179,7 @@ def test_tie_coherence_under_duplication(values):
 
 def test_order_preservation_with_ties():
     y = np.array([3.0, 1.0, 3.0, 2.0, 1.0])
-    p = percentiles(y).p
+    p = data_order_percentiles(y)
     for i in range(5):
         for j in range(5):
             if y[i] < y[j]:

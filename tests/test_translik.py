@@ -20,6 +20,7 @@ from conftest import bench, fixed_design, random_design
 from oracles import (
     Affine,
     data_order_correlations,
+    data_order_percentiles,
     data_order_reduced,
     entropy_quadrature,
     two_point_golden_max,
@@ -56,6 +57,11 @@ from qmatch.translik import (
 
 GAUSS_ENTROPY = 0.5 * (1.0 + math.log(2.0 * math.pi))
 
+# Grids numpy would coerce: a ragged nesting it refuses untyped, and bools
+# among numbers it reads as 0 or 1.
+RAGGED_GRID = [[0.1], [0.2, 0.3]]
+MIXED_BOOL_GRIDS = [[0.5, True], [np.float64(0.1), np.bool_(True)]]
+
 
 class TestReducedValue:
     def test_uniform_jacobian_is_zero(self):
@@ -67,7 +73,7 @@ class TestReducedValue:
     def test_gaussian_jacobian_closed_form(self):
         out = bench(0)
         r = reduced_profile_loglik(out.y, Gaussian(), fixed_design(out))
-        q = Gaussian().quantile(percentiles(out.y).p)
+        q = Gaussian().quantile(data_order_percentiles(out.y))
         expect = 750.0 * math.log(2.0 * math.pi) + 0.5 * float(q @ q)
         assert r.jacobian_term == pytest.approx(expect, rel=1e-12)
         # The per-observation average approaches the Gaussian entropy, so
@@ -318,10 +324,14 @@ class TestStudentTProfile:
         assert curve.grid[0] == 0.0
         assert curve.values[0] == gauss.value
 
-    @pytest.mark.parametrize("grid", [[0.0, 1.2], ["a"], [True, False]])
-    def test_grid_domain_is_validated(self, grid):
+    @pytest.mark.parametrize("grid, message", [
+        *[(grid, r"^inv_nu grid must lie in \[0, 1\]$")
+          for grid in ([0.0, 1.2], ["a"], [True, False], *MIXED_BOOL_GRIDS)],
+        (RAGGED_GRID, "^parameter grid must be one-dimensional$"),
+    ])
+    def test_grid_domain_is_validated(self, grid, message):
         out = bench(0)
-        with pytest.raises(DomainError, match=r"^inv_nu grid must lie in \[0, 1\]$"):
+        with pytest.raises(DomainError, match=message):
             profile_student_t(out.y, fixed_design(out), grid=grid)
 
 
@@ -344,10 +354,14 @@ class TestAlphaProfile:
         assert_allclose(b.values, a.values, rtol=1e-9)
         assert b.argmax_param == pytest.approx(a.argmax_param, abs=1e-12)
 
-    @pytest.mark.parametrize("grid", [[-2.0, 0.0], ["a"], [True, False]])
-    def test_grid_domain_is_validated(self, grid):
+    @pytest.mark.parametrize("grid, message", [
+        *[(grid, r"^alpha grid must lie in \[-1, 1\]$")
+          for grid in ([-2.0, 0.0], ["a"], [True, False], *MIXED_BOOL_GRIDS)],
+        (RAGGED_GRID, "^parameter grid must be one-dimensional$"),
+    ])
+    def test_grid_domain_is_validated(self, grid, message):
         out = bench(0)
-        with pytest.raises(DomainError, match=r"^alpha grid must lie in \[-1, 1\]$"):
+        with pytest.raises(DomainError, match=message):
             profile_alpha(out.y, fixed_design(out), grid=grid)
 
 
@@ -752,7 +766,7 @@ class TestCorrelationReport:
     def test_uniform_column_is_rank_correlation(self):
         out = bench(0)
         rep = correlation_report(out.y, [Uniform()])
-        expect = np.corrcoef(out.y, percentiles(out.y).p)[0, 1]
+        expect = np.corrcoef(out.y, data_order_percentiles(out.y))[0, 1]
         assert rep.correlations[0] == pytest.approx(expect, rel=1e-12)
 
     def test_affine_target_changes_nothing(self):
