@@ -114,13 +114,24 @@ class DesignSpec:
         """The design whose cell (rows[k], cols[k]) holds values[k], and the
         values in its column-major order.  rows and cols are nonempty
         arrays or sequences of signed integers (or of Python ints, as the
-        CLI reads an index beyond int64) that name each cell once."""
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        if any(a.size == 0 or a.dtype.kind not in "iO" for a in (rows, cols)):
-            raise DomainError("layout indices must be nonempty signed integer arrays")
+        CLI reads an index beyond int64) that name each cell once; values
+        holds one number per cell."""
+        index = []
+        for seq in (rows, cols):
+            a = np.asarray(seq)
+            # numpy reads a bool among integers as 0 or 1, so the entries of
+            # a sequence or an object array are checked one by one.
+            listed = a.flat if a.dtype.kind == "O" else () if a is seq else seq
+            if (a.size == 0 or a.dtype.kind not in "iO"
+                    or any(isinstance(v, (bool, np.bool_)) for v in listed)):
+                raise DomainError("layout indices must be nonempty signed integer arrays")
+            index.append(a)
+        rows, cols = index
         design = cls(nrows=int(rows.max()) + 1, ncols=int(cols.max()) + 1)
         if rows.shape != (design.n,) or cols.shape != (design.n,):
             raise DomainError("layout index length must equal nrows*ncols")
+        if np.shape(values) != (design.n,):
+            raise DomainError("cell value count must equal nrows*ncols")
         if rows.min() < 0 or cols.min() < 0:
             raise DomainError("layout indices out of range")
         pos = cols * design.nrows + rows

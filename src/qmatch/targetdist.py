@@ -35,14 +35,23 @@ forms.  Elsewhere in the t family, ``stdtrit`` runs once per
 exactly mirrored pair of percentiles, p < 1/2 and q with 1 - q == p
 (exact, since q > 1/2), and q takes -Q(p).  On scipy 1.17.1 ``stdtrit``
 is itself odd bit for bit at such points, so Q keeps the bits of one
-``stdtrit`` call per point.
+``stdtrit`` call per point.  Those results are remembered in a
+process-wide memo (``_StdtritMemo``, at most 1 MiB, least recently used
+first) keyed by df and the exact bytes of p: a tie-free sample of size n
+has the same percentiles whatever its values, so a t sweep repeats its
+(df, p) pairs on every sample of that n.  A p of more than 1984 points,
+whose sweep could not keep its points in the budget, is neither hashed nor
+held.  Every ``quantile`` returns a fresh array, memo hit or not.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -129,6 +138,64 @@ def _paired_stdtrit(df, p):
     return out
 
 
+# Bytes the stdtrit memo may hold: its results, plus an allowance per entry
+# for the key and the array header (about 380 bytes measured; 512 charged).
+# An entry may cost at most 1/64 of that.  A refined t sweep asks for 49
+# grid points and about 10 refinement points on one p, so 64 entries keep
+# it from evicting its own points; a larger p would miss at every point and
+# pay for its hashing and copying, about 5% of a refined sweep at 200x100.
+_MEMO_BUDGET = 1 << 20
+_MEMO_ENTRY_BYTES = 512
+_MEMO_MAX_COST = _MEMO_BUDGET // 64
+
+
+class _StdtritMemo:
+    """``_paired_stdtrit(df, p)``, remembered for repeat calls in one process.
+
+    Entries are keyed by df, p's shape and a 128-bit blake2b digest of p's
+    bytes in C order (p may be a strided view), and held read-only,
+    least recently used first, within ``_MEMO_BUDGET`` bytes.  A p whose
+    entry would cost more than ``_MEMO_MAX_COST`` (1984 points) is computed
+    without hashing and not held.  Every call returns a fresh writable
+    array with the bits of one ``_paired_stdtrit`` call.
+    """
+
+    def __init__(self):
+        self.entries = OrderedDict()
+        self.held = 0  # bytes charged for the entries
+        self.lock = threading.Lock()
+
+    def clear(self):
+        with self.lock:
+            self.entries.clear()
+            self.held = 0
+
+    def __call__(self, df, p):
+        cost = p.nbytes + _MEMO_ENTRY_BYTES
+        if cost > _MEMO_MAX_COST:
+            return _paired_stdtrit(df, p)
+        key = (df, p.shape, hashlib.blake2b(np.ascontiguousarray(p), digest_size=16).digest())
+        with self.lock:
+            kept = self.entries.get(key)
+            if kept is not None:
+                self.entries.move_to_end(key)
+        if kept is not None:
+            return kept.copy()
+        out = _paired_stdtrit(df, p)
+        kept = np.array(out)
+        kept.flags.writeable = False
+        with self.lock:
+            if key not in self.entries:  # another thread may have stored it
+                self.entries[key] = kept
+                self.held += cost
+                while self.held > _MEMO_BUDGET:
+                    self.held -= self.entries.popitem(last=False)[1].nbytes + _MEMO_ENTRY_BYTES
+        return out
+
+
+_stdtrit_memo = _StdtritMemo()
+
+
 class TargetDistribution:
     """Common interface: quantile, transform, entropy, label.
 
@@ -148,6 +215,9 @@ class TargetDistribution:
                 raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}]")
 
     def quantile(self, p):
+        """Q(p): a float for a scalar p, else a new array of p's shape that
+        shares memory with neither p nor any earlier result, so a caller
+        may write into it."""
         raise NotImplementedError
 
     def _lqd_at(self, p, z):
@@ -219,7 +289,7 @@ class StudentT(TargetDistribution):
         if self.inv_nu == 1.0:
             # Degree-argument tangent keeps the Cauchy quartiles exact.
             return sc.tandg(180.0 * (p - 0.5))
-        return _paired_stdtrit(1.0 / self.inv_nu, p)
+        return _stdtrit_memo(1.0 / self.inv_nu, p)
 
     def _lqd_at(self, p, z):
         # -log f(z) in one fresh array: z^2/2 + LOG_2PI/2 for the Gaussian,

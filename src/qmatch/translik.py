@@ -372,9 +372,7 @@ def correlation_report(y, dists) -> CorrelationReport:
         raise DomainError("response has zero variance")
     cors = np.empty(len(dists))
     for j, dist in enumerate(dists):
-        tc = np.asarray(dist.quantile(pc.p_sorted))
-        if np.may_share_memory(tc, pc.p_sorted):  # centered in place below
-            tc = tc.copy()
+        tc = dist.quantile(pc.p_sorted)  # a fresh array, centered in place
         tc -= tc.mean()
         ss_t = float(tc @ tc)
         if ss_t == 0.0:

@@ -87,6 +87,20 @@ class TestDesignShape:
         assert design == want_design == DesignSpec(3, 2)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("rows, cols", [
+        ([False, True, 0, 1], [0, 0, 1, 1]),
+        ((0, 1, 0, 1), (0, 0, np.True_, 1)),
+        (np.array([False, 1, 0, 1], dtype=object), np.array([0, 0, 1, 1])),
+    ], ids=["bool-in-row-list", "numpy-bool-in-col-tuple", "bool-in-object-array"])
+    def test_from_cells_refuses_a_bool_among_indices(self, rows, cols):
+        with pytest.raises(DomainError, match="^layout indices must be nonempty signed"):
+            DesignSpec.from_cells(rows, cols, np.arange(4.0))
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_from_cells_values_one_per_cell(self, size):
+        with pytest.raises(DomainError, match="^cell value count must equal nrows\\*ncols$"):
+            DesignSpec.from_cells([0, 1, 0, 1], [0, 0, 1, 1], np.arange(float(size)))
+
     def test_numpy_integers_accepted(self):
         d = DesignSpec(np.int64(5), np.int32(4))
         assert d.n == 20

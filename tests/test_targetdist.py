@@ -7,6 +7,8 @@ frozen here.
 """
 
 import math
+import sys
+import threading
 import warnings
 from dataclasses import fields
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
+from conftest import bench, fixed_design
 from oracles import Affine, log_quantile_derivative
 from qmatch import (
     AlphaBeta,
@@ -26,10 +29,10 @@ from qmatch import (
     Uniform,
     percentiles,
 )
-from qmatch import targetdist
+from qmatch import targetdist, translik
 from qmatch.errors import TargetSpecError
 from qmatch.targetdist import TARGET_GRAMMAR, TARGETS, parse_target, parse_target_list
-from qmatch.translik import family_grid
+from qmatch.translik import family_grid, profile_student_t
 
 # mpmath oracles.
 NDTRI_ORACLE = {
@@ -271,13 +274,17 @@ class TestPairedStdtrit:
     @pytest.mark.parametrize("inv_nu", [0.02, 0.15, 0.98, 1.0 / 6.67],
                              ids=["0.02", "0.15", "0.98", "nu=6.67"])
     @pytest.mark.parametrize("name", list(PAIRED_INPUTS))
-    def test_quantile_keeps_stdtrit_bits(self, name, inv_nu):
+    def test_quantile_keeps_stdtrit_bits(self, name, inv_nu, empty_memo):
+        # Cold, then warm from the memo: both keep the bits.
         p = PAIRED_INPUTS[name]
         p_before = p.copy()
-        z = StudentT(inv_nu).quantile(p)
-        assert z.shape == p.shape
-        assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / inv_nu, p)))
-        assert np.array_equal(_bits(p), _bits(p_before))
+        want = _bits(sc.stdtrit(1.0 / inv_nu, p))
+        for _ in range(2):
+            z = StudentT(inv_nu).quantile(p)
+            assert z.shape == p.shape
+            assert np.array_equal(_bits(z), want)
+            assert np.array_equal(_bits(p), _bits(p_before))
+        assert len(empty_memo.entries) == 1
 
     def test_median_is_positive_zero(self):
         z = StudentT(0.15).quantile(PAIRED_INPUTS["all-equal"])
@@ -288,6 +295,167 @@ class TestPairedStdtrit:
             z = StudentT(0.15).quantile(p)
             assert type(z) is float
             assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / 0.15, p)))
+
+
+@pytest.fixture
+def empty_memo():
+    """The t quantile's stdtrit memo, emptied before and after the test."""
+    memo = targetdist._stdtrit_memo
+    memo.clear()
+    yield memo
+    memo.clear()
+
+
+@pytest.fixture
+def stdtrit_dfs(monkeypatch, empty_memo):
+    """A list that grows by the df of each ``sc.stdtrit`` call the t
+    quantile makes, starting from an empty memo."""
+    calls = []
+
+    class CountingSpecial:
+        def __getattr__(self, name):
+            return getattr(sc, name)
+
+        def stdtrit(self, df, *args, **kwargs):
+            calls.append(df)
+            return sc.stdtrit(df, *args, **kwargs)
+
+    monkeypatch.setattr(targetdist, "sc", CountingSpecial())
+    return calls
+
+
+class TestStdtritMemo:
+    """A repeat t quantile on the same df and the same percentile bytes is
+    served from a bounded memo, as a fresh array with the same bits."""
+
+    P = _rankits(1500)
+
+    def test_repeat_evaluates_once(self, stdtrit_dfs):
+        t = StudentT(0.15)
+        t.quantile(self.P)
+        cold = len(stdtrit_dfs)
+        assert cold > 0
+        t.quantile(self.P)
+        t.quantile(self.P.copy())
+        assert len(stdtrit_dfs) == cold
+        StudentT(0.2).quantile(self.P)
+        assert len(stdtrit_dfs) > cold
+
+    def test_mutating_a_result_leaves_the_next_intact(self, empty_memo):
+        t = StudentT(0.15)
+        want = _bits(sc.stdtrit(1.0 / 0.15, self.P))
+        for _ in range(3):  # the cold result, then two served from the memo
+            z = t.quantile(self.P)
+            assert np.array_equal(_bits(z), want)
+            z[:] = 7.0
+
+    def test_one_ulp_off_misses(self, stdtrit_dfs):
+        t = StudentT(0.15)
+        t.quantile(self.P)
+        cold = len(stdtrit_dfs)
+        p = self.P.copy()
+        p[700] = np.nextafter(p[700], 1.0)
+        z = t.quantile(p)
+        assert len(stdtrit_dfs) > cold
+        assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / 0.15, p)))
+
+    def test_held_bytes_stay_within_budget(self, stdtrit_dfs):
+        memo, cost = targetdist._stdtrit_memo, self.P.nbytes + targetdist._MEMO_ENTRY_BYTES
+        fits = targetdist._MEMO_BUDGET // cost
+        dfs = np.linspace(2.0, 50.0, fits + 20)
+        for df in dfs:
+            StudentT(1.0 / df).quantile(self.P)
+            assert memo.held == cost * len(memo.entries) <= targetdist._MEMO_BUDGET
+        assert len(memo.entries) == fits
+        # The least recently used entries went first.
+        calls = len(stdtrit_dfs)
+        StudentT(1.0 / dfs[-1]).quantile(self.P)
+        assert len(stdtrit_dfs) == calls
+        StudentT(1.0 / dfs[0]).quantile(self.P)
+        assert len(stdtrit_dfs) > calls
+
+    @pytest.mark.parametrize("n", [1985, 300000])
+    def test_a_large_result_is_not_held_or_hashed(self, n, empty_memo, monkeypatch):
+        class NoHashing:
+            def blake2b(self, *args, **kwargs):
+                raise AssertionError("hashed a p whose result is not held")
+
+        monkeypatch.setattr(targetdist, "hashlib", NoHashing())
+        p = _rankits(n)
+        z = StudentT(0.15).quantile(p)
+        assert len(empty_memo.entries) == 0 and empty_memo.held == 0
+        assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / 0.15, p)))
+
+    def test_the_largest_held_result(self, empty_memo):
+        p = _rankits(1984)
+        StudentT(0.15).quantile(p)
+        assert empty_memo.held == p.nbytes + targetdist._MEMO_ENTRY_BYTES == targetdist._MEMO_MAX_COST
+
+    def test_second_sample_of_one_size_evaluates_only_refinement_points(
+            self, stdtrit_dfs, monkeypatch):
+        # Two tie-free samples of one size have the same percentiles, so the
+        # second sweep finds every grid point in the memo.
+        refined = []
+        golden_max = translik._golden_max
+
+        def recording_golden_max(f, *args):
+            return golden_max(lambda t: (refined.append(t), f(t))[1], *args)
+
+        monkeypatch.setattr(translik, "_golden_max", recording_golden_max)
+        first, second = bench(0), bench(1, "cauchy")
+        profile_student_t(first.y, fixed_design(first), refine=True)
+        refined.clear()
+        del stdtrit_dfs[:]
+        profile_student_t(second.y, fixed_design(second), refine=True)
+        assert refined and stdtrit_dfs
+        assert set(stdtrit_dfs) <= {1.0 / t for t in refined}
+
+    def test_threads_keep_the_accounting(self, empty_memo):
+        # More threads than cores, switching often, fill and evict one memo,
+        # each hitting the entries another is about to evict: a hit on an
+        # entry evicted meanwhile stops a thread, and a lost update leaves
+        # the held bytes apart from the entries held.
+        p = _rankits(3)
+        cost = p.nbytes + targetdist._MEMO_ENTRY_BYTES
+        inv_nus = np.linspace(0.02, 0.5, targetdist._MEMO_BUDGET // cost + 100)
+        want = {x: _bits(sc.stdtrit(1.0 / x, p)) for x in inv_nus[::7]}
+        wrong, done = [], []
+
+        def work(k):
+            for x in np.tile(np.roll(inv_nus, k * inv_nus.size // 6), 2):
+                z = StudentT(x).quantile(p)
+                if x in want and not np.array_equal(_bits(z), want[x]):
+                    wrong.append(x)
+            done.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(done) == list(range(len(threads))) and not wrong
+        assert empty_memo.held == cost * len(empty_memo.entries) <= targetdist._MEMO_BUDGET
+
+
+class TestFreshResults:
+    """quantile returns a new array: a caller may write into it."""
+
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
+    def test_shares_memory_with_neither_p_nor_the_last_result(self, dist, empty_memo):
+        p = _rankits(1500)
+        first = dist.quantile(p)
+        second = dist.quantile(p)
+        for z in (first, second):
+            assert z.flags.writeable and not np.may_share_memory(z, p)
+        assert not np.may_share_memory(first, second)
+
+    def test_every_kind_is_covered(self):
+        assert {type(d) for d in ALL_KINDS} == set(TARGETS.values())
 
 
 class TestFamilyMembers:

@@ -806,18 +806,6 @@ class TestCorrelationReport:
             scaled = correlation_report(np.ldexp(y, k), targets)
         assert np.array_equal(scaled.correlations, correlation_report(y, targets).correlations)
 
-    def test_target_returning_its_argument(self):
-        # Each target's quantiles are centered in place; a quantile that
-        # hands back the percentiles themselves must leave them intact for
-        # the next target.
-        class Identity(Uniform):
-            def quantile(self, p):
-                return p
-
-        y = bench(0).y
-        got = correlation_report(y, [Identity(), Uniform()]).correlations
-        assert got[0] == got[1] == correlation_report(y, [Uniform()]).correlations[0]
-
     def test_degenerate_inputs_rejected(self):
         out = bench(0)
         with pytest.raises(DomainError):
