@@ -123,7 +123,8 @@ class DesignSpec:
             # a sequence or an object array are checked one by one.
             listed = a.flat if a.dtype.kind == "O" else () if a is seq else seq
             if (a.size == 0 or a.dtype.kind not in "iO"
-                    or any(isinstance(v, (bool, np.bool_)) for v in listed)):
+                    or any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                           for v in listed)):
                 raise DomainError("layout indices must be nonempty signed integer arrays")
             index.append(a)
         rows, cols = index
@@ -134,7 +135,8 @@ class DesignSpec:
             raise DomainError("cell value count must equal nrows*ncols")
         if rows.min() < 0 or cols.min() < 0:
             raise DomainError("layout indices out of range")
-        pos = cols * design.nrows + rows
+        # Object arrays of Python ints give object positions, all in [0, n).
+        pos = np.asarray(cols * design.nrows + rows, dtype=np.intp)
         if np.bincount(pos).max() > 1:
             raise DomainError("each (row, col) cell must appear exactly once")
         z = np.empty(design.n)

@@ -28,6 +28,16 @@ import numpy as np
 
 from .errors import DomainError
 
+# The shared rankit grids, by n, read-only; the table is emptied when it
+# holds _GRIDS_HELD of them.  A grid is shared only up to
+# _SHARED_GRID_MAX_N points: a target's z on it then takes 1/65 of
+# ``targetdist``'s 4 MiB memo, so a refined sweep (51 grid points and about
+# 10 refinement points) keeps its own entries; a larger n is neither
+# shared nor held.
+_SHARED_GRID_MAX_N = 8000
+_GRIDS_HELD = 8
+_grids: dict[int, np.ndarray] = {}
+
 
 @dataclass(frozen=True, eq=False)
 class PercentileVector:
@@ -47,11 +57,14 @@ def percentiles(y) -> PercentileVector:
     ``PercentileVector`` is returned as it is.
 
     A tie-free sample, which the sorted values show by having no equal
-    neighbours, gets the rankit grid (2i - 1)/(2n) built directly in one
-    array.  A sample with ties keeps the run-length construction, since
-    each tie run shares one midrank that the grid does not give; that
-    path is left as it was, so samples with ties cost no more.  Both paths
-    form each p as the same exact odd integer over 2n.
+    neighbours, gets the rankit grid (2i - 1)/(2n).  Up to 8000 points
+    that grid is one shared, read-only array per n (writing into its
+    ``p_sorted`` raises), by which ``targetdist`` recognizes a tie-free
+    sample's percentiles without reading them; a larger n gets a fresh
+    array.  A sample with ties keeps the run-length construction in a
+    fresh array, since each tie run shares one midrank that the grid does
+    not give.  Both paths form each p as the same exact odd integer over
+    2n.
     """
     if isinstance(y, PercentileVector):
         return y
@@ -76,8 +89,17 @@ def percentiles(y) -> PercentileVector:
     if new_run.all():
         # No ties: each run is one value, k = 1 at a = 0..n-1, so p is
         # (2a + 1)/(2n): the same exact odd integer and the same division.
-        p_sorted = np.arange(1.0, 2.0 * n, 2.0)
-        p_sorted /= 2.0 * n
+        # Each statement is atomic, so threads need no lock: a race at
+        # worst builds one grid twice.
+        p_sorted = _grids.get(n)
+        if p_sorted is None:
+            p_sorted = np.arange(1.0, 2.0 * n, 2.0)
+            p_sorted /= 2.0 * n
+            if n <= _SHARED_GRID_MAX_N:
+                p_sorted.flags.writeable = False
+                if len(_grids) >= _GRIDS_HELD:
+                    _grids.clear()
+                p_sorted = _grids.setdefault(n, p_sorted)
     else:
         starts = np.flatnonzero(np.concatenate(([True], new_run)))
         ends = np.append(starts[1:], n)

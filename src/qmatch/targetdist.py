@@ -35,19 +35,22 @@ forms.  Elsewhere in the t family, ``stdtrit`` runs once per
 exactly mirrored pair of percentiles, p < 1/2 and q with 1 - q == p
 (exact, since q > 1/2), and q takes -Q(p).  On scipy 1.17.1 ``stdtrit``
 is itself odd bit for bit at such points, so Q keeps the bits of one
-``stdtrit`` call per point.  Those results are remembered in a
-process-wide memo (``_StdtritMemo``, at most 1 MiB, least recently used
-first) keyed by df and the exact bytes of p: a tie-free sample of size n
-has the same percentiles whatever its values, so a t sweep repeats its
-(df, p) pairs on every sample of that n.  A p of more than 1984 points,
-whose sweep could not keep its points in the budget, is neither hashed nor
-held.  Every ``quantile`` returns a fresh array, memo hit or not.
+``stdtrit`` call per point.
+
+Every target's quantile on a tie-free sample's percentiles is remembered.
+Such a sample of size n has the rankit grid (2i - 1)/(2n) as its
+percentiles whatever its values, and ``percentiles`` hands out one shared,
+read-only grid per n of at most 8000 points.  So z = Q(p) and the jacobian
+sum log Q'(p) depend only on (target, n), and ``_GridMemo`` keeps both, at
+most 4 MiB, least recently used first, for p that *is* that grid object:
+no digest of p is taken.  A sample with ties, an n above 8000, or a
+caller's own array gets its quantile computed and not held.  Every
+``quantile`` returns a fresh array, memo hit or not.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import numbers
 import threading
@@ -58,6 +61,7 @@ import numpy as np
 from scipy import special as sc
 
 from .errors import DomainError, TargetSpecError
+from .percentile import _grids
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -70,21 +74,25 @@ _T_ENTROPY_SERIES = (1.0, 1 / 4, -1 / 6, -1 / 8, 3 / 10, 1 / 4, -17 / 14, -17 / 
 _T_ENTROPY_SERIES_BELOW = 0.01
 
 
-def _array_method(method):
-    """Scalar/array plumbing: the method gets its argument as a float array,
-    checked to lie strictly inside (0, 1), and a scalar argument gets a
-    float back."""
+def _quantile_method(method):
+    """A target's ``quantile``: the method gets its argument as a float
+    array, checked to lie strictly inside (0, 1), and a scalar argument
+    gets a float back.  On a shared rankit grid the result is served from
+    ``_grid_memo`` as a fresh copy, or computed and held there."""
 
     @functools.wraps(method)
-    def wrapper(self, p):
+    def quantile(self, p):
         arr = np.asarray(p, dtype=float)
         # A NaN makes the min and the max NaN, and fails both comparisons.
         if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
             raise DomainError("probabilities must lie strictly inside (0, 1)")
-        out = method(self, arr)
+        entry = _grid_memo.get(self, arr)
+        if entry is not None:
+            return entry[0].copy()
+        out = _grid_memo.put(self, arr, method(self, arr))
         return float(out) if arr.ndim == 0 else out
 
-    return wrapper
+    return quantile
 
 
 def _is_real(v):
@@ -138,26 +146,27 @@ def _paired_stdtrit(df, p):
     return out
 
 
-# Bytes the stdtrit memo may hold: its results, plus an allowance per entry
-# for the key and the array header (about 380 bytes measured; 512 charged).
-# An entry may cost at most 1/64 of that.  A refined t sweep asks for 49
-# grid points and about 10 refinement points on one p, so 64 entries keep
-# it from evicting its own points; a larger p would miss at every point and
-# pay for its hashing and copying, about 5% of a refined sweep at 200x100.
-_MEMO_BUDGET = 1 << 20
+# Bytes the transform memo may hold: each z's 8 bytes per point, plus an
+# allowance per entry for the key, the jacobian and the array header (about
+# 380 bytes measured; 512 charged).  One paper-size study operation (50x30,
+# 16 seeds in one process) cycles through about 310 entries of 12.5 KB: 51
+# t and 201 alpha grid points, refinement points and correlation targets.
+# 4 MiB holds 335 of them; at 3 MiB the least recently used entry is the
+# next one the cyclic sweep asks for, and most lookups miss.
+_MEMO_BUDGET = 4 << 20
 _MEMO_ENTRY_BYTES = 512
-_MEMO_MAX_COST = _MEMO_BUDGET // 64
 
 
-class _StdtritMemo:
-    """``_paired_stdtrit(df, p)``, remembered for repeat calls in one process.
+class _GridMemo:
+    """Each target's z = Q(p) on a shared rankit grid p, and its jacobian
+    sum log Q'(p) once a likelihood evaluation has summed it.
 
-    Entries are keyed by df, p's shape and a 128-bit blake2b digest of p's
-    bytes in C order (p may be a strided view), and held read-only,
-    least recently used first, within ``_MEMO_BUDGET`` bytes.  A p whose
-    entry would cost more than ``_MEMO_MAX_COST`` (1984 points) is computed
-    without hashing and not held.  Every call returns a fresh writable
-    array with the bits of one ``_paired_stdtrit`` call.
+    Entries are keyed by (target, n), since every tie-free sample of size
+    n has the one grid of n as its percentiles, and held as
+    ``[read-only z, jacobian or None]``, least recently used first, within
+    ``_MEMO_BUDGET`` bytes.  A p that is not the shared grid object of its
+    size (``percentile._grids``) has no entry: ties, n above 8000 points,
+    or a caller's own array, even one with the grid's values.
     """
 
     def __init__(self):
@@ -165,35 +174,47 @@ class _StdtritMemo:
         self.held = 0  # bytes charged for the entries
         self.lock = threading.Lock()
 
-    def clear(self):
+    def get(self, dist, p):
+        """The entry of ``dist`` on p, or None."""
+        if p is not _grids.get(p.size):
+            return None
         with self.lock:
-            self.entries.clear()
-            self.held = 0
+            entry = self.entries.get((dist, p.size))
+            if entry is not None:
+                self.entries.move_to_end((dist, p.size))
+        return entry
 
-    def __call__(self, df, p):
-        cost = p.nbytes + _MEMO_ENTRY_BYTES
-        if cost > _MEMO_MAX_COST:
-            return _paired_stdtrit(df, p)
-        key = (df, p.shape, hashlib.blake2b(np.ascontiguousarray(p), digest_size=16).digest())
+    def put(self, dist, p, z):
+        """z = Q(p), a fresh array: held read-only if p is the shared grid
+        of its size, and the caller then gets a copy."""
+        if p is not _grids.get(p.size):
+            return z
+        z.flags.writeable = False
         with self.lock:
-            kept = self.entries.get(key)
-            if kept is not None:
-                self.entries.move_to_end(key)
-        if kept is not None:
-            return kept.copy()
-        out = _paired_stdtrit(df, p)
-        kept = np.array(out)
-        kept.flags.writeable = False
-        with self.lock:
-            if key not in self.entries:  # another thread may have stored it
-                self.entries[key] = kept
-                self.held += cost
+            if (dist, p.size) not in self.entries:  # another thread may have stored it
+                self.entries[dist, p.size] = [z, None]
+                self.held += z.nbytes + _MEMO_ENTRY_BYTES
                 while self.held > _MEMO_BUDGET:
-                    self.held -= self.entries.popitem(last=False)[1].nbytes + _MEMO_ENTRY_BYTES
-        return out
+                    self.held -= self.entries.popitem(last=False)[1][0].nbytes + _MEMO_ENTRY_BYTES
+        return z.copy()
 
 
-_stdtrit_memo = _StdtritMemo()
+_grid_memo = _GridMemo()
+
+
+def _z_and_jacobian(dist, p):
+    """(Q(p), sum log Q'(p)) of ``dist`` from one ``quantile`` call: on a
+    shared rankit grid the sum is held beside Q(p) once it has been summed,
+    and a repeat computes no log Q'; log Q' is never held."""
+    entry = _grid_memo.get(dist, p)
+    if entry is not None and entry[1] is not None:
+        return dist.quantile(p), entry[1]
+    z, lqd = dist.transform(p)
+    jacobian = float(np.sum(lqd))
+    entry = _grid_memo.get(dist, p)
+    if entry is not None:
+        entry[1] = jacobian
+    return z, jacobian
 
 
 class TargetDistribution:
@@ -249,7 +270,7 @@ class TargetDistribution:
 class Uniform(TargetDistribution):
     kind = "uniform"
 
-    @_array_method
+    @_quantile_method
     def quantile(self, p):
         return p.copy()
 
@@ -282,14 +303,14 @@ class StudentT(TargetDistribution):
             raise DomainError("nu must be >= 1 (inv_nu in [0, 1])")
         return StudentT(0.0 if math.isinf(nu) else 1.0 / nu)
 
-    @_array_method
+    @_quantile_method
     def quantile(self, p):
         if _overflows_nu(self.inv_nu):
             return sc.ndtri(p)
         if self.inv_nu == 1.0:
             # Degree-argument tangent keeps the Cauchy quartiles exact.
             return sc.tandg(180.0 * (p - 0.5))
-        return _stdtrit_memo(1.0 / self.inv_nu, p)
+        return _paired_stdtrit(1.0 / self.inv_nu, p)
 
     def _lqd_at(self, p, z):
         # -log f(z) in one fresh array: z^2/2 + LOG_2PI/2 for the Gaussian,
@@ -371,7 +392,7 @@ class AlphaBeta(TargetDistribution):
     kind = "alpha_beta"
     bounds = {"alpha": (-1.0, 1.0), "beta": (-1.0, 1.0)}
 
-    @_array_method
+    @_quantile_method
     def quantile(self, p):
         if self.alpha == 0.0 and self.beta == 0.0:
             return np.log(p) - np.log1p(-p)

@@ -50,6 +50,7 @@ from .targetdist import (
     TargetDistribution,
     Uniform,
     _is_real,
+    _z_and_jacobian,
     power_limb,
 )
 
@@ -116,9 +117,7 @@ def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec)
     # back in data order has the bits of z evaluated in data order.  The
     # jacobian is summed in sort order, which depends on the sorted data
     # alone.  Neither log Q' nor the sorted z is held through the fit.
-    z, lqd = dist.transform(pc.p_sorted)
-    jacobian = float(np.sum(lqd))
-    del lqd
+    z, jacobian = _z_and_jacobian(dist, pc.p_sorted)
     z = pc.unsort(z)
     return _score(dist.label(), fit(z, design).log_det_sigma_hat, jacobian)
 

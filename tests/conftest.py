@@ -1,10 +1,11 @@
 import functools
 import importlib
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from qmatch import ModelKind, SimConfig, simulate
+from qmatch import ModelKind, SimConfig, simulate, targetdist
 
 
 @functools.lru_cache(maxsize=64)
@@ -44,3 +45,13 @@ def sorts(monkeypatch):
 
     monkeypatch.setattr(module, "np", CountingNumpy())
     return calls
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """The targets' transform memo, empty for the test; its entries are
+    put back after it."""
+    memo = targetdist._grid_memo
+    monkeypatch.setattr(memo, "entries", OrderedDict())
+    monkeypatch.setattr(memo, "held", 0)
+    return memo

@@ -72,12 +72,13 @@ from qmatch.linmodel import (
     decompose,
 )
 from qmatch.translik import _GOLDEN, _REFINE_XTOL, ReducedProfileLoglik, _score, _sweep
-from qmatch.targetdist import LOG_2PI, _array_method
+from qmatch.targetdist import LOG_2PI, _quantile_method
 
 
 def _cdf_method(method):
-    """Scalar/array plumbing for a CDF: the method gets its argument as a
-    float array (any real value), and a scalar argument gets a float back."""
+    """Scalar/array plumbing for a CDF (and ``log_quantile_derivative``): the
+    method gets its argument as a float array, and a scalar argument gets a
+    float back."""
 
     @functools.wraps(method)
     def wrapper(self, x):
@@ -142,7 +143,7 @@ class Affine(TargetDistribution):
         if not (np.isfinite(self.shift) and np.isfinite(self.scale)) or self.scale == 0.0:
             raise DomainError("affine scale must be finite and nonzero")
 
-    @_array_method
+    @_quantile_method
     def quantile(self, p):
         q = self.base.quantile(p if self.scale > 0.0 else 1.0 - p)
         return self.shift + self.scale * np.asarray(q)
@@ -167,11 +168,13 @@ class Affine(TargetDistribution):
         return f"affine({self.shift:g}+{self.scale:g}*{self.base.label()})"
 
 
-@_array_method
+@_cdf_method
 def log_quantile_derivative(dist: TargetDistribution, p):
     """log Q'(p) from p alone, by the closed forms of each target: the
     normal and t forms evaluate the target's quantile function again, the
     logistic and alpha-beta forms take their own logarithms of p."""
+    if p.size and not (0.0 < p.min() and p.max() < 1.0):
+        raise DomainError("probabilities must lie strictly inside (0, 1)")
     if isinstance(dist, Gaussian) or (isinstance(dist, StudentT) and dist.inv_nu == 0.0):
         q = sc.ndtri(p)
         return 0.5 * math.log(2.0 * math.pi) + 0.5 * q * q

@@ -87,6 +87,22 @@ class TestDesignShape:
         assert design == want_design == DesignSpec(3, 2)
         assert got.tobytes() == want.tobytes()
 
+    def test_from_cells_reads_an_object_array_of_integers(self):
+        values = np.arange(4.0)
+        want_design, want = DesignSpec.from_cells(np.array([0, 1, 0, 1]), [0, 0, 1, 1], values)
+        design, got = DesignSpec.from_cells(np.array([0, 1, 0, 1], dtype=object),
+                                            np.array([0, 0, 1, 1], dtype=object), values)
+        assert design == want_design == DesignSpec(2, 2)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        np.array([0, 1.0, 0, 1], dtype=object), np.array([0, 1, "0", 1], dtype=object),
+        np.array([0, 1, None, 1], dtype=object),
+    ], ids=["float", "str", "none"])
+    def test_from_cells_refuses_a_non_integer_in_an_object_array(self, rows):
+        with pytest.raises(DomainError, match="^layout indices must be nonempty signed"):
+            DesignSpec.from_cells(rows, [0, 0, 1, 1], np.arange(4.0))
+
     @pytest.mark.parametrize("rows, cols", [
         ([False, True, 0, 1], [0, 0, 1, 1]),
         ((0, 1, 0, 1), (0, 0, np.True_, 1)),

@@ -208,3 +208,20 @@ class TestQuantileMatch:
         z = quantile_match(y, Gaussian())
         order = np.argsort(y, kind="stable")
         assert np.all(np.diff(z[order]) >= 0.0)
+
+
+class TestSharedGrid:
+    """A tie-free sample of up to 8000 points gets the one shared, read-only
+    rankit grid of its size; ties and larger samples get a fresh array."""
+
+    def test_one_read_only_grid_per_size(self, rng):
+        a, b = percentiles(rng.normal(size=1500)), percentiles(rng.normal(size=1500))
+        assert a.p_sorted is b.p_sorted
+        with pytest.raises(ValueError):
+            a.p_sorted[0] = 0.5
+        assert np.array_equal(a.p_sorted, np.arange(1.0, 3000.0, 2.0) / 3000.0)
+
+    @pytest.mark.parametrize("y", [[1.0, 1.0, 2.0], list(range(8001))], ids=["ties", "8001"])
+    def test_ties_and_large_samples_get_fresh_arrays(self, y):
+        a, b = percentiles(y), percentiles(y)
+        assert a.p_sorted is not b.p_sorted and a.p_sorted.flags.writeable

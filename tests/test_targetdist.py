@@ -29,10 +29,10 @@ from qmatch import (
     Uniform,
     percentiles,
 )
-from qmatch import targetdist, translik
+from qmatch import percentile, targetdist, translik
 from qmatch.errors import TargetSpecError
 from qmatch.targetdist import TARGET_GRAMMAR, TARGETS, parse_target, parse_target_list
-from qmatch.translik import family_grid, profile_student_t
+from qmatch.translik import family_grid, profile_alpha, profile_student_t
 
 # mpmath oracles.
 NDTRI_ORACLE = {
@@ -235,7 +235,13 @@ class TestTransform:
 
 
 def _rankits(n):
+    """The rankit grid of n as a caller's own array, not the shared one."""
     return np.arange(1.0, 2.0 * n, 2.0) / (2.0 * n)
+
+
+def _grid(n):
+    """The shared rankit grid of n: the percentiles of a tie-free sample."""
+    return percentiles(np.arange(float(n))).p_sorted
 
 
 # Degrees of freedom stdtrit serves on the default t grid (its two ends
@@ -258,6 +264,20 @@ PAIRED_INPUTS = {
 }
 
 
+INV_NUS, INV_NU_IDS = [0.02, 0.15, 0.98, 1.0 / 6.67], ["0.02", "0.15", "0.98", "nu=6.67"]
+
+
+def _cold_then_warm(p, inv_nu):
+    """Two t quantiles of p, each checked to keep stdtrit's bits and p's."""
+    p_before = p.copy()
+    want = _bits(sc.stdtrit(1.0 / inv_nu, p))
+    for _ in range(2):
+        z = StudentT(inv_nu).quantile(p)
+        assert z.shape == p.shape
+        assert np.array_equal(_bits(z), want)
+        assert np.array_equal(_bits(p), _bits(p_before))
+
+
 class TestPairedStdtrit:
     """The t quantile evaluates stdtrit once per exactly mirrored pair of
     percentiles and keeps the bits of one stdtrit call per point."""
@@ -271,19 +291,19 @@ class TestPairedStdtrit:
         # 1 - p is exact for p in (1/2, 1); the pairing rests on this.
         assert np.array_equal(_bits(sc.stdtrit(df, p)), _bits(-sc.stdtrit(df, 1.0 - p)))
 
-    @pytest.mark.parametrize("inv_nu", [0.02, 0.15, 0.98, 1.0 / 6.67],
-                             ids=["0.02", "0.15", "0.98", "nu=6.67"])
+    @pytest.mark.parametrize("inv_nu", INV_NUS, ids=INV_NU_IDS)
     @pytest.mark.parametrize("name", list(PAIRED_INPUTS))
     def test_quantile_keeps_stdtrit_bits(self, name, inv_nu, empty_memo):
-        # Cold, then warm from the memo: both keep the bits.
-        p = PAIRED_INPUTS[name]
-        p_before = p.copy()
-        want = _bits(sc.stdtrit(1.0 / inv_nu, p))
-        for _ in range(2):
-            z = StudentT(inv_nu).quantile(p)
-            assert z.shape == p.shape
-            assert np.array_equal(_bits(z), want)
-            assert np.array_equal(_bits(p), _bits(p_before))
+        # None of these is a shared grid (the rankits are a caller's own
+        # arrays), so each call computes and nothing is held.
+        _cold_then_warm(PAIRED_INPUTS[name], inv_nu)
+        assert len(empty_memo.entries) == 0
+
+    @pytest.mark.parametrize("inv_nu", INV_NUS, ids=INV_NU_IDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 1499, 1500])
+    def test_shared_grid_keeps_stdtrit_bits(self, n, inv_nu, empty_memo):
+        # The second call is served from the memo.
+        _cold_then_warm(_grid(n), inv_nu)
         assert len(empty_memo.entries) == 1
 
     def test_median_is_positive_zero(self):
@@ -295,15 +315,6 @@ class TestPairedStdtrit:
             z = StudentT(0.15).quantile(p)
             assert type(z) is float
             assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / 0.15, p)))
-
-
-@pytest.fixture
-def empty_memo():
-    """The t quantile's stdtrit memo, emptied before and after the test."""
-    memo = targetdist._stdtrit_memo
-    memo.clear()
-    yield memo
-    memo.clear()
 
 
 @pytest.fixture
@@ -324,98 +335,171 @@ def stdtrit_dfs(monkeypatch, empty_memo):
     return calls
 
 
-class TestStdtritMemo:
-    """A repeat t quantile on the same df and the same percentile bytes is
-    served from a bounded memo, as a fresh array with the same bits."""
+class TestGridMemo:
+    """A repeat quantile of one target on the shared rankit grid of one n
+    is served from a bounded memo, as a fresh array with the same bits;
+    any other p is computed and not held."""
 
-    P = _rankits(1500)
+    N = 1500
+    COST = 8 * N + targetdist._MEMO_ENTRY_BYTES
 
-    def test_repeat_evaluates_once(self, stdtrit_dfs):
-        t = StudentT(0.15)
-        t.quantile(self.P)
+    def test_repeat_evaluates_once(self, stdtrit_dfs, empty_memo):
+        t, p = StudentT(0.15), _grid(self.N)
+        t.quantile(p)
         cold = len(stdtrit_dfs)
         assert cold > 0
-        t.quantile(self.P)
-        t.quantile(self.P.copy())
+        t.quantile(p)
+        t.quantile(percentiles(np.random.default_rng(3).normal(size=self.N)).p_sorted)
         assert len(stdtrit_dfs) == cold
-        StudentT(0.2).quantile(self.P)
+        StudentT(0.2).quantile(p)
         assert len(stdtrit_dfs) > cold
+        assert len(empty_memo.entries) == 2
+
+    def test_ties_and_a_callers_own_grid_are_computed_and_not_held(self, stdtrit_dfs, empty_memo):
+        y = np.round(bench(0).y, 1)
+        assert np.unique(y).size < y.size
+        t = StudentT(0.15)
+        for p in (percentiles(y).p_sorted, _rankits(self.N), _grid(self.N).copy()):
+            assert p is not _grid(p.size)
+            del stdtrit_dfs[:]
+            first = t.quantile(p)
+            cold = len(stdtrit_dfs)
+            assert cold > 0
+            assert np.array_equal(_bits(t.quantile(p)), _bits(first))
+            assert len(stdtrit_dfs) == 2 * cold
+        assert len(empty_memo.entries) == 0 and empty_memo.held == 0
 
     def test_mutating_a_result_leaves_the_next_intact(self, empty_memo):
-        t = StudentT(0.15)
-        want = _bits(sc.stdtrit(1.0 / 0.15, self.P))
+        t, p = StudentT(0.15), _grid(self.N)
+        want = _bits(sc.stdtrit(1.0 / 0.15, p))
         for _ in range(3):  # the cold result, then two served from the memo
-            z = t.quantile(self.P)
+            z = t.quantile(p)
             assert np.array_equal(_bits(z), want)
             z[:] = 7.0
 
     def test_one_ulp_off_misses(self, stdtrit_dfs):
         t = StudentT(0.15)
-        t.quantile(self.P)
+        t.quantile(_grid(self.N))
         cold = len(stdtrit_dfs)
-        p = self.P.copy()
+        p = _grid(self.N).copy()
         p[700] = np.nextafter(p[700], 1.0)
         z = t.quantile(p)
         assert len(stdtrit_dfs) > cold
         assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / 0.15, p)))
 
-    def test_held_bytes_stay_within_budget(self, stdtrit_dfs):
-        memo, cost = targetdist._stdtrit_memo, self.P.nbytes + targetdist._MEMO_ENTRY_BYTES
-        fits = targetdist._MEMO_BUDGET // cost
+    def test_held_bytes_stay_within_budget(self, stdtrit_dfs, empty_memo):
+        memo, p = empty_memo, _grid(self.N)
+        fits = targetdist._MEMO_BUDGET // self.COST
         dfs = np.linspace(2.0, 50.0, fits + 20)
         for df in dfs:
-            StudentT(1.0 / df).quantile(self.P)
-            assert memo.held == cost * len(memo.entries) <= targetdist._MEMO_BUDGET
+            StudentT(1.0 / df).quantile(p)
+            assert memo.held == self.COST * len(memo.entries) <= targetdist._MEMO_BUDGET
         assert len(memo.entries) == fits
         # The least recently used entries went first.
         calls = len(stdtrit_dfs)
-        StudentT(1.0 / dfs[-1]).quantile(self.P)
+        StudentT(1.0 / dfs[-1]).quantile(p)
         assert len(stdtrit_dfs) == calls
-        StudentT(1.0 / dfs[0]).quantile(self.P)
+        StudentT(1.0 / dfs[0]).quantile(p)
         assert len(stdtrit_dfs) > calls
 
-    @pytest.mark.parametrize("n", [1985, 300000])
-    def test_a_large_result_is_not_held_or_hashed(self, n, empty_memo, monkeypatch):
-        class NoHashing:
-            def blake2b(self, *args, **kwargs):
-                raise AssertionError("hashed a p whose result is not held")
-
-        monkeypatch.setattr(targetdist, "hashlib", NoHashing())
-        p = _rankits(n)
+    @pytest.mark.parametrize("n", [8001, 300000])
+    def test_a_grid_over_the_entry_limit_is_neither_shared_nor_held(self, n, empty_memo):
+        p = percentiles(np.arange(float(n))).p_sorted
+        assert p.flags.writeable and n not in percentile._grids
+        assert p is not percentiles(np.arange(float(n))).p_sorted
         z = StudentT(0.15).quantile(p)
         assert len(empty_memo.entries) == 0 and empty_memo.held == 0
         assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / 0.15, p)))
 
     def test_the_largest_held_result(self, empty_memo):
-        p = _rankits(1984)
+        p = _grid(8000)
+        assert not p.flags.writeable
         StudentT(0.15).quantile(p)
-        assert empty_memo.held == p.nbytes + targetdist._MEMO_ENTRY_BYTES == targetdist._MEMO_MAX_COST
+        assert empty_memo.held == p.nbytes + targetdist._MEMO_ENTRY_BYTES
+        # A refined sweep's 51 grid points and about 10 refinement points
+        # stay in the memo together.
+        assert targetdist._MEMO_BUDGET // empty_memo.held >= 61
 
+    def test_a_named_target_and_its_family_member_take_separate_entries(self, empty_memo):
+        p = _grid(self.N)
+        for named, member in ((Gaussian(), StudentT(0.0)), (Logistic(), AlphaBeta(0.0, 0.0))):
+            assert np.array_equal(_bits(named.quantile(p)), _bits(member.quantile(p)))
+        assert [type(dist) for dist, _ in empty_memo.entries] == [
+            Gaussian, StudentT, Logistic, AlphaBeta]
+
+    @pytest.mark.parametrize("plus, minus", [
+        (StudentT(0.0), StudentT(-0.0)),
+        (AlphaBeta(0.0, 0.0), AlphaBeta(-0.0, -0.0)),
+        (AlphaBeta(0.0, 0.3), AlphaBeta(-0.0, 0.3)),
+        (AlphaBeta(0.3, 0.0), AlphaBeta(0.3, -0.0)),
+    ], ids=["t", "logistic", "alpha", "beta"])
+    def test_signed_zero_parameters_give_equal_bits(self, plus, minus, empty_memo):
+        # The two compare equal and so share one entry: each computes the
+        # other's bits.
+        p = _grid(self.N)
+        computed = [[_bits(v) for v in d.transform(p.copy())] for d in (plus, minus)]
+        for a, b in zip(*computed):
+            assert np.array_equal(a, b)
+        for d in (minus, plus):  # the second served from the first's entry
+            for got, want in zip(d.transform(p), computed[0]):
+                assert np.array_equal(_bits(got), want)
+        assert len(empty_memo.entries) == 1
+
+    @pytest.mark.parametrize("family", ["t", "alpha"])
     def test_second_sample_of_one_size_evaluates_only_refinement_points(
-            self, stdtrit_dfs, monkeypatch):
+            self, family, empty_memo, monkeypatch):
         # Two tie-free samples of one size have the same percentiles, so the
-        # second sweep finds every grid point in the memo.
-        refined = []
-        golden_max = translik._golden_max
+        # second sweep finds every grid point's z and jacobian in the memo:
+        # no special function, logarithm or product of the targets runs
+        # there.  Each is recorded with the family parameter being evaluated.
+        current, evaluated, points = [None], set(), []
+        evaluator = translik.family_evaluator
 
-        def recording_golden_max(f, *args):
-            return golden_max(lambda t: (refined.append(t), f(t))[1], *args)
+        def recording_evaluator(*args):
+            evaluate = evaluator(*args)
 
-        monkeypatch.setattr(translik, "_golden_max", recording_golden_max)
+            def at(x):
+                current[0] = x
+                points.append(x)
+                return evaluate(x)
+
+            return at
+
+        class Recording:
+            def __init__(self, module, names=None):
+                self.module, self.names = module, names
+
+            def __getattr__(self, name):
+                fn = getattr(self.module, name)
+                if self.names is not None and name not in self.names:
+                    return fn
+
+                def recorded(*args, **kwargs):
+                    evaluated.add(current[0])
+                    return fn(*args, **kwargs)
+
+                return recorded
+
+        monkeypatch.setattr(translik, "family_evaluator", recording_evaluator)
+        monkeypatch.setattr(targetdist, "sc", Recording(sc))
+        monkeypatch.setattr(targetdist, "np", Recording(np, {"log", "log1p", "multiply"}))
+        profile = profile_student_t if family == "t" else profile_alpha
+        grid = set(family_grid(family).tolist())
         first, second = bench(0), bench(1, "cauchy")
-        profile_student_t(first.y, fixed_design(first), refine=True)
-        refined.clear()
-        del stdtrit_dfs[:]
-        profile_student_t(second.y, fixed_design(second), refine=True)
-        assert refined and stdtrit_dfs
-        assert set(stdtrit_dfs) <= {1.0 / t for t in refined}
+        profile(first.y, fixed_design(first), refine=True)
+        assert grid <= evaluated
+        evaluated.clear()
+        del points[:]
+        profile(second.y, fixed_design(second), refine=True)
+        assert set(points) - grid  # the second sweep refined
+        assert evaluated and not evaluated & grid
 
     def test_threads_keep_the_accounting(self, empty_memo):
         # More threads than cores, switching often, fill and evict one memo,
         # each hitting the entries another is about to evict: a hit on an
         # entry evicted meanwhile stops a thread, and a lost update leaves
         # the held bytes apart from the entries held.
-        p = _rankits(3)
+        p = _grid(64)
         cost = p.nbytes + targetdist._MEMO_ENTRY_BYTES
         inv_nus = np.linspace(0.02, 0.5, targetdist._MEMO_BUDGET // cost + 100)
         want = {x: _bits(sc.stdtrit(1.0 / x, p)) for x in inv_nus[::7]}
@@ -447,11 +531,13 @@ class TestFreshResults:
 
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
     def test_shares_memory_with_neither_p_nor_the_last_result(self, dist, empty_memo):
-        p = _rankits(1500)
-        first = dist.quantile(p)
-        second = dist.quantile(p)
+        p = _grid(1500)
+        first = dist.quantile(p)   # computed
+        second = dist.quantile(p)  # served from the memo
+        (kept, _), = empty_memo.entries.values()
         for z in (first, second):
             assert z.flags.writeable and not np.may_share_memory(z, p)
+            assert not np.may_share_memory(z, kept)
         assert not np.may_share_memory(first, second)
 
     def test_every_kind_is_covered(self):

@@ -34,6 +34,7 @@ from qmatch import (
     Logistic,
     ModelKind,
     NumericError,
+    PercentileVector,
     SimConfig,
     StudentT,
     Uniform,
@@ -223,6 +224,70 @@ class TestQuantilePasses:
         out = bench(0)
         profile_student_t(out.y, fixed_design(out), grid=[0.1, 0.2, 0.3])
         assert calls == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_one_call_per_evaluation_cold_or_warm(self, calls, warm, empty_memo):
+        # Warm, z comes from the memo through the one quantile call.
+        out = bench(0)
+        if warm:
+            reduced_profile_loglik(bench(1).y, StudentT(0.3), fixed_design(out))
+            del calls[:]
+        reduced_profile_loglik(out.y, StudentT(0.3), fixed_design(out))
+        assert calls == [0.3]
+
+
+class TestTransformMemo:
+    """On a tie-free sample, a repeat evaluation of one target at one n
+    takes z and the jacobian from the memo: no log Q', and the bits of an
+    evaluation that computes them."""
+
+    @pytest.fixture
+    def lqd_calls(self, monkeypatch):
+        """A list that grows by the target of each log Q' evaluation."""
+        calls = []
+        for cls in (StudentT, AlphaBeta, Uniform):
+            def counted(self, p, z, lqd=cls._lqd_at):
+                calls.append(self)
+                return lqd(self, p, z)
+
+            monkeypatch.setattr(cls, "_lqd_at", counted)
+        return calls
+
+    @pytest.mark.parametrize("dist", [Gaussian(), Uniform(), Logistic(), StudentT(0.15),
+                                      StudentT(1.0), AlphaBeta(-0.3, 0.4)],
+                             ids=lambda d: d.label())
+    def test_warm_evaluation_keeps_the_bits(self, dist, empty_memo, lqd_calls):
+        first, second = bench(0), bench(1, "cauchy")
+        d = fixed_design(first)
+        # The ranking on a caller's own copy of the grid is computed.
+        pc = percentiles(second.y)
+        want = reduced_profile_loglik(
+            PercentileVector(order=pc.order, p_sorted=pc.p_sorted.copy(), n=pc.n), dist, d)
+        assert lqd_calls == [dist] and len(empty_memo.entries) == 0
+        reduced_profile_loglik(first.y, dist, d)
+        del lqd_calls[:]
+        got = reduced_profile_loglik(second.y, dist, d)
+        assert lqd_calls == []
+        for field in ("det_term", "jacobian_term", "value"):
+            assert float.hex(getattr(got, field)) == float.hex(getattr(want, field))
+
+    def test_ties_evaluate_every_time(self, empty_memo, lqd_calls):
+        out = bench(0)
+        y = np.round(out.y, 1)
+        values = [reduced_profile_loglik(y, StudentT(0.15), fixed_design(out)) for _ in range(2)]
+        assert values[0] == values[1]
+        assert len(lqd_calls) == 2 and len(empty_memo.entries) == 0
+
+    def test_a_target_that_overrides_transform(self, empty_memo, lqd_calls):
+        # Affine's own transform runs each time, through its base's.
+        out = bench(0)
+        d = fixed_design(out)
+        values = [reduced_profile_loglik(out.y, Affine(Gaussian(), 2.0, 3.0), d)
+                  for _ in range(2)]
+        assert values[0] == values[1]
+        assert lqd_calls == [Gaussian(), Gaussian()]
+        assert values[0].value == pytest.approx(
+            reduced_profile_loglik(out.y, Gaussian(), d).value, abs=1e-6)
 
 
 class TestLoglikRatio:
