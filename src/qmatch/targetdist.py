@@ -40,11 +40,12 @@ is itself odd bit for bit at such points, so Q keeps the bits of one
 Every target's quantile on a tie-free sample's percentiles is remembered.
 Such a sample of size n has the rankit grid (2i - 1)/(2n) as its
 percentiles whatever its values, and ``percentiles`` hands out one shared,
-read-only grid per n of at most 8000 points.  So z = Q(p) and the jacobian
-sum log Q'(p) depend only on (target, n), and ``_GridMemo`` keeps both, at
-most 4 MiB, least recently used first, for p that *is* that grid object:
-no digest of p is taken.  A sample with ties, an n above 8000, or a
-caller's own array gets its quantile computed and not held.  Every
+read-only grid per n of at most 8000 points, alive while a ranking holds
+it.  So z = Q(p) and the jacobian sum log Q'(p) depend only on (target,
+n): the first ``quantile`` on that grid object computes both and
+``_GridMemo`` holds them as one entry, at most 4 MiB, least recently used
+first, with no digest of p taken.  A sample with ties, an n above 8000, or
+a caller's own array gets its quantile computed and not held.  Every
 ``quantile`` returns a fresh array, memo hit or not.
 """
 
@@ -78,7 +79,8 @@ def _quantile_method(method):
     """A target's ``quantile``: the method gets its argument as a float
     array, checked to lie strictly inside (0, 1), and a scalar argument
     gets a float back.  On a shared rankit grid the result is served from
-    ``_grid_memo`` as a fresh copy, or computed and held there."""
+    ``_grid_memo`` as a fresh copy, or computed and held there with its
+    jacobian."""
 
     @functools.wraps(method)
     def quantile(self, p):
@@ -146,27 +148,29 @@ def _paired_stdtrit(df, p):
     return out
 
 
-# Bytes the transform memo may hold: each z's 8 bytes per point, plus an
-# allowance per entry for the key, the jacobian and the array header (about
-# 380 bytes measured; 512 charged).  One paper-size study operation (50x30,
-# 16 seeds in one process) cycles through about 310 entries of 12.5 KB: 51
-# t and 201 alpha grid points, refinement points and correlation targets.
-# 4 MiB holds 335 of them; at 3 MiB the least recently used entry is the
-# next one the cyclic sweep asks for, and most lookups miss.
+# Bytes the memo may hold: each z's 8 bytes per point, plus an allowance
+# per entry for the key, the (z, jacobian) tuple and the array header (348
+# bytes measured with tracemalloc, 484 with a t target the key keeps alive;
+# 512 charged).  One paper-size study operation (50x30, 16 seeds in one
+# process) cycles through about 310 entries of 12.5 KB: 51 t and 201 alpha
+# grid points, refinement points and correlation targets.  4 MiB holds 335
+# of them; at 3 MiB the least recently used entry is the next one the
+# cyclic sweep asks for, and most lookups miss.
 _MEMO_BUDGET = 4 << 20
 _MEMO_ENTRY_BYTES = 512
 
 
 class _GridMemo:
-    """Each target's z = Q(p) on a shared rankit grid p, and its jacobian
-    sum log Q'(p) once a likelihood evaluation has summed it.
+    """Each target's z = Q(p) on a shared rankit grid p, with its jacobian
+    sum log Q'(p).
 
     Entries are keyed by (target, n), since every tie-free sample of size
-    n has the one grid of n as its percentiles, and held as
-    ``[read-only z, jacobian or None]``, least recently used first, within
-    ``_MEMO_BUDGET`` bytes.  A p that is not the shared grid object of its
-    size (``percentile._grids``) has no entry: ties, n above 8000 points,
-    or a caller's own array, even one with the grid's values.
+    n has the one grid of n as its percentiles, and held whole as
+    ``(read-only z, jacobian)``, least recently used first, within
+    ``_MEMO_BUDGET`` bytes; ``put`` is their only writer.  A p that is not
+    the shared grid object of its size (``percentile._grids``) has no
+    entry: ties, n above 8000 points, or a caller's own array, even one
+    with the grid's values.
     """
 
     def __init__(self):
@@ -185,14 +189,17 @@ class _GridMemo:
         return entry
 
     def put(self, dist, p, z):
-        """z = Q(p), a fresh array: held read-only if p is the shared grid
-        of its size, and the caller then gets a copy."""
+        """z = Q(p), a fresh array: if p is the shared grid of its size,
+        held read-only beside sum log Q'(p), and the caller gets a copy."""
         if p is not _grids.get(p.size):
             return z
         z.flags.writeable = False
+        # Summed before the lock is taken: a target's log Q' may call
+        # another target's quantile, which takes it.
+        entry = z, float(np.sum(dist._lqd_at(p, z)))
         with self.lock:
             if (dist, p.size) not in self.entries:  # another thread may have stored it
-                self.entries[dist, p.size] = [z, None]
+                self.entries[dist, p.size] = entry
                 self.held += z.nbytes + _MEMO_ENTRY_BYTES
                 while self.held > _MEMO_BUDGET:
                     self.held -= self.entries.popitem(last=False)[1][0].nbytes + _MEMO_ENTRY_BYTES
@@ -204,26 +211,22 @@ _grid_memo = _GridMemo()
 
 def _z_and_jacobian(dist, p):
     """(Q(p), sum log Q'(p)) of ``dist`` from one ``quantile`` call: on a
-    shared rankit grid the sum is held beside Q(p) once it has been summed,
-    and a repeat computes no log Q'; log Q' is never held."""
+    shared rankit grid the sum comes from the entry that call found or
+    made, and elsewhere log Q' is computed from that Q(p) and not held."""
+    z = dist.quantile(p)
     entry = _grid_memo.get(dist, p)
-    if entry is not None and entry[1] is not None:
-        return dist.quantile(p), entry[1]
-    z, lqd = dist.transform(p)
-    jacobian = float(np.sum(lqd))
-    entry = _grid_memo.get(dist, p)
-    if entry is not None:
-        entry[1] = jacobian
-    return z, jacobian
+    return z, entry[1] if entry is not None else float(np.sum(dist._lqd_at(p, z)))
 
 
 class TargetDistribution:
     """Common interface: quantile, transform, entropy, label.
 
-    The likelihood needs only ``transform``; ``quantile`` alone serves the
+    The likelihood takes Q(p) from ``quantile`` and log Q'(p) from
+    ``_lqd_at``, as ``transform`` does; ``quantile`` alone serves the
     correlation report and the simulator, ``entropy`` feeds first-order
     approximations and ``label`` names the target in every report.  A
-    subclass defines ``quantile`` and ``_lqd_at``.
+    subclass defines ``quantile`` (under ``_quantile_method``) and
+    ``_lqd_at``; none overrides ``transform``.
     """
 
     kind = "abstract"

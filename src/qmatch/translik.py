@@ -116,7 +116,9 @@ def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec)
     # Q and log Q' act elementwise, so z evaluated in sort order and put
     # back in data order has the bits of z evaluated in data order.  The
     # jacobian is summed in sort order, which depends on the sorted data
-    # alone.  Neither log Q' nor the sorted z is held through the fit.
+    # alone; on a shared rankit grid it is the memo entry's sum, made by the
+    # same operations when the entry was.  Neither log Q' nor the sorted z
+    # is held through the fit.
     z, jacobian = _z_and_jacobian(dist, pc.p_sorted)
     z = pc.unsort(z)
     return _score(dist.label(), fit(z, design).log_det_sigma_hat, jacobian)

@@ -148,10 +148,11 @@ class Affine(TargetDistribution):
         q = self.base.quantile(p if self.scale > 0.0 else 1.0 - p)
         return self.shift + self.scale * np.asarray(q)
 
-    def transform(self, p):
-        p = np.asarray(p, dtype=float)
-        z, lqd = self.base.transform(p if self.scale > 0.0 else 1.0 - p)
-        return self.shift + self.scale * z, math.log(abs(self.scale)) + lqd
+    def _lqd_at(self, p, z):
+        # log |scale| plus the base's log Q' at the percentile its quantile
+        # was taken at.
+        lqd = self.base.transform(p if self.scale > 0.0 else 1.0 - p)[1]
+        return math.log(abs(self.scale)) + lqd
 
     @_cdf_method
     def cdf(self, x):

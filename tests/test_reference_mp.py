@@ -8,7 +8,10 @@ digits, apart from the package's float arithmetic:
 * Q(p) and log Q'(p): the Gaussian through ``erfinv``; the uniform; the
   logistic and the alpha-beta family through direct logs and powers; the
   t family at inv_nu 0.5 and 0.02 through ``findroot`` on its cdf, the
-  regularized incomplete beta function;
+  regularized incomplete beta function; the Cauchy (inv_nu 1) as
+  Q = -cot(pi p) with log Q' = log pi - 2 log sin(pi p); and the
+  subnormal members StudentT(5e-324) and AlphaBeta(+-5e-324, +-5e-324)
+  through their limits, the Gaussian and the logistic;
 * the two-way decomposition's interaction sum of squares S_E, and the
   fixed model's det term -1/2 n log(S_E/n).
 
@@ -89,6 +92,11 @@ def _gaussian(p):
     return x, ctx.log(2 * ctx.pi) / 2 + x * x / 2
 
 
+def _cauchy(p):
+    # Q(p) = tan(pi (p - 1/2)) = -cot(pi p), and Q'(p) = pi / sin(pi p)^2.
+    return -ctx.cot(ctx.pi * p), ctx.log(ctx.pi) - 2 * ctx.log(ctx.sin(ctx.pi * p))
+
+
 def _alpha_beta(a):
     a = ctx.mpf(a)
 
@@ -111,6 +119,11 @@ TARGETS = {
     "alpha=0.7": (AlphaBeta(0.7, 0.7), _alpha_beta(0.7)),
     "t=0.5": (StudentT(0.5), _t(0.5)),
     "t=0.02": (StudentT(0.02), _t(0.02)),
+    "cauchy": (StudentT(1.0), _cauchy),
+    # The subnormal members are their families' closed-form limits.
+    "t=5e-324": (StudentT(5e-324), _gaussian),
+    "alpha=5e-324": (AlphaBeta(5e-324, 5e-324), _alpha_beta(0.0)),
+    "alpha=-5e-324": (AlphaBeta(-5e-324, -5e-324), _alpha_beta(0.0)),
 }
 
 

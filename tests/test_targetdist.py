@@ -6,6 +6,7 @@ on the regularized incomplete beta for t quantiles, quad for entropies) and
 frozen here.
 """
 
+import gc
 import math
 import sys
 import threading
@@ -369,6 +370,40 @@ class TestGridMemo:
             assert len(stdtrit_dfs) == 2 * cold
         assert len(empty_memo.entries) == 0 and empty_memo.held == 0
 
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
+    def test_a_quantile_alone_holds_the_whole_entry(self, dist, empty_memo):
+        # The first quantile on the shared grid holds z and its jacobian
+        # together, the jacobian with the bits transform sums on a
+        # caller's copy of the grid.
+        p = _grid(self.N)
+        dist.quantile(p)
+        (z, jacobian), = empty_memo.entries.values()
+        assert not z.flags.writeable and type(jacobian) is float
+        assert float.hex(jacobian) == float.hex(float(np.sum(dist.transform(p.copy())[1])))
+
+    def test_a_correlation_report_holds_whole_entries(self, empty_memo):
+        targets = [Gaussian(), Uniform(), Logistic(), StudentT(0.15), AlphaBeta(-0.5, 0.7)]
+        translik.correlation_report(np.random.default_rng(5).normal(size=self.N), targets)
+        p = _rankits(self.N)
+        for dist in targets:
+            z, jacobian = empty_memo.entries[dist, self.N]
+            assert float.hex(jacobian) == float.hex(float(np.sum(dist.transform(p)[1])))
+
+    def test_a_grid_lives_while_a_ranking_holds_it(self, stdtrit_dfs, empty_memo):
+        # A size's grid leaves the table with its last ranking; the memo's
+        # entries of that size outlive it and serve the next grid of n.
+        n, t = 1237, StudentT(0.15)
+        pc = percentiles(np.random.default_rng(7).normal(size=n))
+        want = _bits(t.quantile(pc.p_sorted))
+        cold = len(stdtrit_dfs)
+        assert cold > 0 and n in percentile._grids
+        del pc
+        gc.collect()
+        assert n not in percentile._grids
+        p = _grid(n)
+        assert np.array_equal(_bits(t.quantile(p)), want)
+        assert len(stdtrit_dfs) == cold
+
     def test_mutating_a_result_leaves_the_next_intact(self, empty_memo):
         t, p = StudentT(0.15), _grid(self.N)
         want = _bits(sc.stdtrit(1.0 / 0.15, p))
@@ -524,6 +559,8 @@ class TestGridMemo:
             sys.setswitchinterval(interval)
         assert sorted(done) == list(range(len(threads))) and not wrong
         assert empty_memo.held == cost * len(empty_memo.entries) <= targetdist._MEMO_BUDGET
+        for z, jacobian in empty_memo.entries.values():
+            assert not z.flags.writeable and type(jacobian) is float
 
 
 class TestFreshResults:

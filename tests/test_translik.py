@@ -245,7 +245,7 @@ class TestTransformMemo:
     def lqd_calls(self, monkeypatch):
         """A list that grows by the target of each log Q' evaluation."""
         calls = []
-        for cls in (StudentT, AlphaBeta, Uniform):
+        for cls in (StudentT, AlphaBeta, Uniform, Affine):
             def counted(self, p, z, lqd=cls._lqd_at):
                 calls.append(self)
                 return lqd(self, p, z)
@@ -278,16 +278,27 @@ class TestTransformMemo:
         assert values[0] == values[1]
         assert len(lqd_calls) == 2 and len(empty_memo.entries) == 0
 
-    def test_a_target_that_overrides_transform(self, empty_memo, lqd_calls):
-        # Affine's own transform runs each time, through its base's.
-        out = bench(0)
-        d = fixed_design(out)
-        values = [reduced_profile_loglik(out.y, Affine(Gaussian(), 2.0, 3.0), d)
-                  for _ in range(2)]
-        assert values[0] == values[1]
-        assert lqd_calls == [Gaussian(), Gaussian()]
-        assert values[0].value == pytest.approx(
-            reduced_profile_loglik(out.y, Gaussian(), d).value, abs=1e-6)
+    def test_affine_is_held_like_any_target(self, empty_memo, lqd_calls):
+        # Affine defines quantile and _lqd_at, as every target does: its own
+        # log Q' runs once, when its entry is made, and a second evaluation
+        # computes no log Q', its own or its base's.
+        first, second = bench(0), bench(1, "cauchy")
+        d = fixed_design(first)
+        dist = Affine(Gaussian(), 2.0, 3.0)
+        pc = percentiles(second.y)
+        want = reduced_profile_loglik(
+            PercentileVector(order=pc.order, p_sorted=pc.p_sorted.copy(), n=pc.n), dist, d)
+        assert len(empty_memo.entries) == 0
+        del lqd_calls[:]
+        reduced_profile_loglik(first.y, dist, d)
+        assert lqd_calls.count(dist) == 1 and (dist, pc.n) in empty_memo.entries
+        del lqd_calls[:]
+        got = reduced_profile_loglik(second.y, dist, d)
+        assert lqd_calls == []
+        for field in ("det_term", "jacobian_term", "value"):
+            assert float.hex(getattr(got, field)) == float.hex(getattr(want, field))
+        assert got.value == pytest.approx(
+            reduced_profile_loglik(second.y, Gaussian(), d).value, abs=1e-6)
 
 
 class TestLoglikRatio:
