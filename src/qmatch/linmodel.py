@@ -11,6 +11,13 @@ contrast sums of squares below, and refuses a decomposition without
 interaction variation.  The model solve turns the sums into variances and
 log det Sigma_hat, which are scaled back by 4**k and 2k n log 2.
 
+The two steps are separate functions: ``_prepare(z, design)`` returns the
+decomposition and k, which depend on the grid's shape but not on its
+model, and ``_solve(design, dec, k)`` is the model's solve.  ``fit``,
+``fit_fixed`` and ``fit_random_balanced`` run the one after the other, and
+``translik`` keeps each preparation with the ranking it came from, so a
+response fitted under both models is prepared once.
+
 Two model classes are supported.
 
 Fixed effects: mean additive in row and column (mu_ij = a_i + b_j), errors
@@ -252,11 +259,15 @@ def _model_fit(design, k, log_det, sigma2, sigma2_row=None, sigma2_col=None) -> 
     )
 
 
-def fit_fixed(z, design: DesignSpec) -> ModelFit:
-    """ML fit of the additive fixed-effects model with spherical errors."""
-    dec, k = _prepare(z, design)
+def _fixed_fit(design, dec, k) -> ModelFit:
+    """The fixed-effects fit of a response prepared at exponent k."""
     sigma2 = dec.s_err / design.n
     return _model_fit(design, k, design.n * math.log(sigma2), sigma2)
+
+
+def fit_fixed(z, design: DesignSpec) -> ModelFit:
+    """ML fit of the additive fixed-effects model with spherical errors."""
+    return _fixed_fit(design, *_prepare(z, design))
 
 
 def _objective(lam, dec: ProjectionDecomposition):
@@ -387,10 +398,10 @@ def _solve_eigenvalues(dec: ProjectionDecomposition):
     return tuple(v * scale for v in best)
 
 
-def _random_fit(design, dec, k, lam) -> ModelFit:
-    """The random-effects fit with eigenvalues lam of a response prepared
-    at exponent k."""
-    lam_r, lam_c, lam_e = lam
+def _random_fit(design, dec, k, lam=None) -> ModelFit:
+    """The random-effects fit with eigenvalues lam, the solver's when None,
+    of a response prepared at exponent k."""
+    lam_r, lam_c, lam_e = _solve_eigenvalues(dec) if lam is None else lam
     log_det = (
         math.log(lam_r + lam_c - lam_e)
         + dec.d_row * math.log(lam_r)
@@ -406,8 +417,15 @@ def _random_fit(design, dec, k, lam) -> ModelFit:
 
 def fit_random_balanced(z, design: DesignSpec) -> ModelFit:
     """ML fit of the intercept-plus-two-variance-components model."""
-    dec, k = _prepare(z, design)
-    return _random_fit(design, dec, k, _solve_eigenvalues(dec))
+    return _random_fit(design, *_prepare(z, design))
+
+
+def _solve(design: DesignSpec, dec, k) -> ModelFit:
+    """The fit of the design's model from the preparation
+    ``(dec, k) = _prepare(z, design)``, which serves both models."""
+    if design.model == ModelKind.FIXED_EFFECTS:
+        return _fixed_fit(design, dec, k)
+    return _random_fit(design, dec, k)
 
 
 def fit(z, design: DesignSpec) -> ModelFit:

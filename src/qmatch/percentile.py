@@ -18,12 +18,19 @@ and depend on the sorted values alone.  Sums over the observations (the
 likelihood's jacobian, the correlation report's products) are taken in
 that order, so they are exactly invariant under any reordering of y; only
 a model fit needs the data order back (``unsort``).
+
+``percentiles`` holds its last ranking of at most 8000 points and returns
+it again for an input with the same bytes, so one raw response passed to
+several rank-based functions is sorted once; a response written in place
+since, even a 0.0 made -0.0, is ranked anew.  A ranking keeps each
+target's model-free fit state (``translik._reduced``), so a response swept
+under both models is transformed and decomposed once per target.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,12 +45,20 @@ from .errors import DomainError
 _SHARED_GRID_MAX_N = 8000
 _grids: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
 
+# The last ranking of at most _SHARED_GRID_MAX_N points, beside the bytes
+# of the input it ranked: (bytes, ranking), or None.  One is held, and none
+# larger: at 300000 points a ranking and its input would take 7 MB.
+_held = None
+
 
 @dataclass(frozen=True, eq=False)
 class PercentileVector:
     order: np.ndarray     # the permutation that sorts the input vector
     p_sorted: np.ndarray  # values in (0,1) in sorted order, nondecreasing
     n: int
+    # Each target's model-free fit state on this ranking, by (target,
+    # nrows, ncols); ``translik._reduced`` is its only reader and writer.
+    _states: dict = field(default_factory=dict, init=False, repr=False)
 
     def unsort(self, v) -> np.ndarray:
         """A vector aligned with ``p_sorted`` put back in data order."""
@@ -56,6 +71,11 @@ def percentiles(y) -> PercentileVector:
     """Percentile values of each observation within its own sample; a
     ``PercentileVector`` is returned as it is.
 
+    A ranking of at most 8000 points is held, with read-only ``order`` and
+    ``p_sorted``, until the next one is made: an input with the same bytes
+    as the one it ranked gets it back, with the targets' fit states it
+    keeps.  A larger ranking is not held.
+
     A tie-free sample, which the sorted values show by having no equal
     neighbours, gets the rankit grid (2i - 1)/(2n).  Up to 8000 points
     that grid is one shared, read-only array per n (writing into its
@@ -66,11 +86,18 @@ def percentiles(y) -> PercentileVector:
     shares one midrank that the grid does not give.  Both paths form each
     p as the same exact odd integer over 2n.
     """
+    global _held
     if isinstance(y, PercentileVector):
         return y
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise DomainError("input must be a nonempty 1-d vector")
+    # Equal bytes are equal bits: -0.0 is not 0.0.  Comparing them takes
+    # about 1 us at 1500 points, against 41 us for a ranking.
+    data = y.tobytes() if y.size <= _SHARED_GRID_MAX_N else None
+    held = _held
+    if held is not None and held[0] == data:
+        return held[1]
     # Midranks give (F(y-) + F(y+))/2 directly.  A tie run of length k at
     # 0-based sorted positions a..a+k-1 has 1-based midrank a + (k+1)/2, so
     # p = (2a + k)/(2n).  The run's start plus its end, a + (a + k), is that
@@ -102,4 +129,8 @@ def percentiles(y) -> PercentileVector:
         starts = np.flatnonzero(np.concatenate(([True], new_run)))
         ends = np.append(starts[1:], n)
         p_sorted = np.repeat((starts + ends) / (2.0 * n), ends - starts)
-    return PercentileVector(order=order, p_sorted=p_sorted, n=int(n))
+    ranked = PercentileVector(order=order, p_sorted=p_sorted, n=int(n))
+    if data is not None:
+        order.flags.writeable = p_sorted.flags.writeable = False
+        _held = data, ranked
+    return ranked

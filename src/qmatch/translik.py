@@ -18,10 +18,17 @@ leaves them bit-for-bit unchanged.
 
 Each rank-based function takes the raw response or its ranking, the
 ``PercentileVector`` that ``percentiles(y)`` returns, so a caller that
-evaluates several targets on one response ranks it once.  Targets are
+evaluates several targets on one response ranks it once; ``percentiles``
+also returns its held last ranking for the same raw response.  Targets are
 evaluated on the sorted percentiles, and the jacobian term and the
 correlations are summed in sort order, so they are exactly invariant
 under any reordering of y; only the model fit sees z in data order.
+
+An evaluation is a transform and a model solve.  The transform, z = Q(p)
+put in data order, its jacobian and its decomposition (``linmodel``'s
+preparation), depends on the ranking, the target and the grid's shape but
+not on the model, so the ranking keeps it (``_reduced``): a target
+evaluated again on one ranking, under either model, runs only the solve.
 
 Each profiled family, by its ``--family`` name (``t``, ``alpha``,
 ``boxcox``), has one table row in ``_FAMILIES`` and one evaluator,
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError, NumericError
-from .linmodel import DesignSpec, fit
+from .linmodel import DesignSpec, _prepare, _solve, fit
 from .percentile import PercentileVector, percentiles
 from .targetdist import (
     AlphaBeta,
@@ -112,16 +119,39 @@ def _score(label, log_det, jacobian) -> ReducedProfileLoglik:
     )
 
 
+# The model-free states a ranking keeps, at most: a refined alpha sweep
+# (201 grid points and up to 8 refinement points), a refined t sweep under
+# both models (51 grid points, and up to 9 refinement points under each)
+# and the comparators make about 280, the most one response of the paper's
+# study needs, with some room.  A full store of t targets takes 542 bytes
+# an entry (tracemalloc: the key, the target it keeps alive, the state and
+# the dict), 163 KB in all.  It keeps what it has and stores no more: an
+# LRU would evict, on a cyclic sweep, the entry asked for next.  Threads
+# racing on one ranking store equal states, and may pass the bound by one
+# entry each.
+_STATES_MAX = 300
+
+
 def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec):
+    # Everything before the model's solve depends only on the ranking, the
+    # target and the grid's shape: z, the jacobian and the decomposition.
+    # The ranking keeps them once _prepare has succeeded, so a degenerate
+    # transform raises again at its next evaluation.
     # Q and log Q' act elementwise, so z evaluated in sort order and put
     # back in data order has the bits of z evaluated in data order.  The
     # jacobian is summed in sort order, which depends on the sorted data
     # alone; on a shared rankit grid it is the memo entry's sum, made by the
-    # same operations when the entry was.  Neither log Q' nor the sorted z
-    # is held through the fit.
-    z, jacobian = _z_and_jacobian(dist, pc.p_sorted)
-    z = pc.unsort(z)
-    return _score(dist.label(), fit(z, design).log_det_sigma_hat, jacobian)
+    # same operations when the entry was.  Neither log Q' nor z is held.
+    key = dist, design.nrows, design.ncols
+    state = pc._states.get(key)
+    if state is None:
+        z, jacobian = _z_and_jacobian(dist, pc.p_sorted)
+        z = pc.unsort(z)  # the sorted z is freed before the decomposition's copy
+        state = *_prepare(z, design), jacobian
+        if len(pc._states) < _STATES_MAX:
+            pc._states[key] = state
+    dec, k, jacobian = state
+    return _score(dist.label(), _solve(design, dec, k).log_det_sigma_hat, jacobian)
 
 
 def reduced_profile_loglik(y, dist: TargetDistribution, design: DesignSpec) -> ReducedProfileLoglik:

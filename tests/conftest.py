@@ -28,10 +28,25 @@ def rng():
 
 
 @pytest.fixture
-def sorts(monkeypatch):
+def no_held_ranking(monkeypatch):
+    """Drops the ranking ``percentiles`` holds, with the targets' states it
+    keeps, so the test's first ranking of any input is a fresh one.  Called
+    inside a test, it drops the ranking held then."""
+    module = importlib.import_module("qmatch.percentile")
+
+    def drop():
+        monkeypatch.setattr(module, "_held", None)
+
+    drop()
+    return drop
+
+
+@pytest.fixture
+def sorts(monkeypatch, no_held_ranking):
     """A list that grows by one for each sort ``percentiles`` makes, under
-    whatever name it is called; a ranking passed back in, returned as it
-    is, adds nothing."""
+    whatever name it is called, starting with no ranking held; a ranking
+    passed back in, or the held one returned for its input's bits, adds
+    nothing."""
     calls = []
     module = importlib.import_module("qmatch.percentile")
 

@@ -507,6 +507,15 @@ class TestOneRankingPerCommand:
         assert main([*argv, "--input", str(bench_csv), "--out", str(tmp_path / "x")]) == 0
         assert len(sorts) == 1
 
+    def test_a_second_command_on_the_same_response_sorts_nothing(
+            self, bench_csv, tmp_path, capsys, sorts):
+        # The ranking the first command made is held for the same bits of y.
+        for model in ("fixed", "random"):
+            assert main(["profile", "--family", "t", "--model", model, "--input",
+                         str(bench_csv), "--out", str(tmp_path / f"{model}.csv")]) == 0
+        assert main(["correlate", "--input", str(bench_csv), "--targets", "gaussian"]) == 0
+        assert len(sorts) == 1
+
     def test_boxcox_sorts_nothing(self, tmp_path, sorts):
         data = str(tmp_path / "positive.csv")
         assert main(["simulate", "--seed", "3", "--intercept", "20", "--out", data]) == 0

@@ -390,14 +390,19 @@ class TestGridMemo:
             assert float.hex(jacobian) == float.hex(float(np.sum(dist.transform(p)[1])))
 
     def test_a_grid_lives_while_a_ranking_holds_it(self, stdtrit_dfs, empty_memo):
-        # A size's grid leaves the table with its last ranking; the memo's
-        # entries of that size outlive it and serve the next grid of n.
+        # A size's grid leaves the table with its last ranking, and
+        # ``percentiles`` holds the last one it made until it ranks another
+        # sample; the memo's entries of that size outlive the grid and serve
+        # the next grid of n.
         n, t = 1237, StudentT(0.15)
         pc = percentiles(np.random.default_rng(7).normal(size=n))
         want = _bits(t.quantile(pc.p_sorted))
         cold = len(stdtrit_dfs)
         assert cold > 0 and n in percentile._grids
         del pc
+        gc.collect()
+        assert n in percentile._grids
+        percentiles(np.random.default_rng(7).normal(size=n - 1))
         gc.collect()
         assert n not in percentile._grids
         p = _grid(n)

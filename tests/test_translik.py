@@ -8,7 +8,10 @@ suite.
 """
 
 import math
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +51,7 @@ from qmatch import (
     reduced_profile_loglik,
     simulate,
 )
+from qmatch import translik
 from qmatch.translik import (
     ReducedProfileLoglik,
     _golden_max,
@@ -200,11 +204,12 @@ class TestSortOrderEvaluation:
 
 
 class TestQuantilePasses:
-    """Each evaluation runs the target's quantile function once: log Q'
-    comes from the same Q(p)."""
+    """Each distinct transform of a ranking, a target on a grid shape, runs
+    the target's quantile function once: log Q' comes from the same Q(p),
+    and a repeat, under either model, from the state the ranking keeps."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def calls(self, monkeypatch, no_held_ranking):
         calls = []
         quantile = StudentT.quantile
 
@@ -217,13 +222,20 @@ class TestQuantilePasses:
 
     def test_one_call_per_reduced_loglik(self, calls):
         out = bench(0)
-        reduced_profile_loglik(out.y, StudentT(0.3), fixed_design(out))
+        for design in (fixed_design(out), random_design(out), fixed_design(out)):
+            reduced_profile_loglik(out.y, StudentT(0.3), design)
         assert calls == [0.3]
 
     def test_one_call_per_sweep_point(self, calls):
         out = bench(0)
         profile_student_t(out.y, fixed_design(out), grid=[0.1, 0.2, 0.3])
         assert calls == [0.1, 0.2, 0.3]
+        # A random sweep after the fixed one on the same ranking makes none.
+        profile_student_t(out.y, random_design(out), grid=[0.1, 0.2, 0.3])
+        assert calls == [0.1, 0.2, 0.3]
+        # Another grid shape is another transform.
+        profile_student_t(out.y, DesignSpec(30, 50), grid=[0.1])
+        assert calls == [0.1, 0.2, 0.3, 0.1]
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_one_call_per_evaluation_cold_or_warm(self, calls, warm, empty_memo):
@@ -271,11 +283,17 @@ class TestTransformMemo:
         for field in ("det_term", "jacobian_term", "value"):
             assert float.hex(getattr(got, field)) == float.hex(getattr(want, field))
 
-    def test_ties_evaluate_every_time(self, empty_memo, lqd_calls):
+    def test_ties_evaluate_every_time(self, empty_memo, lqd_calls, no_held_ranking):
+        # Every ranking of a sample with ties evaluates log Q' once; a
+        # repeat on one ranking takes the state the ranking keeps.
         out = bench(0)
         y = np.round(out.y, 1)
-        values = [reduced_profile_loglik(y, StudentT(0.15), fixed_design(out)) for _ in range(2)]
-        assert values[0] == values[1]
+        values = []
+        for _ in range(2):
+            no_held_ranking()
+            values += [reduced_profile_loglik(y, StudentT(0.15), fixed_design(out))
+                       for _ in range(2)]
+        assert values[0] == values[1] == values[2] == values[3]
         assert len(lqd_calls) == 2 and len(empty_memo.entries) == 0
 
     def test_affine_is_held_like_any_target(self, empty_memo, lqd_calls):
@@ -299,6 +317,172 @@ class TestTransformMemo:
             assert float.hex(getattr(got, field)) == float.hex(getattr(want, field))
         assert got.value == pytest.approx(
             reduced_profile_loglik(second.y, Gaussian(), d).value, abs=1e-6)
+
+
+def _hex(r):
+    """The bits of a reduced value's three terms."""
+    return tuple(float.hex(getattr(r, f)) for f in ("det_term", "jacobian_term", "value"))
+
+
+COMPARATORS = [Gaussian(), Logistic(), Uniform(), StudentT(1.0), AlphaBeta(-0.3, 0.4)]
+
+
+class TestHeldRanking:
+    """``percentiles`` returns its last ranking for an input with the same
+    bytes, and ``_reduced`` keeps each target's model-free state on its
+    ranking.  Every number keeps the bits of the same call made with no
+    ranking held and no state or memo entry kept."""
+
+    @pytest.fixture
+    def cold(self, no_held_ranking, empty_memo):
+        """Calls ``fn()`` with no ranking held and the targets' memo empty."""
+        def call(fn):
+            no_held_ranking()
+            empty_memo.entries.clear()
+            empty_memo.held = 0
+            return fn()
+
+        return call
+
+    def _warm_equals_cold(self, cold, out, evaluate):
+        # Warm: fixed, random and fixed again on one held ranking, so the
+        # random and second fixed evaluations take the states the first
+        # made.  Cold: each model on a ranking of its own.
+        designs = (fixed_design(out), random_design(out), fixed_design(out))
+        warm = [[_hex(r) for r in evaluate(d)] for d in designs]
+        assert warm == [[_hex(r) for r in cold(lambda d=d: evaluate(d))] for d in designs]
+
+    @pytest.mark.parametrize("family, points", [
+        ("t", (0.0, 0.02, 0.3, 1.0)), ("alpha", (-1.0, -0.05, 0.0, 0.7)), ("boxcox", (0.0, 1.0)),
+    ])
+    @pytest.mark.parametrize("kind", ["tie-free", "tied"])
+    def test_families(self, cold, family, points, kind):
+        out = simulate(SimConfig(seed=3, intercept=20.0))  # positive, for Box-Cox
+        if kind == "tied":
+            out = replace(out, y=np.round(out.y))
+            assert np.unique(out.y).size < out.y.size
+
+        def evaluate(design):
+            at = family_evaluator(family, out.y, design)
+            return [at(x) for x in points]
+
+        self._warm_equals_cold(cold, out, evaluate)
+
+    @pytest.mark.parametrize("kind", ["tie-free", "tied"])
+    def test_comparators(self, cold, kind):
+        out = bench(2, "cauchy")
+        if kind == "tied":
+            out = replace(out, y=np.round(out.y, 1))
+        self._warm_equals_cold(
+            cold, out, lambda d: [reduced_profile_loglik(out.y, dist, d) for dist in COMPARATORS])
+
+    def test_a_ranking_over_8000_points_is_not_held(self, cold):
+        out = simulate(SimConfig(nrows=100, ncols=81, seed=4))
+        assert percentiles(out.y) is not percentiles(out.y)
+        pc = percentiles(out.y)
+        assert pc.order.flags.writeable and pc.p_sorted.flags.writeable
+        # A caller that holds it still gets the states it keeps.
+        self._warm_equals_cold(
+            cold, out, lambda d: [reduced_profile_loglik(pc, dist, d) for dist in COMPARATORS[:3]])
+
+    def test_loglik_ratio_and_diagnostics(self, cold):
+        out = bench(1)
+        d = fixed_design(out)
+
+        def both():
+            diag = lr_diagnostics_gaussian_uniform(out.y, d)
+            return [loglik_ratio(out.y, Gaussian(), Uniform(), d), diag.det_term,
+                    diag.correction_term, diag.lr]
+
+        reduced_profile_loglik(out.y, Gaussian(), random_design(out))
+        warm = [float.hex(v) for v in both()]
+        assert warm == [float.hex(v) for v in cold(both)]
+
+    def test_a_response_mutated_in_place_is_ranked_anew(self, cold):
+        out = bench(0)
+        y, d, t = out.y.copy(), fixed_design(out), StudentT(0.3)
+        before = reduced_profile_loglik(y, t, d)
+        i, j = int(np.argmin(y)), int(np.argmax(y))
+        y[i], y[j] = y[j], y[i]
+        after = reduced_profile_loglik(y, t, d)
+        assert after.det_term != before.det_term
+        assert _hex(after) == _hex(cold(lambda: reduced_profile_loglik(y, t, d)))
+
+    def test_negative_zero_is_a_new_input_with_the_same_value(self, no_held_ranking):
+        out = bench(0)
+        y, d = out.y.copy(), random_design(out)
+        y[7] = 0.0
+        plus = percentiles(y)
+        y[7] = -0.0
+        minus = percentiles(y)
+        assert minus is not plus
+        assert np.array_equal(data_order_percentiles(minus), data_order_percentiles(plus))
+        assert _hex(reduced_profile_loglik(minus, Logistic(), d)) == _hex(
+            reduced_profile_loglik(plus, Logistic(), d))
+
+    @pytest.mark.parametrize("y", [[3.0, 1.0, 2.0], [1.0, 1.0, 2.0]], ids=["tie-free", "tied"])
+    def test_held_arrays_are_read_only(self, y):
+        pc = percentiles(y)
+        assert percentiles(np.array(y)) is pc
+        for a in (pc.order, pc.p_sorted):
+            with pytest.raises(ValueError):
+                a[0] = a[1]
+
+    def test_the_store_stops_at_its_bound(self, monkeypatch):
+        # A sample with ties, so no memo entry of the targets is made.
+        out = bench(0)
+        pc = percentiles(np.round(out.y, 1))
+        d = fixed_design(out)
+        full = translik._STATES_MAX
+        xs = np.linspace(0.01, 0.99, full + 20)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for x in xs[:full]:
+                _reduced(pc, StudentT(x), d)  # the target lives on in its key
+            per_entry = (tracemalloc.get_traced_memory()[0] - before) / full
+        finally:
+            tracemalloc.stop()
+        # About 540 bytes an entry of a t target: its key, the target, the
+        # state and its share of the dict.
+        assert 300 < per_entry < 640, per_entry
+        for x in xs[full:]:
+            _reduced(pc, StudentT(x), d)
+        assert len(pc._states) == translik._STATES_MAX
+        assert [key[0] for key in pc._states] == [StudentT(x) for x in xs[:full]]
+        # A target past the bound is evaluated again, one inside it is not,
+        # and both keep the bits of a ranking that keeps nothing yet.
+        fresh = PercentileVector(order=pc.order, p_sorted=pc.p_sorted, n=pc.n)
+        calls = []
+        quantile = StudentT.quantile
+        monkeypatch.setattr(StudentT, "quantile", lambda t, p: calls.append(t) or quantile(t, p))
+        for t in (StudentT(xs[0]), StudentT(xs[-1])):
+            assert _hex(_reduced(pc, t, d)) == _hex(_reduced(fresh, t, d))
+        assert calls == [StudentT(xs[0]), StudentT(xs[-1]), StudentT(xs[-1])]
+
+    def test_a_degenerate_transform_is_not_kept(self):
+        # The uniform transform of this response, its percentiles, is
+        # exactly additive in row and column, so each evaluation raises.
+        rows, cols = np.arange(20) % 5, np.arange(20) // 5
+        pc = percentiles(rows * 1000.0 + cols)
+        for _ in range(2):
+            with pytest.raises(DegenerateFitError):
+                _reduced(pc, Uniform(), DesignSpec(5, 4))
+        assert pc._states == {}
+
+    def test_concurrent_sweeps_on_one_ranking(self, cold):
+        out = bench(2, "cauchy")
+        sweeps = [(profile, design) for profile in (profile_student_t, profile_alpha)
+                  for design in (fixed_design(out), random_design(out))]
+        want = [cold(lambda p=p, d=d: p(out.y, d, refine=True)) for p, d in sweeps]
+        pc = cold(lambda: percentiles(out.y))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda s: s[0](pc, s[1], refine=True), sweeps))
+        for g, w in zip(got, want):
+            assert float.hex(g.argmax_param) == float.hex(w.argmax_param)
+            for field in ("values", "det_terms", "jacobian_terms"):
+                assert np.array_equal(getattr(g, field).view(np.int64),
+                                      getattr(w, field).view(np.int64))
 
 
 class TestLoglikRatio:
@@ -475,6 +659,9 @@ class TestFamilyEvaluator:
         out = bench(0)
         evaluate = family_evaluator("alpha", out.y, fixed_design(out))
         evaluate(0.0), evaluate(0.5)
+        assert len(sorts) == 1
+        # An evaluator made later on the same y gets the held ranking.
+        family_evaluator("t", out.y, random_design(out))(0.5)
         assert len(sorts) == 1
 
 
