@@ -25,6 +25,12 @@ several rank-based functions is sorted once; a response written in place
 since, even a 0.0 made -0.0, is ranked anew.  A ranking keeps each
 target's model-free fit state (``translik._reduced``), so a response swept
 under both models is transformed and decomposed once per target.
+
+A tie-free sample of at most 8000 points shares the one rankit grid of its
+n, a ``_Grid`` that every ranking of that n holds.  When a second ranking
+picks the grid up, it gains a store of each target's transform on it,
+which ``targetdist`` writes and reads; the store lives as long as the
+grid, that is, as long as some ranking of its n.
 """
 
 from __future__ import annotations
@@ -36,14 +42,25 @@ import numpy as np
 
 from .errors import DomainError
 
-# The shared rankit grids, by n, read-only, each held weakly: a grid lives
-# as long as some ranking holds it, and ``targetdist``'s memo entries of its
-# n outlive it.  A grid is shared only up to _SHARED_GRID_MAX_N points: a
-# target's z on it then takes 1/65 of that 4 MiB memo, so a refined sweep
-# (51 grid points and about 10 refinement points) keeps its own entries; a
-# larger n is neither shared nor held.
+# The shared rankit grids, by n, each held weakly: a grid lives as long as
+# some ranking holds it.  A grid is shared only up to _SHARED_GRID_MAX_N
+# points: its store then keeps at least 65 targets' transforms (see
+# ``targetdist._MEMO_BUDGET``), so a refined sweep (51 grid points and
+# about 10 refinement points) keeps its own; a larger n is neither shared
+# nor held.
 _SHARED_GRID_MAX_N = 8000
-_grids: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+@dataclass(eq=False)
+class _Grid:
+    p: np.ndarray  # the rankit grid (2i - 1)/(2n), read-only
+    # Each target's (read-only z, jacobian) on p, by target, or None until
+    # a second ranking picks the grid up; ``targetdist`` is its only reader
+    # and writer.
+    store: dict | None = None
+
+
+_grids: weakref.WeakValueDictionary[int, _Grid] = weakref.WeakValueDictionary()
 
 # The last ranking of at most _SHARED_GRID_MAX_N points, beside the bytes
 # of the input it ranked: (bytes, ranking), or None.  One is held, and none
@@ -56,6 +73,7 @@ class PercentileVector:
     order: np.ndarray     # the permutation that sorts the input vector
     p_sorted: np.ndarray  # values in (0,1) in sorted order, nondecreasing
     n: int
+    _grid: _Grid | None = field(default=None, repr=False)  # its shared rankit grid, if any
     # Each target's model-free fit state on this ranking, by (target,
     # nrows, ncols); ``translik._reduced`` is its only reader and writer.
     _states: dict = field(default_factory=dict, init=False, repr=False)
@@ -81,7 +99,8 @@ def percentiles(y) -> PercentileVector:
     that grid is one shared, read-only array per n (writing into its
     ``p_sorted`` raises), alive while some ranking holds it, by which
     ``targetdist`` recognizes a tie-free sample's percentiles without
-    reading them; a larger n gets a fresh array.  A sample with ties keeps
+    reading them; the second ranking of n gives it a store of the targets'
+    transforms.  A larger n gets a fresh array.  A sample with ties keeps
     the run-length construction in a fresh array, since each tie run
     shares one midrank that the grid does not give.  Both paths form each
     p as the same exact odd integer over 2n.
@@ -116,20 +135,28 @@ def percentiles(y) -> PercentileVector:
     if new_run.all():
         # No ties: each run is one value, k = 1 at a = 0..n-1, so p is
         # (2a + 1)/(2n): the same exact odd integer and the same division.
-        # Threads need no lock: a race at worst builds one grid twice, and
-        # a ranking left with the grid that lost is computed, not held.
-        p_sorted = _grids.get(n)
-        if p_sorted is None:
+        # Threads need no lock: a race at worst builds one grid or one
+        # store twice, and what the loser held is computed again.
+        grid = _grids.get(n)
+        if grid is None:
             p_sorted = np.arange(1.0, 2.0 * n, 2.0)
             p_sorted /= 2.0 * n
             if n <= _SHARED_GRID_MAX_N:
                 p_sorted.flags.writeable = False
-                p_sorted = _grids.setdefault(n, p_sorted)
+                grid = _grids.setdefault(n, _Grid(p_sorted))
+                p_sorted = grid.p
+        else:
+            # A second ranking of n: from now on its grid keeps the
+            # targets' transforms.
+            if grid.store is None:
+                grid.store = {}
+            p_sorted = grid.p
     else:
+        grid = None
         starts = np.flatnonzero(np.concatenate(([True], new_run)))
         ends = np.append(starts[1:], n)
         p_sorted = np.repeat((starts + ends) / (2.0 * n), ends - starts)
-    ranked = PercentileVector(order=order, p_sorted=p_sorted, n=int(n))
+    ranked = PercentileVector(order=order, p_sorted=p_sorted, n=int(n), _grid=grid)
     if data is not None:
         order.flags.writeable = p_sorted.flags.writeable = False
         _held = data, ranked

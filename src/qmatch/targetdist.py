@@ -37,16 +37,18 @@ exactly mirrored pair of percentiles, p < 1/2 and q with 1 - q == p
 is itself odd bit for bit at such points, so Q keeps the bits of one
 ``stdtrit`` call per point.
 
-Every target's quantile on a tie-free sample's percentiles is remembered.
-Such a sample of size n has the rankit grid (2i - 1)/(2n) as its
-percentiles whatever its values, and ``percentiles`` hands out one shared,
-read-only grid per n of at most 8000 points, alive while a ranking holds
-it.  So z = Q(p) and the jacobian sum log Q'(p) depend only on (target,
-n): the first ``quantile`` on that grid object computes both and
-``_GridMemo`` holds them as one entry, at most 4 MiB, least recently used
-first, with no digest of p taken.  A sample with ties, an n above 8000, or
-a caller's own array gets its quantile computed and not held.  Every
-``quantile`` returns a fresh array, memo hit or not.
+Every target's quantile on a tie-free sample's percentiles is remembered
+once two rankings share them.  Such a sample of size n has the rankit grid
+(2i - 1)/(2n) as its percentiles whatever its values, and ``percentiles``
+hands out one shared, read-only grid per n of at most 8000 points, alive
+while a ranking holds it.  So z = Q(p) and the jacobian sum log Q'(p)
+depend only on (target, n): once a second ranking has picked the grid up,
+the first ``quantile`` on that grid object computes both and keeps them as
+one entry in the grid's own store, with no digest of p taken.  The store
+keeps what it has and stops storing when full, and it dies with the grid.
+A sample with ties, an n above 8000, or a caller's own array gets its
+quantile computed and not held.  Every ``quantile`` returns a fresh array,
+stored or not.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -78,9 +78,9 @@ _T_ENTROPY_SERIES_BELOW = 0.01
 def _quantile_method(method):
     """A target's ``quantile``: the method gets its argument as a float
     array, checked to lie strictly inside (0, 1), and a scalar argument
-    gets a float back.  On a shared rankit grid the result is served from
-    ``_grid_memo`` as a fresh copy, or computed and held there with its
-    jacobian."""
+    gets a float back.  On a shared rankit grid that has a store the result
+    is served from it as a fresh copy, or computed and stored there with its
+    jacobian while the store has room."""
 
     @functools.wraps(method)
     def quantile(self, p):
@@ -88,11 +88,18 @@ def _quantile_method(method):
         # A NaN makes the min and the max NaN, and fails both comparisons.
         if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
             raise DomainError("probabilities must lie strictly inside (0, 1)")
-        entry = _grid_memo.get(self, arr)
+        store = _store(arr)
+        entry = store.get(self) if store is not None else None
         if entry is not None:
             return entry[0].copy()
-        out = _grid_memo.put(self, arr, method(self, arr))
-        return float(out) if arr.ndim == 0 else out
+        z = method(self, arr)
+        if store is not None and len(store) < _MEMO_BUDGET // arr.nbytes:
+            z.flags.writeable = False
+            # Threads racing on one target store equal entries, and may
+            # each pass the bound by one.
+            store[self] = z, float(np.sum(self._lqd_at(arr, z)))
+            return z.copy()
+        return float(z) if arr.ndim == 0 else z
 
     return quantile
 
@@ -148,73 +155,30 @@ def _paired_stdtrit(df, p):
     return out
 
 
-# Bytes the memo may hold: each z's 8 bytes per point, plus an allowance
-# per entry for the key, the (z, jacobian) tuple and the array header (348
-# bytes measured with tracemalloc, 484 with a t target the key keeps alive;
-# 512 charged).  One paper-size study operation (50x30, 16 seeds in one
-# process) cycles through about 310 entries of 12.5 KB: 51 t and 201 alpha
-# grid points, refinement points and correlation targets.  4 MiB holds 335
-# of them; at 3 MiB the least recently used entry is the next one the
-# cyclic sweep asks for, and most lookups miss.
+# Bytes of z a grid's store may hold, 8 per point: 4 MiB keeps 349 targets
+# at the paper's 50x30, where one study operation (16 seeds in one process)
+# cycles through about 310: 51 t and 201 alpha grid points, refinement
+# points and correlation targets.  A full store keeps what it has and
+# stores no more: an LRU would evict, on a cyclic sweep, the entry asked
+# for next.
 _MEMO_BUDGET = 4 << 20
-_MEMO_ENTRY_BYTES = 512
 
 
-class _GridMemo:
-    """Each target's z = Q(p) on a shared rankit grid p, with its jacobian
-    sum log Q'(p).
-
-    Entries are keyed by (target, n), since every tie-free sample of size
-    n has the one grid of n as its percentiles, and held whole as
-    ``(read-only z, jacobian)``, least recently used first, within
-    ``_MEMO_BUDGET`` bytes; ``put`` is their only writer.  A p that is not
-    the shared grid object of its size (``percentile._grids``) has no
-    entry: ties, n above 8000 points, or a caller's own array, even one
-    with the grid's values.
-    """
-
-    def __init__(self):
-        self.entries = OrderedDict()
-        self.held = 0  # bytes charged for the entries
-        self.lock = threading.Lock()
-
-    def get(self, dist, p):
-        """The entry of ``dist`` on p, or None."""
-        if p is not _grids.get(p.size):
-            return None
-        with self.lock:
-            entry = self.entries.get((dist, p.size))
-            if entry is not None:
-                self.entries.move_to_end((dist, p.size))
-        return entry
-
-    def put(self, dist, p, z):
-        """z = Q(p), a fresh array: if p is the shared grid of its size,
-        held read-only beside sum log Q'(p), and the caller gets a copy."""
-        if p is not _grids.get(p.size):
-            return z
-        z.flags.writeable = False
-        # Summed before the lock is taken: a target's log Q' may call
-        # another target's quantile, which takes it.
-        entry = z, float(np.sum(dist._lqd_at(p, z)))
-        with self.lock:
-            if (dist, p.size) not in self.entries:  # another thread may have stored it
-                self.entries[dist, p.size] = entry
-                self.held += z.nbytes + _MEMO_ENTRY_BYTES
-                while self.held > _MEMO_BUDGET:
-                    self.held -= self.entries.popitem(last=False)[1][0].nbytes + _MEMO_ENTRY_BYTES
-        return z.copy()
-
-
-_grid_memo = _GridMemo()
+def _store(p):
+    """The store of the shared rankit grid that p is, or None: ties, n
+    above 8000 points, a caller's own array even with the grid's values,
+    or a grid no second ranking has picked up."""
+    grid = _grids.get(p.size)
+    return grid.store if grid is not None and grid.p is p else None
 
 
 def _z_and_jacobian(dist, p):
     """(Q(p), sum log Q'(p)) of ``dist`` from one ``quantile`` call: on a
     shared rankit grid the sum comes from the entry that call found or
-    made, and elsewhere log Q' is computed from that Q(p) and not held."""
+    stored, and elsewhere log Q' is computed from that Q(p) and not held."""
     z = dist.quantile(p)
-    entry = _grid_memo.get(dist, p)
+    store = _store(p)
+    entry = store.get(dist) if store is not None else None
     return z, entry[1] if entry is not None else float(np.sum(dist._lqd_at(p, z)))
 
 

@@ -140,8 +140,9 @@ def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec)
     # Q and log Q' act elementwise, so z evaluated in sort order and put
     # back in data order has the bits of z evaluated in data order.  The
     # jacobian is summed in sort order, which depends on the sorted data
-    # alone; on a shared rankit grid it is the memo entry's sum, made by the
-    # same operations when the entry was.  Neither log Q' nor z is held.
+    # alone; on a shared rankit grid it may be the sum the grid's store
+    # keeps, made by the same operations when the entry was.  Neither log
+    # Q' nor z is held.
     key = dist, design.nrows, design.ncols
     state = pc._states.get(key)
     if state is None:

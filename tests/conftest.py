@@ -1,11 +1,10 @@
 import functools
 import importlib
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from qmatch import ModelKind, SimConfig, simulate, targetdist
+from qmatch import ModelKind, SimConfig, simulate
 
 
 @functools.lru_cache(maxsize=64)
@@ -63,10 +62,23 @@ def sorts(monkeypatch, no_held_ranking):
 
 
 @pytest.fixture
-def empty_memo(monkeypatch):
-    """The targets' transform memo, empty for the test; its entries are
-    put back after it."""
-    memo = targetdist._grid_memo
-    monkeypatch.setattr(memo, "entries", OrderedDict())
-    monkeypatch.setattr(memo, "held", 0)
-    return memo
+def fresh_grid(monkeypatch, no_held_ranking):
+    """A function of n that makes the shared rankit grid of n afresh, with
+    an empty store of the targets' transforms, and returns it.  Rankings
+    made later in the test share it; those made before keep the grid they
+    hold, whose store no longer serves them.  Each grid made lives until
+    the test ends.  No ranking is held at the start, and the grids of the
+    test are put back after it."""
+    module = importlib.import_module("qmatch.percentile")
+    made = []
+
+    def make(n):
+        p = np.arange(1.0, 2.0 * n, 2.0)
+        p /= 2.0 * n
+        p.flags.writeable = False
+        grid = module._Grid(p, {})
+        made.append(grid)
+        monkeypatch.setitem(module._grids, n, grid)
+        return grid
+
+    return make

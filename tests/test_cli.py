@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from oracles import data_order_percentiles, line_end_scan_reads_as_csv, write_data_csv_rows
 from qmatch import AlphaBeta, DesignSpec, DomainError, Gaussian, SimConfig, StudentT, simulate
-from qmatch import cli
+from qmatch import cli, percentile
 from qmatch.cli import (
     MAX_GRID_POINTS,
     UsageError,
@@ -515,6 +515,34 @@ class TestOneRankingPerCommand:
                          str(bench_csv), "--out", str(tmp_path / f"{model}.csv")]) == 0
         assert main(["correlate", "--input", str(bench_csv), "--targets", "gaussian"]) == 0
         assert len(sorts) == 1
+
+    def test_one_sample_leaves_its_grid_without_a_store(
+            self, bench_csv, tmp_path, monkeypatch, no_held_ranking):
+        # One sample has one ranking, whose states serve every repeat, so
+        # its grid keeps no transforms.  A second sample of the size gives
+        # the grid a store, which the same command then reads, with the
+        # same bits.
+        monkeypatch.delitem(percentile._grids, 1500, raising=False)
+        outputs = []
+
+        def profile(data, name):
+            out = tmp_path / name
+            assert main(["profile", "--family", "alpha", "--refine", "--input", str(data),
+                         "--out", str(out)]) == 0
+            summary = json.loads(Path(f"{out}.summary.json").read_text())
+            del summary["manifest"]
+            outputs.append((out.read_bytes(), summary))
+
+        profile(bench_csv, "alone.csv")
+        grid = percentile._grids[1500]
+        assert grid is percentile._held[1]._grid and grid.store is None
+        other = tmp_path / "other.csv"
+        assert main(["simulate", "--seed", "1", "--out", str(other)]) == 0
+        profile(other, "other.csv")
+        assert grid.store
+        profile(bench_csv, "warm.csv")
+        assert percentile._grids[1500] is grid and len(grid.store) > 201
+        assert outputs[0] == outputs[2]
 
     def test_boxcox_sorts_nothing(self, tmp_path, sorts):
         data = str(tmp_path / "positive.csv")

@@ -11,6 +11,7 @@ import math
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -294,18 +295,21 @@ class TestPairedStdtrit:
 
     @pytest.mark.parametrize("inv_nu", INV_NUS, ids=INV_NU_IDS)
     @pytest.mark.parametrize("name", list(PAIRED_INPUTS))
-    def test_quantile_keeps_stdtrit_bits(self, name, inv_nu, empty_memo):
+    def test_quantile_keeps_stdtrit_bits(self, name, inv_nu, fresh_grid):
         # None of these is a shared grid (the rankits are a caller's own
-        # arrays), so each call computes and nothing is held.
-        _cold_then_warm(PAIRED_INPUTS[name], inv_nu)
-        assert len(empty_memo.entries) == 0
+        # arrays), so each call computes and nothing is stored.
+        p = PAIRED_INPUTS[name]
+        grid = fresh_grid(p.size) if p.size else None
+        _cold_then_warm(p, inv_nu)
+        assert grid is None or grid.store == {}
 
     @pytest.mark.parametrize("inv_nu", INV_NUS, ids=INV_NU_IDS)
     @pytest.mark.parametrize("n", [1, 2, 3, 1499, 1500])
-    def test_shared_grid_keeps_stdtrit_bits(self, n, inv_nu, empty_memo):
-        # The second call is served from the memo.
-        _cold_then_warm(_grid(n), inv_nu)
-        assert len(empty_memo.entries) == 1
+    def test_shared_grid_keeps_stdtrit_bits(self, n, inv_nu, fresh_grid):
+        # The second call is served from the grid's store.
+        grid = fresh_grid(n)
+        _cold_then_warm(grid.p, inv_nu)
+        assert list(grid.store) == [StudentT(inv_nu)]
 
     def test_median_is_positive_zero(self):
         z = StudentT(0.15).quantile(PAIRED_INPUTS["all-equal"])
@@ -319,9 +323,9 @@ class TestPairedStdtrit:
 
 
 @pytest.fixture
-def stdtrit_dfs(monkeypatch, empty_memo):
+def stdtrit_dfs(monkeypatch):
     """A list that grows by the df of each ``sc.stdtrit`` call the t
-    quantile makes, starting from an empty memo."""
+    quantile makes."""
     calls = []
 
     class CountingSpecial:
@@ -338,29 +342,31 @@ def stdtrit_dfs(monkeypatch, empty_memo):
 
 class TestGridMemo:
     """A repeat quantile of one target on the shared rankit grid of one n
-    is served from a bounded memo, as a fresh array with the same bits;
-    any other p is computed and not held."""
+    is served from that grid's store, once a second ranking of n has given
+    it one, as a fresh array with the same bits; any other p is computed
+    and not held.  The store stops storing when full and dies with the
+    grid."""
 
     N = 1500
-    COST = 8 * N + targetdist._MEMO_ENTRY_BYTES
 
-    def test_repeat_evaluates_once(self, stdtrit_dfs, empty_memo):
-        t, p = StudentT(0.15), _grid(self.N)
-        t.quantile(p)
+    def test_repeat_evaluates_once(self, stdtrit_dfs, fresh_grid):
+        grid, t = fresh_grid(self.N), StudentT(0.15)
+        t.quantile(grid.p)
         cold = len(stdtrit_dfs)
         assert cold > 0
-        t.quantile(p)
+        t.quantile(grid.p)
         t.quantile(percentiles(np.random.default_rng(3).normal(size=self.N)).p_sorted)
         assert len(stdtrit_dfs) == cold
-        StudentT(0.2).quantile(p)
+        StudentT(0.2).quantile(grid.p)
         assert len(stdtrit_dfs) > cold
-        assert len(empty_memo.entries) == 2
+        assert list(grid.store) == [t, StudentT(0.2)]
 
-    def test_ties_and_a_callers_own_grid_are_computed_and_not_held(self, stdtrit_dfs, empty_memo):
+    def test_ties_and_a_callers_own_grid_are_computed_and_not_held(self, stdtrit_dfs, fresh_grid):
+        grid = fresh_grid(self.N)
         y = np.round(bench(0).y, 1)
         assert np.unique(y).size < y.size
         t = StudentT(0.15)
-        for p in (percentiles(y).p_sorted, _rankits(self.N), _grid(self.N).copy()):
+        for p in (percentiles(y).p_sorted, _rankits(self.N), grid.p.copy()):
             assert p is not _grid(p.size)
             del stdtrit_dfs[:]
             first = t.quantile(p)
@@ -368,58 +374,78 @@ class TestGridMemo:
             assert cold > 0
             assert np.array_equal(_bits(t.quantile(p)), _bits(first))
             assert len(stdtrit_dfs) == 2 * cold
-        assert len(empty_memo.entries) == 0 and empty_memo.held == 0
+        assert grid.store == {}
 
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
-    def test_a_quantile_alone_holds_the_whole_entry(self, dist, empty_memo):
-        # The first quantile on the shared grid holds z and its jacobian
+    def test_a_quantile_alone_holds_the_whole_entry(self, dist, fresh_grid):
+        # The first quantile on the shared grid stores z and its jacobian
         # together, the jacobian with the bits transform sums on a
         # caller's copy of the grid.
-        p = _grid(self.N)
-        dist.quantile(p)
-        (z, jacobian), = empty_memo.entries.values()
+        grid = fresh_grid(self.N)
+        dist.quantile(grid.p)
+        (z, jacobian), = grid.store.values()
         assert not z.flags.writeable and type(jacobian) is float
-        assert float.hex(jacobian) == float.hex(float(np.sum(dist.transform(p.copy())[1])))
+        assert float.hex(jacobian) == float.hex(float(np.sum(dist.transform(grid.p.copy())[1])))
 
-    def test_a_correlation_report_holds_whole_entries(self, empty_memo):
+    def test_a_correlation_report_holds_whole_entries(self, fresh_grid):
+        grid = fresh_grid(self.N)
         targets = [Gaussian(), Uniform(), Logistic(), StudentT(0.15), AlphaBeta(-0.5, 0.7)]
         translik.correlation_report(np.random.default_rng(5).normal(size=self.N), targets)
         p = _rankits(self.N)
         for dist in targets:
-            z, jacobian = empty_memo.entries[dist, self.N]
+            z, jacobian = grid.store[dist]
             assert float.hex(jacobian) == float.hex(float(np.sum(dist.transform(p)[1])))
 
-    def test_a_grid_lives_while_a_ranking_holds_it(self, stdtrit_dfs, empty_memo):
-        # A size's grid leaves the table with its last ranking, and
-        # ``percentiles`` holds the last one it made until it ranks another
-        # sample; the memo's entries of that size outlive the grid and serve
-        # the next grid of n.
-        n, t = 1237, StudentT(0.15)
-        pc = percentiles(np.random.default_rng(7).normal(size=n))
-        want = _bits(t.quantile(pc.p_sorted))
+    def test_a_second_ranking_creates_the_store(self, stdtrit_dfs, no_held_ranking):
+        # One ranking of n alone is served by the states it keeps, and its
+        # grid stores nothing; a second ranking of n gives the grid its
+        # store, which then serves every ranking of n.
+        n, t = 1238, StudentT(0.15)
+        assert n not in percentile._grids
+        first = percentiles(np.random.default_rng(7).normal(size=n))
+        assert first._grid.store is None
+        want = _bits(t.quantile(first.p_sorted))
         cold = len(stdtrit_dfs)
-        assert cold > 0 and n in percentile._grids
-        del pc
+        assert np.array_equal(_bits(t.quantile(first.p_sorted)), want)
+        assert len(stdtrit_dfs) == 2 * cold
+        second = percentiles(np.random.default_rng(8).normal(size=n))
+        assert second._grid is first._grid and first._grid.store == {}
+        for pc in (first, second, first):
+            assert np.array_equal(_bits(t.quantile(pc.p_sorted)), want)
+        assert len(stdtrit_dfs) == 3 * cold and list(first._grid.store) == [t]
+
+    def test_a_grid_lives_while_a_ranking_holds_it(self, stdtrit_dfs, no_held_ranking):
+        # A size's grid, and its store, leave with the last ranking of the
+        # size, and ``percentiles`` holds the last one it made until it
+        # ranks another sample; the next grid of n starts without a store.
+        n, t = 1237, StudentT(0.15)
+        pcs = [percentiles(np.random.default_rng(seed).normal(size=n)) for seed in (7, 8)]
+        want = _bits(t.quantile(pcs[0].p_sorted))
+        cold = len(stdtrit_dfs)
+        assert cold > 0 and list(pcs[0]._grid.store) == [t]
+        grid = weakref.ref(pcs[0]._grid)
+        del pcs
         gc.collect()
-        assert n in percentile._grids
+        assert percentile._grids[n] is grid()
         percentiles(np.random.default_rng(7).normal(size=n - 1))
         gc.collect()
-        assert n not in percentile._grids
-        p = _grid(n)
-        assert np.array_equal(_bits(t.quantile(p)), want)
-        assert len(stdtrit_dfs) == cold
+        assert grid() is None and n not in percentile._grids
+        pc = percentiles(np.random.default_rng(9).normal(size=n))
+        assert pc._grid.store is None
+        assert np.array_equal(_bits(t.quantile(pc.p_sorted)), want)
+        assert len(stdtrit_dfs) == 2 * cold
 
-    def test_mutating_a_result_leaves_the_next_intact(self, empty_memo):
-        t, p = StudentT(0.15), _grid(self.N)
+    def test_mutating_a_result_leaves_the_next_intact(self, fresh_grid):
+        t, p = StudentT(0.15), fresh_grid(self.N).p
         want = _bits(sc.stdtrit(1.0 / 0.15, p))
-        for _ in range(3):  # the cold result, then two served from the memo
+        for _ in range(3):  # the cold result, then two served from the store
             z = t.quantile(p)
             assert np.array_equal(_bits(z), want)
             z[:] = 7.0
 
-    def test_one_ulp_off_misses(self, stdtrit_dfs):
+    def test_one_ulp_off_misses(self, stdtrit_dfs, fresh_grid):
         t = StudentT(0.15)
-        t.quantile(_grid(self.N))
+        t.quantile(fresh_grid(self.N).p)
         cold = len(stdtrit_dfs)
         p = _grid(self.N).copy()
         p[700] = np.nextafter(p[700], 1.0)
@@ -427,45 +453,49 @@ class TestGridMemo:
         assert len(stdtrit_dfs) > cold
         assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / 0.15, p)))
 
-    def test_held_bytes_stay_within_budget(self, stdtrit_dfs, empty_memo):
-        memo, p = empty_memo, _grid(self.N)
-        fits = targetdist._MEMO_BUDGET // self.COST
-        dfs = np.linspace(2.0, 50.0, fits + 20)
-        for df in dfs:
-            StudentT(1.0 / df).quantile(p)
-            assert memo.held == self.COST * len(memo.entries) <= targetdist._MEMO_BUDGET
-        assert len(memo.entries) == fits
-        # The least recently used entries went first.
+    def test_held_bytes_stay_within_budget(self, stdtrit_dfs, fresh_grid):
+        # The store keeps its first _MEMO_BUDGET // p.nbytes targets and
+        # computes every later one without storing it.
+        grid = fresh_grid(self.N)
+        fits = targetdist._MEMO_BUDGET // grid.p.nbytes
+        targets = [StudentT(1.0 / df) for df in np.linspace(2.0, 50.0, fits + 20)]
+        for t in targets:
+            t.quantile(grid.p)
+        assert list(grid.store) == targets[:fits]
+        assert sum(z.nbytes for z, _ in grid.store.values()) <= targetdist._MEMO_BUDGET
         calls = len(stdtrit_dfs)
-        StudentT(1.0 / dfs[-1]).quantile(p)
+        targets[0].quantile(grid.p)
+        targets[fits - 1].quantile(grid.p)
         assert len(stdtrit_dfs) == calls
-        StudentT(1.0 / dfs[0]).quantile(p)
-        assert len(stdtrit_dfs) > calls
+        z = targets[-1].quantile(grid.p)
+        assert len(stdtrit_dfs) > calls and len(grid.store) == fits
+        assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / targets[-1].inv_nu, grid.p)))
 
     @pytest.mark.parametrize("n", [8001, 300000])
-    def test_a_grid_over_the_entry_limit_is_neither_shared_nor_held(self, n, empty_memo):
-        p = percentiles(np.arange(float(n))).p_sorted
-        assert p.flags.writeable and n not in percentile._grids
+    def test_a_grid_over_the_entry_limit_is_neither_shared_nor_held(self, n):
+        pc = percentiles(np.arange(float(n)))
+        p = pc.p_sorted
+        assert p.flags.writeable and n not in percentile._grids and pc._grid is None
         assert p is not percentiles(np.arange(float(n))).p_sorted
         z = StudentT(0.15).quantile(p)
-        assert len(empty_memo.entries) == 0 and empty_memo.held == 0
+        assert n not in percentile._grids
         assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / 0.15, p)))
 
-    def test_the_largest_held_result(self, empty_memo):
-        p = _grid(8000)
-        assert not p.flags.writeable
-        StudentT(0.15).quantile(p)
-        assert empty_memo.held == p.nbytes + targetdist._MEMO_ENTRY_BYTES
+    def test_the_largest_held_result(self, fresh_grid):
+        grid = fresh_grid(8000)
+        assert not grid.p.flags.writeable
+        StudentT(0.15).quantile(grid.p)
+        (z, _), = grid.store.values()
+        assert z.nbytes == grid.p.nbytes == 64000
         # A refined sweep's 51 grid points and about 10 refinement points
-        # stay in the memo together.
-        assert targetdist._MEMO_BUDGET // empty_memo.held >= 61
+        # stay in the store together.
+        assert targetdist._MEMO_BUDGET // grid.p.nbytes >= 61
 
-    def test_a_named_target_and_its_family_member_take_separate_entries(self, empty_memo):
-        p = _grid(self.N)
+    def test_a_named_target_and_its_family_member_take_separate_entries(self, fresh_grid):
+        grid = fresh_grid(self.N)
         for named, member in ((Gaussian(), StudentT(0.0)), (Logistic(), AlphaBeta(0.0, 0.0))):
-            assert np.array_equal(_bits(named.quantile(p)), _bits(member.quantile(p)))
-        assert [type(dist) for dist, _ in empty_memo.entries] == [
-            Gaussian, StudentT, Logistic, AlphaBeta]
+            assert np.array_equal(_bits(named.quantile(grid.p)), _bits(member.quantile(grid.p)))
+        assert [type(dist) for dist in grid.store] == [Gaussian, StudentT, Logistic, AlphaBeta]
 
     @pytest.mark.parametrize("plus, minus", [
         (StudentT(0.0), StudentT(-0.0)),
@@ -473,23 +503,25 @@ class TestGridMemo:
         (AlphaBeta(0.0, 0.3), AlphaBeta(-0.0, 0.3)),
         (AlphaBeta(0.3, 0.0), AlphaBeta(0.3, -0.0)),
     ], ids=["t", "logistic", "alpha", "beta"])
-    def test_signed_zero_parameters_give_equal_bits(self, plus, minus, empty_memo):
+    def test_signed_zero_parameters_give_equal_bits(self, plus, minus, fresh_grid):
         # The two compare equal and so share one entry: each computes the
         # other's bits.
-        p = _grid(self.N)
+        grid = fresh_grid(self.N)
+        p = grid.p
         computed = [[_bits(v) for v in d.transform(p.copy())] for d in (plus, minus)]
         for a, b in zip(*computed):
             assert np.array_equal(a, b)
         for d in (minus, plus):  # the second served from the first's entry
             for got, want in zip(d.transform(p), computed[0]):
                 assert np.array_equal(_bits(got), want)
-        assert len(empty_memo.entries) == 1
+        assert len(grid.store) == 1
 
     @pytest.mark.parametrize("family", ["t", "alpha"])
     def test_second_sample_of_one_size_evaluates_only_refinement_points(
-            self, family, empty_memo, monkeypatch):
+            self, family, fresh_grid, monkeypatch):
         # Two tie-free samples of one size have the same percentiles, so the
-        # second sweep finds every grid point's z and jacobian in the memo:
+        # second sweep finds every grid point's z and jacobian in the
+        # grid's store:
         # no special function, logarithm or product of the targets runs
         # there.  Each is recorded with the family parameter being evaluated.
         current, evaluated, points = [None], set(), []
@@ -524,6 +556,7 @@ class TestGridMemo:
         monkeypatch.setattr(targetdist, "sc", Recording(sc))
         monkeypatch.setattr(targetdist, "np", Recording(np, {"log", "log1p", "multiply"}))
         profile = profile_student_t if family == "t" else profile_alpha
+        fresh_grid(1500)
         grid = set(family_grid(family).tolist())
         first, second = bench(0), bench(1, "cauchy")
         profile(first.y, fixed_design(first), refine=True)
@@ -534,20 +567,20 @@ class TestGridMemo:
         assert set(points) - grid  # the second sweep refined
         assert evaluated and not evaluated & grid
 
-    def test_threads_keep_the_accounting(self, empty_memo):
-        # More threads than cores, switching often, fill and evict one memo,
-        # each hitting the entries another is about to evict: a hit on an
-        # entry evicted meanwhile stops a thread, and a lost update leaves
-        # the held bytes apart from the entries held.
-        p = _grid(64)
-        cost = p.nbytes + targetdist._MEMO_ENTRY_BYTES
-        inv_nus = np.linspace(0.02, 0.5, targetdist._MEMO_BUDGET // cost + 100)
-        want = {x: _bits(sc.stdtrit(1.0 / x, p)) for x in inv_nus[::7]}
+    def test_threads_keep_the_accounting(self, fresh_grid):
+        # More threads than cores, switching often, fill one store past its
+        # bound, each hitting the entries another has just stored: a torn
+        # entry or a wrong hit changes the bits, and the check-then-store
+        # lets each thread pass the bound by one entry at most.
+        grid = fresh_grid(512)
+        bound = targetdist._MEMO_BUDGET // grid.p.nbytes
+        inv_nus = np.linspace(0.02, 0.5, bound + 100)
+        want = {x: _bits(sc.stdtrit(1.0 / x, grid.p)) for x in inv_nus[::7]}
         wrong, done = [], []
 
         def work(k):
             for x in np.tile(np.roll(inv_nus, k * inv_nus.size // 6), 2):
-                z = StudentT(x).quantile(p)
+                z = StudentT(x).quantile(grid.p)
                 if x in want and not np.array_equal(_bits(z), want[x]):
                     wrong.append(x)
             done.append(k)
@@ -563,20 +596,24 @@ class TestGridMemo:
         finally:
             sys.setswitchinterval(interval)
         assert sorted(done) == list(range(len(threads))) and not wrong
-        assert empty_memo.held == cost * len(empty_memo.entries) <= targetdist._MEMO_BUDGET
-        for z, jacobian in empty_memo.entries.values():
+        assert bound <= len(grid.store) <= bound + len(threads)
+        for dist, (z, jacobian) in grid.store.items():
+            assert isinstance(z, np.ndarray) and z.shape == grid.p.shape
             assert not z.flags.writeable and type(jacobian) is float
+            if dist.inv_nu in want:
+                assert np.array_equal(_bits(z), want[dist.inv_nu])
 
 
 class TestFreshResults:
     """quantile returns a new array: a caller may write into it."""
 
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
-    def test_shares_memory_with_neither_p_nor_the_last_result(self, dist, empty_memo):
-        p = _grid(1500)
+    def test_shares_memory_with_neither_p_nor_the_last_result(self, dist, fresh_grid):
+        grid = fresh_grid(1500)
+        p = grid.p
         first = dist.quantile(p)   # computed
-        second = dist.quantile(p)  # served from the memo
-        (kept, _), = empty_memo.entries.values()
+        second = dist.quantile(p)  # served from the grid's store
+        (kept, _), = grid.store.values()
         for z in (first, second):
             assert z.flags.writeable and not np.may_share_memory(z, p)
             assert not np.may_share_memory(z, kept)

@@ -238,9 +238,10 @@ class TestQuantilePasses:
         assert calls == [0.1, 0.2, 0.3, 0.1]
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    def test_one_call_per_evaluation_cold_or_warm(self, calls, warm, empty_memo):
-        # Warm, z comes from the memo through the one quantile call.
+    def test_one_call_per_evaluation_cold_or_warm(self, calls, warm, fresh_grid):
+        # Warm, z comes from the grid's store through the one quantile call.
         out = bench(0)
+        fresh_grid(out.y.size)
         if warm:
             reduced_profile_loglik(bench(1).y, StudentT(0.3), fixed_design(out))
             del calls[:]
@@ -250,8 +251,8 @@ class TestQuantilePasses:
 
 class TestTransformMemo:
     """On a tie-free sample, a repeat evaluation of one target at one n
-    takes z and the jacobian from the memo: no log Q', and the bits of an
-    evaluation that computes them."""
+    takes z and the jacobian from the grid's store: no log Q', and the bits
+    of an evaluation that computes them."""
 
     @pytest.fixture
     def lqd_calls(self, monkeypatch):
@@ -268,14 +269,15 @@ class TestTransformMemo:
     @pytest.mark.parametrize("dist", [Gaussian(), Uniform(), Logistic(), StudentT(0.15),
                                       StudentT(1.0), AlphaBeta(-0.3, 0.4)],
                              ids=lambda d: d.label())
-    def test_warm_evaluation_keeps_the_bits(self, dist, empty_memo, lqd_calls):
+    def test_warm_evaluation_keeps_the_bits(self, dist, fresh_grid, lqd_calls):
         first, second = bench(0), bench(1, "cauchy")
         d = fixed_design(first)
+        grid = fresh_grid(first.y.size)
         # The ranking on a caller's own copy of the grid is computed.
         pc = percentiles(second.y)
         want = reduced_profile_loglik(
             PercentileVector(order=pc.order, p_sorted=pc.p_sorted.copy(), n=pc.n), dist, d)
-        assert lqd_calls == [dist] and len(empty_memo.entries) == 0
+        assert lqd_calls == [dist] and grid.store == {}
         reduced_profile_loglik(first.y, dist, d)
         del lqd_calls[:]
         got = reduced_profile_loglik(second.y, dist, d)
@@ -283,10 +285,11 @@ class TestTransformMemo:
         for field in ("det_term", "jacobian_term", "value"):
             assert float.hex(getattr(got, field)) == float.hex(getattr(want, field))
 
-    def test_ties_evaluate_every_time(self, empty_memo, lqd_calls, no_held_ranking):
+    def test_ties_evaluate_every_time(self, fresh_grid, lqd_calls, no_held_ranking):
         # Every ranking of a sample with ties evaluates log Q' once; a
         # repeat on one ranking takes the state the ranking keeps.
         out = bench(0)
+        grid = fresh_grid(out.y.size)
         y = np.round(out.y, 1)
         values = []
         for _ in range(2):
@@ -294,22 +297,23 @@ class TestTransformMemo:
             values += [reduced_profile_loglik(y, StudentT(0.15), fixed_design(out))
                        for _ in range(2)]
         assert values[0] == values[1] == values[2] == values[3]
-        assert len(lqd_calls) == 2 and len(empty_memo.entries) == 0
+        assert len(lqd_calls) == 2 and grid.store == {}
 
-    def test_affine_is_held_like_any_target(self, empty_memo, lqd_calls):
+    def test_affine_is_held_like_any_target(self, fresh_grid, lqd_calls):
         # Affine defines quantile and _lqd_at, as every target does: its own
         # log Q' runs once, when its entry is made, and a second evaluation
         # computes no log Q', its own or its base's.
         first, second = bench(0), bench(1, "cauchy")
         d = fixed_design(first)
         dist = Affine(Gaussian(), 2.0, 3.0)
+        grid = fresh_grid(first.y.size)
         pc = percentiles(second.y)
         want = reduced_profile_loglik(
             PercentileVector(order=pc.order, p_sorted=pc.p_sorted.copy(), n=pc.n), dist, d)
-        assert len(empty_memo.entries) == 0
+        assert grid.store == {}
         del lqd_calls[:]
         reduced_profile_loglik(first.y, dist, d)
-        assert lqd_calls.count(dist) == 1 and (dist, pc.n) in empty_memo.entries
+        assert lqd_calls.count(dist) == 1 and dist in grid.store
         del lqd_calls[:]
         got = reduced_profile_loglik(second.y, dist, d)
         assert lqd_calls == []
@@ -331,15 +335,15 @@ class TestHeldRanking:
     """``percentiles`` returns its last ranking for an input with the same
     bytes, and ``_reduced`` keeps each target's model-free state on its
     ranking.  Every number keeps the bits of the same call made with no
-    ranking held and no state or memo entry kept."""
+    ranking held and no state or stored transform kept."""
 
     @pytest.fixture
-    def cold(self, no_held_ranking, empty_memo):
-        """Calls ``fn()`` with no ranking held and the targets' memo empty."""
+    def cold(self, no_held_ranking, fresh_grid):
+        """Calls ``fn()`` with no ranking held and a fresh grid of 1500
+        points, the size of every sample here that has a shared grid."""
         def call(fn):
             no_held_ranking()
-            empty_memo.entries.clear()
-            empty_memo.held = 0
+            fresh_grid(1500)
             return fn()
 
         return call
@@ -429,7 +433,7 @@ class TestHeldRanking:
                 a[0] = a[1]
 
     def test_the_store_stops_at_its_bound(self, monkeypatch):
-        # A sample with ties, so no memo entry of the targets is made.
+        # A sample with ties, so no transform is stored on a grid.
         out = bench(0)
         pc = percentiles(np.round(out.y, 1))
         d = fixed_design(out)
