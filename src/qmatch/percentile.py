@@ -19,12 +19,15 @@ likelihood's jacobian, the correlation report's products) are taken in
 that order, so they are exactly invariant under any reordering of y; only
 a model fit needs the data order back (``unsort``).
 
-``percentiles`` holds its last ranking of at most 8000 points and returns
-it again for an input with the same bytes, so one raw response passed to
-several rank-based functions is sorted once; a response written in place
-since, even a 0.0 made -0.0, is ranked anew.  A ranking keeps each
-target's model-free fit state (``translik._reduced``), so a response swept
-under both models is transformed and decomposed once per target.
+``percentiles`` holds its last ranking and returns it again for any input
+of its size that it sorts with the same tie runs: such an input has the
+same ranks, so a fresh ranking would give the same ``p_sorted`` and an
+order that differs only inside tie runs.  So one response passed to
+several rank-based functions is sorted once, and so is any strictly
+increasing relabeling of it (a 0.0 made -0.0 included), with the same bits
+in every number.  A ranking keeps each target's model-free fit state
+(``translik._reduced``), so a response swept under both models is
+transformed and decomposed once per target.
 
 A tie-free sample of at most 8000 points shares the one rankit grid of its
 n, a ``_Grid`` that every ranking of that n holds.  When a second ranking
@@ -46,8 +49,8 @@ from .errors import DomainError
 # some ranking holds it.  A grid is shared only up to _SHARED_GRID_MAX_N
 # points: its store then keeps at least 65 targets' transforms (see
 # ``targetdist._MEMO_BUDGET``), so a refined sweep (51 grid points and
-# about 10 refinement points) keeps its own; a larger n is neither shared
-# nor held.
+# about 10 refinement points) keeps its own; a larger n gets a fresh grid
+# with each ranking.
 _SHARED_GRID_MAX_N = 8000
 
 
@@ -62,9 +65,8 @@ class _Grid:
 
 _grids: weakref.WeakValueDictionary[int, _Grid] = weakref.WeakValueDictionary()
 
-# The last ranking of at most _SHARED_GRID_MAX_N points, beside the bytes
-# of the input it ranked: (bytes, ranking), or None.  One is held, and none
-# larger: at 300000 points a ranking and its input would take 7 MB.
+# The last ranking made, or None.  It takes 16 bytes a point (``order`` and
+# ``p_sorted``), 4.8 MB at 300000 points, and keeps no copy of its input.
 _held = None
 
 
@@ -89,10 +91,12 @@ def percentiles(y) -> PercentileVector:
     """Percentile values of each observation within its own sample; a
     ``PercentileVector`` is returned as it is.
 
-    A ranking of at most 8000 points is held, with read-only ``order`` and
-    ``p_sorted``, until the next one is made: an input with the same bytes
-    as the one it ranked gets it back, with the targets' fit states it
-    keeps.  A larger ranking is not held.
+    A ranking's ``order`` and ``p_sorted`` are read-only.  The last one
+    made is held until the next is made, and returned, with the targets'
+    fit states it keeps, for any input of its size whose values in its
+    order are finite at both ends, nondecreasing, and equal exactly where
+    its percentiles are equal: an input with the same ranks, to which a
+    fresh ranking would give the same percentiles.
 
     A tie-free sample, which the sorted values show by having no equal
     neighbours, gets the rankit grid (2i - 1)/(2n).  Up to 8000 points
@@ -111,12 +115,16 @@ def percentiles(y) -> PercentileVector:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise DomainError("input must be a nonempty 1-d vector")
-    # Equal bytes are equal bits: -0.0 is not 0.0.  Comparing them takes
-    # about 1 us at 1500 points, against 41 us for a ranking.
-    data = y.tobytes() if y.size <= _SHARED_GRID_MAX_N else None
+    n = y.size
     held = _held
-    if held is not None and held[0] == data:
-        return held[1]
+    if held is not None and held.n == n:
+        # Both masks mark the neighbours inside a tie run.  A call served
+        # so takes about a third of one that ranks at 1500 points, and a
+        # sixth at 300000.
+        ys = y[held.order]
+        if (np.isfinite(ys[0]) and np.isfinite(ys[-1]) and (ys[1:] >= ys[:-1]).all()
+                and np.array_equal(ys[1:] == ys[:-1], held.p_sorted[1:] == held.p_sorted[:-1])):
+            return held
     # Midranks give (F(y-) + F(y+))/2 directly.  A tie run of length k at
     # 0-based sorted positions a..a+k-1 has 1-based midrank a + (k+1)/2, so
     # p = (2a + k)/(2n).  The run's start plus its end, a + (a + k), is that
@@ -125,7 +133,6 @@ def percentiles(y) -> PercentileVector:
     # Signed zeros compare equal, so 0.0 and -0.0 form one run.  a and k
     # depend only on the sorted values, so any sort order of the ties gives
     # the same p_sorted: the sort need not be stable.
-    n = y.size
     order = np.argsort(y)
     ys = y[order]
     # -inf sorts first, and inf then nan last.
@@ -156,8 +163,6 @@ def percentiles(y) -> PercentileVector:
         starts = np.flatnonzero(np.concatenate(([True], new_run)))
         ends = np.append(starts[1:], n)
         p_sorted = np.repeat((starts + ends) / (2.0 * n), ends - starts)
-    ranked = PercentileVector(order=order, p_sorted=p_sorted, n=int(n), _grid=grid)
-    if data is not None:
-        order.flags.writeable = p_sorted.flags.writeable = False
-        _held = data, ranked
-    return ranked
+    order.flags.writeable = p_sorted.flags.writeable = False
+    _held = PercentileVector(order=order, p_sorted=p_sorted, n=int(n), _grid=grid)
+    return _held

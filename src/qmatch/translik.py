@@ -19,10 +19,12 @@ leaves them bit-for-bit unchanged.
 Each rank-based function takes the raw response or its ranking, the
 ``PercentileVector`` that ``percentiles(y)`` returns, so a caller that
 evaluates several targets on one response ranks it once; ``percentiles``
-also returns its held last ranking for the same raw response.  Targets are
-evaluated on the sorted percentiles, and the jacobian term and the
-correlations are summed in sort order, so they are exactly invariant
-under any reordering of y; only the model fit sees z in data order.
+also returns its held last ranking for any raw response with the same
+ranks, the same response or a relabeling that keeps its ranks, with every
+number's bits.  Targets are evaluated on the sorted percentiles, and the
+jacobian term and the correlations are summed in sort order, so they are
+exactly invariant under any reordering of y; only the model fit sees z in
+data order.
 
 An evaluation is a transform and a model solve.  The transform, z = Q(p)
 put in data order, its jacobian and its decomposition (``linmodel``'s

@@ -44,8 +44,8 @@ def no_held_ranking(monkeypatch):
 def sorts(monkeypatch, no_held_ranking):
     """A list that grows by one for each sort ``percentiles`` makes, under
     whatever name it is called, starting with no ranking held; a ranking
-    passed back in, or the held one returned for its input's bits, adds
-    nothing."""
+    passed back in, or the held one returned for an input with its ranks,
+    adds nothing."""
     calls = []
     module = importlib.import_module("qmatch.percentile")
 

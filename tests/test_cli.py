@@ -33,7 +33,7 @@ from qmatch.cli import (
     parse_target_list,
     read_data_csv,
 )
-from qmatch.translik import family_grid
+from qmatch.translik import family_grid, reduced_profile_loglik
 
 
 @pytest.fixture(scope="module")
@@ -509,12 +509,51 @@ class TestOneRankingPerCommand:
 
     def test_a_second_command_on_the_same_response_sorts_nothing(
             self, bench_csv, tmp_path, capsys, sorts):
-        # The ranking the first command made is held for the same bits of y.
+        # The ranking the first command made is held for the same ranks of y.
         for model in ("fixed", "random"):
             assert main(["profile", "--family", "t", "--model", model, "--input",
                          str(bench_csv), "--out", str(tmp_path / f"{model}.csv")]) == 0
         assert main(["correlate", "--input", str(bench_csv), "--targets", "gaussian"]) == 0
         assert len(sorts) == 1
+
+    def test_a_large_response_is_ranked_once_with_cold_bits(
+            self, tmp_path, capsys, sorts, no_held_ranking):
+        # 100 x 81 = 8100 points, above the shared grid's limit: a compare,
+        # a correlate and six evaluations of one response take one ranking,
+        # and every number has the bits it has with no ranking held.
+        data = str(tmp_path / "large.csv")
+        assert main(["simulate", "--nrows", "100", "--ncols", "81", "--seed", "4",
+                     "--out", data]) == 0
+        specs = ("gaussian", "t:inv_nu=0.15", "alpha:a=-0.05")
+
+        def outputs(cold):
+            def run(fn):
+                if cold:
+                    no_held_ranking()
+                return fn()
+
+            out = tmp_path / f"compare_{cold}.json"
+            assert run(lambda: main(["compare", "--a", specs[1], "--b", specs[2], "--input", data,
+                                     "--out", str(out)])) == 0
+            report = json.loads(out.read_text())
+            del report["manifest"]
+            got = [json.dumps(report)]
+            out = tmp_path / f"correlate_{cold}.csv"
+            assert run(lambda: main(["correlate", "--targets", ",".join(specs), "--input", data,
+                                     "--out", str(out)])) == 0
+            got.append(out.read_bytes())
+            y, design = read_data_csv(data)
+            for model in ("fixed", "random"):
+                for spec in specs:
+                    r = run(lambda: reduced_profile_loglik(
+                        y, parse_target(spec), design.with_model(model)))
+                    got.append([float.hex(v) for v in (r.det_term, r.jacobian_term, r.value)])
+            return got
+
+        warm = outputs(cold=False)
+        assert len(sorts) == 1 and percentile._held.n == 8100
+        assert warm == outputs(cold=True)
+        assert len(sorts) == 1 + 8  # cold, each of the eight ranks it anew
 
     def test_one_sample_leaves_its_grid_without_a_store(
             self, bench_csv, tmp_path, monkeypatch, no_held_ranking):
@@ -535,7 +574,7 @@ class TestOneRankingPerCommand:
 
         profile(bench_csv, "alone.csv")
         grid = percentile._grids[1500]
-        assert grid is percentile._held[1]._grid and grid.store is None
+        assert grid is percentile._held._grid and grid.store is None
         other = tmp_path / "other.csv"
         assert main(["simulate", "--seed", "1", "--out", str(other)]) == 0
         profile(other, "other.csv")

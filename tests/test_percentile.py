@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -13,7 +13,7 @@ from oracles import (
     rankdata_percentiles,
     twice_midrank_percentiles,
 )
-from qmatch import DomainError, Gaussian, Logistic, Uniform, percentiles
+from qmatch import DomainError, Gaussian, Logistic, Uniform, percentile, percentiles
 
 finite_values = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -143,23 +143,33 @@ def test_sum_identity(values):
     assert math.fsum(p) == len(values) / 2.0
 
 
+# The fixture is not reset between examples; each example drops the held
+# ranking before each ranking, which is all the fixture does.
 @given(st.lists(finite_values, min_size=2, max_size=100, unique=True))
-@settings(max_examples=100, deadline=None)
-def test_rank_invariance_under_increasing_maps(values):
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_rank_invariance_under_increasing_maps(no_held_ranking, values):
+    # Each vector is ranked on its own: the held ranking of y would serve
+    # the others.
     y = np.array(values)
+    no_held_ranking()
     base = data_order_percentiles(y)
     mapped = np.tanh(y / 1e12) * 3.0 + 1.0
     # tanh can collapse floats that differ below its resolution; the
     # invariance claim only applies while the map stays injective.
     assume(np.unique(mapped).size == y.size)
+    no_held_ranking()
     assert np.array_equal(data_order_percentiles(mapped), base)
     order = np.argsort(np.argsort(y)).astype(float)
+    no_held_ranking()
     assert np.array_equal(data_order_percentiles(order), base)
 
 
-def test_cubing_preserves_percentiles(rng):
+def test_cubing_preserves_percentiles(rng, no_held_ranking):
     y = rng.normal(size=500)
-    assert np.array_equal(data_order_percentiles(y**3), data_order_percentiles(y))
+    base = data_order_percentiles(y)
+    no_held_ranking()
+    assert np.array_equal(data_order_percentiles(y**3), base)
 
 
 @given(st.lists(finite_values, min_size=1, max_size=80, unique=True))
@@ -212,7 +222,8 @@ class TestQuantileMatch:
 
 class TestSharedGrid:
     """A tie-free sample of up to 8000 points gets the one shared, read-only
-    rankit grid of its size; ties and larger samples get a fresh array."""
+    rankit grid of its size; ties and larger samples get a fresh array,
+    read-only like every ranking's."""
 
     def test_one_read_only_grid_per_size(self, rng):
         a, b = percentiles(rng.normal(size=1500)), percentiles(rng.normal(size=1500))
@@ -223,10 +234,96 @@ class TestSharedGrid:
 
     @pytest.mark.parametrize("y", [[1.0, 1.0, 2.0], list(range(8001))], ids=["ties", "8001"])
     def test_ties_and_large_samples_get_fresh_arrays(self, y, no_held_ranking):
-        # Each ranking has its own; the held one (at most 8000 points) is
-        # read-only, a larger one writable.
+        # Each ranking has its own, read-only like every ranking's.
         a = percentiles(y)
         no_held_ranking()
         b = percentiles(y)
         assert a.p_sorted is not b.p_sorted
-        assert a.p_sorted.flags.writeable == b.p_sorted.flags.writeable == (len(y) > 8000)
+        assert not a.p_sorted.flags.writeable and not b.p_sorted.flags.writeable
+
+
+def _sample(tied):
+    """300 normal values, rounded to one decimal if ``tied``, whose values
+    nearest zero are 0.0 (one of them tie-free, a tie run tied)."""
+    y = np.random.default_rng(11).normal(size=300)
+    if tied:
+        y = np.round(y, 1)
+        assert np.unique(y).size < y.size
+    y[np.abs(y) == np.abs(y).min()] = 0.0
+    return y
+
+
+def _new_tie(y, order):
+    # The first distinct sorted neighbours made equal, the upper one lowered.
+    ys = y[order]
+    k = int(np.flatnonzero(ys[1:] != ys[:-1])[0])
+    y = y.copy()
+    y[order[k + 1]] = ys[k]
+    return y
+
+
+def _broken_tie(y, order):
+    # The last member of the first tie run raised by one ulp: still below
+    # the next run, so only the tie runs tell the ranks apart.
+    ys = y[order]
+    k = int(np.flatnonzero((ys[1:-1] == ys[:-2]) & (ys[2:] != ys[1:-1]))[0]) + 1
+    y = y.copy()
+    y[order[k]] = np.nextafter(ys[k], np.inf)
+    return y
+
+
+def _swapped(y, order):
+    y = y.copy()
+    y[order[0]], y[order[-1]] = y[order[-1]], y[order[0]]
+    return y
+
+
+def _set(position, value):
+    def change(y, order):
+        y = y.copy()
+        y[order[position]] = value
+        return y
+
+    return change
+
+
+class TestHeldRanking:
+    """The held ranking is returned for any input of its size with the same
+    ranks, with no sort; any other input is ranked anew."""
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
+    @pytest.mark.parametrize("relabel", [lambda y: 3.0 + 2.0 * y + y**3,
+                                         lambda y: np.where(y == 0.0, -0.0, y)],
+                             ids=["increasing", "negative-zero"])
+    def test_the_same_ranks_are_served(self, sorts, tied, relabel):
+        y = _sample(tied)
+        held = percentiles(y)
+        relabeled = relabel(y)
+        assert relabeled.tobytes() != y.tobytes()
+        assert percentiles(relabeled) is held and len(sorts) == 1
+        # The percentiles a fresh ranking would give.
+        assert np.array_equal(held.unsort(held.p_sorted), rankdata_percentiles(relabeled))
+
+    @pytest.mark.parametrize("change", [
+        (False, _swapped), (True, _swapped), (False, _new_tie), (True, _new_tie),
+        (True, _broken_tie), (False, lambda y, order: y[:-1]), (True, lambda y, order: y[1:]),
+    ], ids=["swapped-pair", "swapped-pair-tied", "new-tie", "new-tie-tied", "broken-tie",
+            "another-n", "another-n-tied"])
+    def test_other_ranks_are_ranked_anew(self, sorts, change):
+        tied, change = change
+        y = _sample(tied)
+        held = percentiles(y)
+        other = change(y, held.order)
+        got = percentiles(other)
+        assert got is not held and len(sorts) == 2 and percentile._held is got
+        assert np.array_equal(got.unsort(got.p_sorted), rankdata_percentiles(other))
+
+    @pytest.mark.parametrize("change", [
+        _set(150, np.nan), _set(0, -np.inf), _set(0, np.nan), _set(-1, np.inf), _set(-1, np.nan),
+    ], ids=["nan-in-the-middle", "-inf-first", "nan-first", "inf-last", "nan-last"])
+    def test_nonfinite_values_are_ranked_anew_and_refused(self, sorts, change):
+        y = _sample(False)
+        held = percentiles(y)
+        with pytest.raises(DomainError, match="^input values must be finite$"):
+            percentiles(change(y, held.order))
+        assert len(sorts) == 2 and percentile._held is held
