@@ -6,11 +6,11 @@ the left and right limits of the empirical CDF there,
     p_i = (F(y_i-) + F(y_i+)) / 2,
 
 which for distinct values is the classical rankit grid (2i - 1)/(2n) and
-for a group of k ties occupying sorted positions a .. a+k-1 is the shared
-value (2a + k - 2)/(2n).  Everything downstream consumes these percentiles
-only at the data points; no interpolant between them is ever constructed,
-so every reported statistic depends on the data through its rank vector
-alone.
+for a group of k ties occupying the 1-based sorted positions a .. a+k-1
+is the shared value (2a + k - 2)/(2n).  Everything downstream consumes
+these percentiles only at the data points; no interpolant between them is
+ever constructed, so every reported statistic depends on the data through
+its rank vector alone.
 
 A ``PercentileVector`` keeps the ranking in sort order: the permutation
 that sorts y and the percentiles in that order, which are nondecreasing

@@ -2,13 +2,13 @@
 
 Every likelihood computation in this package needs exactly two ingredients
 from a target law G: the quantile function Q = G^{-1} and the log of its
-derivative, log Q'(p) = -log g(Q(p)).  One ``transform(p)`` call returns
-both, from a single evaluation of the target's ``quantile``: log Q' is
-computed from p and that Q(p), so the special function behind Q (``ndtri``,
-``stdtrit``) runs once per evaluation.  Each target also gives the
-differential entropy where it is known analytically (used by the
-first-order approximation that ``qmatch compare`` reports) and a ``label``
-that parses back to the target.
+derivative, log Q'(p) = -log g(Q(p)).  The likelihood takes Q(p) from the
+target's ``quantile`` and log Q' from its ``_lqd_at(p, Q(p))``, which is
+computed from p and that Q(p), so the special function behind Q
+(``ndtri``, ``stdtrit``) runs once per evaluation; ``transform(p)`` returns
+both the same way.  Each target also gives the differential entropy where
+it is known analytically (used by the first-order approximation that
+``qmatch compare`` reports) and a ``label`` that parses back to the target.
 
 Families:
 

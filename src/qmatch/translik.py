@@ -31,6 +31,11 @@ put in data order, its jacobian and its decomposition (``linmodel``'s
 preparation), depends on the ranking, the target and the grid's shape but
 not on the model, so the ranking keeps it (``_reduced``): a target
 evaluated again on one ranking, under either model, runs only the solve.
+A t or alpha-beta sweep prepares the targets at its grid points before its
+loop (``_fill_states``), stacked in fewer than 256 KiB of transformed
+values (21 targets at 1500 points) and decomposed together by
+``linmodel._prepare_stack``, with the bits each would get alone; its loop
+and its refinement then evaluate as before.
 
 Each profiled family, by its ``--family`` name (``t``, ``alpha``,
 ``boxcox``), has one table row in ``_FAMILIES`` and one evaluator,
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError, NumericError
-from .linmodel import DesignSpec, _prepare, _solve, fit
+from .linmodel import DesignSpec, _prepare, _prepare_stack, _solve, fit
 from .percentile import PercentileVector, percentiles
 from .targetdist import (
     AlphaBeta,
@@ -69,6 +74,8 @@ _FAMILIES = {"t": ("student_t", "inv_nu", np.arange(51) * 0.02, *StudentT.bounds
              "alpha": ("alpha_beta_diagonal", "alpha", np.arange(-100, 101) * 0.01,
                        *AlphaBeta.bounds["alpha"]),
              "boxcox": ("boxcox", "g", np.arange(-20, 21) * 0.05, -math.inf, math.inf)}
+# The member at each parameter of the rank-based families.
+_MEMBERS = {"t": StudentT, "alpha": lambda a: AlphaBeta(a, a)}
 
 
 @dataclass(frozen=True)
@@ -155,6 +162,46 @@ def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec)
             pc._states[key] = state
     dec, k, jacobian = state
     return _score(dist.label(), _solve(design, dec, k).log_det_sigma_hat, jacobian)
+
+
+# Bytes of transformed values a sweep's preparation stacks at once, fewer
+# than 256 KiB: 21 targets at 1500 points, and from 16384 points one target
+# at a time, so a large response is never stacked.
+_STACK_BYTES = 256 << 10
+
+
+def _fill_states(pc: PercentileVector, dists, design: DesignSpec):
+    """Keep on the ranking the states of the targets ``dists`` that it
+    lacks, while it has room, prepared as stacks: ``_reduced`` then runs
+    only the model's solve for them.  A target whose preparation fails
+    keeps no state, so its evaluation raises its error again.
+
+    Each state has the bits ``_reduced`` would give it: z and the jacobian
+    come from one ``_z_and_jacobian`` call, and z goes into row-major grid
+    order by one gather through the ranking's inverse permutation, which
+    copies the values ``unsort`` and ``linmodel._grid`` would."""
+    if pc.n != design.n:
+        return  # the sweep's first evaluation raises the size error
+    states, shape = pc._states, (design.nrows, design.ncols)
+    todo = [d for d in dict.fromkeys(dists) if (d, *shape) not in states]
+    del todo[max(_STATES_MAX - len(states), 0):]
+    # Grid cell (r, c) holds data position c * nrows + r, whose value is
+    # the sorted one at its rank.
+    rank = np.empty(pc.n, dtype=np.intp)
+    rank[pc.order] = np.arange(pc.n)
+    index = rank.reshape(design.ncols, design.nrows).T.ravel()
+    rows = max(1, (_STACK_BYTES - 1) // (8 * pc.n))
+    for start in range(0, len(todo), rows):
+        chunk = todo[start:start + rows]
+        g = np.empty((len(chunk), *shape))
+        jacobians = []
+        for row, dist in zip(g.reshape(len(chunk), -1), chunk):
+            z, jacobian = _z_and_jacobian(dist, pc.p_sorted)
+            np.take(z, index, out=row)
+            jacobians.append(jacobian)
+        for dist, state, jacobian in zip(chunk, _prepare_stack(g, design), jacobians):
+            if not isinstance(state, Exception):
+                states[(dist, *shape)] = *state, jacobian
 
 
 def reduced_profile_loglik(y, dist: TargetDistribution, design: DesignSpec) -> ReducedProfileLoglik:
@@ -321,16 +368,18 @@ def family_evaluator(family, data, design: DesignSpec):
     values."""
     if family == "boxcox":
         return _boxcox_evaluator(data, design)
-    pc = percentiles(data)
-    if family == "t":
-        return lambda inv_nu: _reduced(pc, StudentT(inv_nu), design)
-    return lambda a: _reduced(pc, AlphaBeta(a, a), design)
+    pc, member = percentiles(data), _MEMBERS[family]
+    return lambda x: _reduced(pc, member(x), design)
 
 
 def _profile(family, data, design, grid, refine) -> ProfileCurve:
     """``family``'s evaluator swept over its checked grid; the grid is
-    checked before the data are read."""
+    checked before the data are read.  A rank-based sweep first prepares
+    its grid's targets on the ranking (``_fill_states``)."""
     grid = family_grid(family, grid)
+    if family in _MEMBERS:
+        data = percentiles(data)
+        _fill_states(data, map(_MEMBERS[family], grid.tolist()), design)
     return _sweep(_FAMILIES[family][0], grid, family_evaluator(family, data, design), refine)
 
 

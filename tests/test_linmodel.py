@@ -41,6 +41,7 @@ from qmatch import (
     simulate,
 )
 from qmatch import linmodel
+from qmatch.linmodel import _grid, _prepare
 
 
 def design(r, c, model=ModelKind.FIXED_EFFECTS):
@@ -159,6 +160,66 @@ class TestDecompose:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             decompose(np.ones(7), design(2, 3))
+
+
+def _stack_rows(rng, r, c):
+    """Responses in data order that cover the stack's cases: ties, signed
+    zeros, magnitudes far outside _SAFE_SCALE (k != 0), and the responses
+    ``_prepare`` refuses: constant, additive, infinite and NaN."""
+    z = rng.standard_normal(r * c)
+    signed = z.copy()
+    signed[::3] = -0.0
+    rows, cols = np.arange(r * c) % r, np.arange(r * c) // r
+    infinite, nan = z.copy(), z.copy()
+    infinite[-1], nan[0] = -math.inf, math.nan
+    return [z, np.round(z, 1), signed, np.ldexp(z, 600), np.ldexp(np.round(z, 1), -600),
+            np.full(r * c, 2.5), np.full(r * c, 1.7e308), (rows + 10.0 * cols).astype(float),
+            infinite, nan, 1e6 * z]
+
+
+def _outcome(state):
+    """A preparation's (dec bits, k), or its error's type and message."""
+    if isinstance(state, Exception):
+        return type(state), str(state)
+    dec, k = state
+    return tuple(np.float64(v).tobytes() for v in (dec.s_row, dec.s_col, dec.s_err)), k
+
+
+class TestStackedPreparation:
+    """``_prepare_stack`` prepares K responses stacked in grid order as
+    ``_prepare`` prepares each alone: the same sums bit for bit, the same
+    exponent, or the same typed error and message, with no warning."""
+
+    @pytest.mark.parametrize("r,c", [(2, 2), (2, 3), (3, 2), (10, 8), (50, 30), (7, 129), (129, 7)])
+    def test_rows_match_the_single_preparation(self, rng, r, c):
+        d = design(r, c)
+        zs = _stack_rows(rng, r, c)
+        alone = []
+        for z in zs:
+            try:
+                alone.append(_outcome(_prepare(z, d)))
+            except DomainError as exc:
+                alone.append(_outcome(exc))
+        # Columns past 128 make the pairwise row sums recurse.
+        stack = np.stack([_grid(z, d) for z in zs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = linmodel._prepare_stack(stack, d)
+        assert [_outcome(state) for state in stacked] == alone
+        assert [type(state) for state in stacked[5:10]] == [
+            DegenerateFitError, DegenerateFitError, DegenerateFitError, DomainError, DomainError]
+        for z, state in zip(zs, stacked):
+            if not isinstance(state, Exception):
+                dec, k = state
+                assert dec == numpy_decompose(np.ldexp(z, -k), d) == decompose(np.ldexp(z, -k), d)
+
+    def test_a_row_is_its_own_stack(self, rng):
+        d = design(10, 8)
+        zs = _stack_rows(rng, 10, 8)
+        stacked = linmodel._prepare_stack(np.stack([_grid(z, d) for z in zs]), d)
+        for z, state in zip(zs, stacked):
+            (alone,) = linmodel._prepare_stack(_grid(z, d)[None], d)
+            assert _outcome(state) == _outcome(alone)
 
 
 class TestFitFixed:

@@ -526,19 +526,25 @@ class TestGridMemo:
         # second sweep finds every grid point's z and jacobian in the
         # grid's store:
         # no special function, logarithm or product of the targets runs
-        # there.  Each is recorded with the family parameter being evaluated.
+        # there.  Each is recorded with the family parameter of the target
+        # being transformed, whether the sweep prepares it before its loop
+        # or at the point it evaluates.
         current, evaluated, points = [None], set(), []
-        evaluator = translik.family_evaluator
+        evaluator, z_and_jacobian = translik.family_evaluator, translik._z_and_jacobian
+        field = translik._FAMILIES[family][1]
 
         def recording_evaluator(*args):
             evaluate = evaluator(*args)
 
             def at(x):
-                current[0] = x
                 points.append(x)
                 return evaluate(x)
 
             return at
+
+        def recording_z_and_jacobian(dist, p):
+            current[0] = getattr(dist, field)
+            return z_and_jacobian(dist, p)
 
         class Recording:
             def __init__(self, module, names=None):
@@ -556,6 +562,7 @@ class TestGridMemo:
                 return recorded
 
         monkeypatch.setattr(translik, "family_evaluator", recording_evaluator)
+        monkeypatch.setattr(translik, "_z_and_jacobian", recording_z_and_jacobian)
         monkeypatch.setattr(targetdist, "sc", Recording(sc))
         monkeypatch.setattr(targetdist, "np", Recording(np, {"log", "log1p", "multiply"}))
         profile = profile_student_t if family == "t" else profile_alpha

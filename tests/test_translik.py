@@ -780,6 +780,67 @@ class TestGoldenSectionReuse:
         assert refined >= 5
 
 
+def _curve_bits(curve):
+    return ([float.hex(v) for field in ("grid", "values", "det_terms", "jacobian_terms")
+             for v in getattr(curve, field)],
+            float.hex(curve.argmax_param), float.hex(curve.argmax_value), curve.warnings)
+
+
+class TestStackedSweep:
+    """A rank-based sweep prepares its grid's targets as stacks before its
+    loop.  Every curve keeps the bits of evaluating each point alone,
+    through ``family_evaluator`` on a fresh ranking: values, det and
+    jacobian terms, argmax and warnings."""
+
+    def _assert_point_by_point(self, no_held_ranking, family, y, design, grid=None,
+                               refine=False):
+        profile = profile_student_t if family == "t" else profile_alpha
+        no_held_ranking()
+        stacked = profile(y, design, grid=grid, refine=refine)
+        assert len(percentiles(y)._states) <= translik._STATES_MAX
+        no_held_ranking()
+        alone = _sweep(translik._FAMILIES[family][0], translik.family_grid(family, grid),
+                       family_evaluator(family, y, design), refine)
+        assert _curve_bits(stacked) == _curve_bits(alone)
+        return stacked
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refined"])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("family", ["t", "alpha"])
+    def test_paper_scale(self, no_held_ranking, family, model, refine):
+        out = bench(2, "cauchy")
+        design = out.design.with_model(model)
+        self._assert_point_by_point(no_held_ranking, family, out.y, design, refine=refine)
+
+    def test_a_grid_past_the_state_limit(self, no_held_ranking):
+        out = bench(0)
+        grid = np.linspace(-1.0, 1.0, 401)
+        assert grid.size > translik._STATES_MAX
+        self._assert_point_by_point(no_held_ranking, "alpha", out.y, fixed_design(out), grid,
+                                    refine=True)
+        assert len(percentiles(out.y)._states) == translik._STATES_MAX
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_tied_design_with_a_failing_point(self, no_held_ranking, model):
+        # Tied percentiles additive over the 2x3 grid: alpha = 1, whose Q
+        # is linear, leaves no interaction variation, and no other member
+        # does.
+        y = np.array([1.0, 3.0, 2.0, 4.0, 2.0, 4.0])
+        for family in ("t", "alpha"):
+            curve = self._assert_point_by_point(no_held_ranking, family, y,
+                                                DesignSpec(2, 3, model), refine=True)
+        assert curve.warnings == ("alpha_beta_diagonal grid point 1 failed: no interaction "
+                                  "variation left after transformation; the likelihood is "
+                                  "unbounded",)
+
+    @pytest.mark.parametrize("family", ["t", "alpha"])
+    def test_one_target_a_stack(self, no_held_ranking, monkeypatch, family):
+        monkeypatch.setattr(translik, "_STACK_BYTES", 1)
+        out = bench(1)
+        self._assert_point_by_point(no_held_ranking, family, out.y, random_design(out),
+                                    refine=True)
+
+
 class TestSweepFailures:
     def test_constant_response_fails_everywhere(self):
         out = bench(0)
