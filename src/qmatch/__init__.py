@@ -12,16 +12,7 @@ ratios with their first-order diagnostics, benchmark simulators and a CLI.
 __version__ = "0.1.0"
 
 from .errors import DegenerateFitError, DomainError, NumericError, QmatchError
-from .linmodel import (
-    DesignSpec,
-    ModelFit,
-    ModelKind,
-    ProjectionDecomposition,
-    decompose,
-    fit,
-    fit_fixed,
-    fit_random_balanced,
-)
+from .linmodel import DesignSpec, ModelFit, ModelKind, fit
 from .percentile import PercentileVector, percentiles
 # targetdist comes before simdesign, which imports it: when scipy.special was
 # first imported one level deeper, ``import qmatch.cli`` took about 20 ms more.
@@ -54,8 +45,7 @@ __all__ = [
     "TargetDistribution", "Gaussian", "Uniform", "Logistic", "StudentT",
     "AlphaBeta",
     "PercentileVector", "percentiles",
-    "DesignSpec", "ModelKind", "ModelFit", "ProjectionDecomposition",
-    "decompose", "fit", "fit_fixed", "fit_random_balanced",
+    "DesignSpec", "ModelKind", "ModelFit", "fit",
     "ReducedProfileLoglik", "ProfileCurve", "GaussianUniformDiagnostics",
     "CorrelationReport",
     "reduced_profile_loglik", "loglik_ratio",

@@ -11,21 +11,18 @@ contrast sums of squares below, and refuses a decomposition without
 interaction variation.  The model solve turns the sums into variances and
 log det Sigma_hat, which are scaled back by 4**k and 2k n log 2.
 
-The two steps are separate functions: ``_prepare(z, design)`` returns the
+The two steps are separate functions.  ``_prepare_stack(g, design)``
+prepares K responses at once, stacked as one C-ordered (K, nrows, ncols)
+array in grid order, with reductions over the stack's rows: about twenty
+numpy calls for the stack in place of twenty per response, which at the
+paper's 50x30 cost more than their arithmetic.  Each row gets its
 decomposition and k, which depend on the grid's shape but not on its
-model, and ``_solve(design, dec, k)`` is the model's solve.  ``fit``,
-``fit_fixed`` and ``fit_random_balanced`` run the one after the other, and
-``translik`` keeps each preparation with the ranking it came from, so a
-response fitted under both models is prepared once.
-
-``_prepare_stack`` prepares K responses at once, stacked as one C-ordered
-(K, nrows, ncols) array in grid order, with reductions over the stack's
-rows: about twenty numpy calls for the stack in place of twenty per
-response, which at the paper's 50x30 cost more than their arithmetic.
-Each row's sums keep the bits ``decompose`` gives that response alone
-(``_decompose_stack`` serves both), and each row gets the ``(dec, k)`` or
-the error ``_prepare`` gives it.  A profile sweep prepares its grid's
-targets so.
+model, or the typed error its response raises, and each row's sums are
+those of a stack of that row alone.  ``_solve(design, dec, k)`` is the
+model's solve.  ``fit`` prepares its response as a stack of one and
+solves; ``translik`` keeps each preparation with the ranking it came from,
+so a response fitted under both models is prepared once, and a profile
+sweep prepares its grid's targets as stacks.
 
 Two model classes are supported.
 
@@ -234,12 +231,6 @@ def _decompose_stack(g, design: DesignSpec) -> list:
                                            np.add.reduce(flat, axis=1).tolist())]
 
 
-def decompose(z, design: DesignSpec) -> ProjectionDecomposition:
-    """Project the centered data onto row, column and interaction contrasts."""
-    (dec,) = _decompose_stack(_grid(z, design)[None], design)
-    return dec
-
-
 def _exponent(lo, hi):
     """The exponent k at which a response with least and greatest values
     lo and hi is decomposed, that of z * 2**-k: k = 0 unless max|z| lies
@@ -265,18 +256,13 @@ def _bounded(dec: ProjectionDecomposition) -> ProjectionDecomposition:
     return dec
 
 
-def _prepare(z, design: DesignSpec):
-    """The decomposition of a response whose likelihood is bounded, and the
-    exponent k it was taken at (see ``_exponent``)."""
-    z = _response(z, design)
-    k = _exponent(float(z.min()), float(z.max()))
-    return _bounded(decompose(np.ldexp(z, -k) if k else z, design)), k
-
-
 def _prepare_stack(g, design: DesignSpec) -> list:
-    """``_prepare`` of each response in g, a C-ordered (K, nrows, ncols)
-    stack in grid order of this call's own: its ``(dec, k)``, or the error
-    ``_prepare`` raises for it, with the same bits and message.
+    """The preparation of each response in g, a C-ordered (K, nrows, ncols)
+    stack in grid order of this call's own: the decomposition of a
+    response whose likelihood is bounded and the exponent k it was taken
+    at (see ``_exponent``), ``(dec, k)``, or the typed error its response
+    raises: ``DomainError`` for a non-finite value, ``DegenerateFitError``
+    for a constant response or one without interaction variation.
 
     A row with k != 0 is scaled in place.  A row whose values fail before
     the sums is zeroed, so that it adds no overflow or invalid operation to
@@ -325,11 +311,6 @@ def _fixed_fit(design, dec, k) -> ModelFit:
     """The fixed-effects fit of a response prepared at exponent k."""
     sigma2 = dec.s_err / design.n
     return _model_fit(design, k, design.n * math.log(sigma2), sigma2)
-
-
-def fit_fixed(z, design: DesignSpec) -> ModelFit:
-    """ML fit of the additive fixed-effects model with spherical errors."""
-    return _fixed_fit(design, *_prepare(z, design))
 
 
 def _objective(lam, dec: ProjectionDecomposition):
@@ -477,21 +458,18 @@ def _random_fit(design, dec, k, lam=None) -> ModelFit:
     )
 
 
-def fit_random_balanced(z, design: DesignSpec) -> ModelFit:
-    """ML fit of the intercept-plus-two-variance-components model."""
-    return _random_fit(design, *_prepare(z, design))
-
-
 def _solve(design: DesignSpec, dec, k) -> ModelFit:
-    """The fit of the design's model from the preparation
-    ``(dec, k) = _prepare(z, design)``, which serves both models."""
+    """The fit of the design's model from a preparation ``(dec, k)`` of
+    ``_prepare_stack``, which serves both models."""
     if design.model == ModelKind.FIXED_EFFECTS:
         return _fixed_fit(design, dec, k)
     return _random_fit(design, dec, k)
 
 
 def fit(z, design: DesignSpec) -> ModelFit:
-    """Dispatch on the design's model kind."""
-    if design.model == ModelKind.FIXED_EFFECTS:
-        return fit_fixed(z, design)
-    return fit_random_balanced(z, design)
+    """ML fit of the design's model: the additive fixed-effects model with
+    spherical errors, or the intercept-plus-two-variance-components model."""
+    (state,) = _prepare_stack(_grid(z, design)[None], design)
+    if isinstance(state, Exception):
+        raise state
+    return _solve(design, *state)

@@ -25,9 +25,9 @@ same ranks, so a fresh ranking would give the same ``p_sorted`` and an
 order that differs only inside tie runs.  So one response passed to
 several rank-based functions is sorted once, and so is any strictly
 increasing relabeling of it (a 0.0 made -0.0 included), with the same bits
-in every number.  A ranking keeps each target's model-free fit state
-(``translik._reduced``), so a response swept under both models is
-transformed and decomposed once per target.
+in every number.  A ranking keeps each target's model-free fit state, or
+the error preparing it raised (``translik._keep``), so a response swept
+under both models is transformed and decomposed once per target.
 
 A tie-free sample of at most 8000 points shares the one rankit grid of its
 n, a ``_Grid`` that every ranking of that n holds.  When a second ranking
@@ -76,8 +76,9 @@ class PercentileVector:
     p_sorted: np.ndarray  # values in (0,1) in sorted order, nondecreasing
     n: int
     _grid: _Grid | None = field(default=None, repr=False)  # its shared rankit grid, if any
-    # Each target's model-free fit state on this ranking, by (target,
-    # nrows, ncols); ``translik._reduced`` is its only reader and writer.
+    # Each target's model-free fit state on this ranking, or its
+    # preparation's error, by (target, nrows, ncols); ``translik`` reads
+    # it, and ``translik._keep`` is its only writer.
     _states: dict = field(default_factory=dict, init=False, repr=False)
 
     def unsort(self, v) -> np.ndarray:

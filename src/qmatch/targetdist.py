@@ -5,8 +5,8 @@ from a target law G: the quantile function Q = G^{-1} and the log of its
 derivative, log Q'(p) = -log g(Q(p)).  The likelihood takes Q(p) from the
 target's ``quantile`` and log Q' from its ``_lqd_at(p, Q(p))``, which is
 computed from p and that Q(p), so the special function behind Q
-(``ndtri``, ``stdtrit``) runs once per evaluation; ``transform(p)`` returns
-both the same way.  Each target also gives the differential entropy where
+(``ndtri``, ``stdtrit``) runs once per evaluation (``_z_and_jacobian``).
+Each target also gives the differential entropy where
 it is known analytically (used by the first-order approximation that
 ``qmatch compare`` reports) and a ``label`` that parses back to the target.
 
@@ -183,14 +183,13 @@ def _z_and_jacobian(dist, p):
 
 
 class TargetDistribution:
-    """Common interface: quantile, transform, entropy, label.
+    """Common interface: quantile, entropy, label.
 
     The likelihood takes Q(p) from ``quantile`` and log Q'(p) from
-    ``_lqd_at``, as ``transform`` does; ``quantile`` alone serves the
-    correlation report and the simulator, ``entropy`` feeds first-order
-    approximations and ``label`` names the target in every report.  A
-    subclass defines ``quantile`` (under ``_quantile_method``) and
-    ``_lqd_at``; none overrides ``transform``.
+    ``_lqd_at`` at that Q(p); ``quantile`` alone serves the correlation
+    report and the simulator, ``entropy`` feeds first-order approximations
+    and ``label`` names the target in every report.  A subclass defines
+    ``quantile`` (under ``_quantile_method``) and ``_lqd_at``.
     """
 
     kind = "abstract"
@@ -211,16 +210,6 @@ class TargetDistribution:
     def _lqd_at(self, p, z):
         """log Q'(p), given the checked array p and z = Q(p)."""
         raise NotImplementedError
-
-    def transform(self, p):
-        """(Q(p), log Q'(p)) from one call of ``quantile``, which checks p.
-
-        A scalar p gives two floats, an array two arrays.
-        """
-        z = self.quantile(p)
-        arr = np.asarray(p, dtype=float)
-        lqd = self._lqd_at(arr, np.asarray(z))
-        return z, float(lqd) if arr.ndim == 0 else lqd
 
     def entropy(self):
         """Differential entropy in nats, or None when no closed form is known."""

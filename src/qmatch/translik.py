@@ -29,11 +29,12 @@ data order.
 An evaluation is a transform and a model solve.  The transform, z = Q(p)
 put in data order, its jacobian and its decomposition (``linmodel``'s
 preparation), depends on the ranking, the target and the grid's shape but
-not on the model, so the ranking keeps it (``_reduced``): a target
-evaluated again on one ranking, under either model, runs only the solve.
-A t or alpha-beta sweep prepares the targets at its grid points before its
-loop (``_fill_states``), stacked in fewer than 256 KiB of transformed
-values (21 targets at 1500 points) and decomposed together by
+not on the model, so the ranking keeps what it gave (``_reduced``): a
+target evaluated again on one ranking, under either model, runs only the
+solve, or raises again the error its preparation raised.  A t or
+alpha-beta sweep prepares the targets at its grid points before its loop
+(``_fill_states``), stacked in fewer than 256 KiB of transformed values
+(21 targets at 1500 points) and decomposed together by
 ``linmodel._prepare_stack``, with the bits each would get alone; its loop
 and its refinement then evaluate as before.
 
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError, NumericError
-from .linmodel import DesignSpec, _prepare, _prepare_stack, _solve, fit
+from .linmodel import DesignSpec, _grid, _prepare_stack, _solve, fit
 from .percentile import PercentileVector, percentiles
 from .targetdist import (
     AlphaBeta,
@@ -141,11 +142,24 @@ def _score(label, log_det, jacobian) -> ReducedProfileLoglik:
 _STATES_MAX = 300
 
 
+def _keep(states, key, state, jacobian):
+    """Keep on a ranking's ``states``, while they have room, what preparing
+    the target of ``key`` gave: ``(dec, k, jacobian)``, or its error with
+    the traceback cleared, so that it holds on to no frame or array."""
+    if isinstance(state, Exception):
+        state = state.with_traceback(None)
+    else:
+        state = *state, jacobian
+    if len(states) < _STATES_MAX:
+        states[key] = state
+    return state
+
+
 def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec):
     # Everything before the model's solve depends only on the ranking, the
-    # target and the grid's shape: z, the jacobian and the decomposition.
-    # The ranking keeps them once _prepare has succeeded, so a degenerate
-    # transform raises again at its next evaluation.
+    # target and the grid's shape: z, the jacobian and the decomposition,
+    # or the error the preparation raised, which each evaluation raises
+    # afresh.  The ranking keeps them.
     # Q and log Q' act elementwise, so z evaluated in sort order and put
     # back in data order has the bits of z evaluated in data order.  The
     # jacobian is summed in sort order, which depends on the sorted data
@@ -156,10 +170,12 @@ def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec)
     state = pc._states.get(key)
     if state is None:
         z, jacobian = _z_and_jacobian(dist, pc.p_sorted)
-        z = pc.unsort(z)  # the sorted z is freed before the decomposition's copy
-        state = *_prepare(z, design), jacobian
-        if len(pc._states) < _STATES_MAX:
-            pc._states[key] = state
+        z = pc.unsort(z)  # the sorted z is freed before the grid's copy
+        # _grid raises the size error before anything is kept.
+        (state,) = _prepare_stack(_grid(z, design)[None], design)
+        state = _keep(pc._states, key, state, jacobian)
+    if isinstance(state, Exception):
+        raise type(state)(*state.args)
     dec, k, jacobian = state
     return _score(dist.label(), _solve(design, dec, k).log_det_sigma_hat, jacobian)
 
@@ -173,8 +189,8 @@ _STACK_BYTES = 256 << 10
 def _fill_states(pc: PercentileVector, dists, design: DesignSpec):
     """Keep on the ranking the states of the targets ``dists`` that it
     lacks, while it has room, prepared as stacks: ``_reduced`` then runs
-    only the model's solve for them.  A target whose preparation fails
-    keeps no state, so its evaluation raises its error again.
+    only the model's solve for them, or raises the error a target's
+    preparation raised.
 
     Each state has the bits ``_reduced`` would give it: z and the jacobian
     come from one ``_z_and_jacobian`` call, and z goes into row-major grid
@@ -200,8 +216,7 @@ def _fill_states(pc: PercentileVector, dists, design: DesignSpec):
             np.take(z, index, out=row)
             jacobians.append(jacobian)
         for dist, state, jacobian in zip(chunk, _prepare_stack(g, design), jacobians):
-            if not isinstance(state, Exception):
-                states[(dist, *shape)] = *state, jacobian
+            _keep(states, (dist, *shape), state, jacobian)
 
 
 def reduced_profile_loglik(y, dist: TargetDistribution, design: DesignSpec) -> ReducedProfileLoglik:

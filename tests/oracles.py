@@ -4,11 +4,12 @@ by the tests.
 The package computes what the likelihood needs and nothing more: Q and
 log Q' from a target, log det Sigma_hat from a fit.  These routines rebuild
 the rest from first principles so the tests can check it: percentiles from
-scipy's midranks, quantile matching, the closed-form CDFs, log Q' by a
-second special-function pass, the ``Affine`` shift/scale target, the
-midpoint-rule entropy quadrature, a derivative-free optimizer for the
-variance-components fit, the explicit n x n covariance, the fitted
-quadratic form, and a data file written one csv-module row at a time.
+scipy's midranks, quantile matching, the closed-form CDFs, a target's Q and
+log Q' as one pair (``transform``), log Q' by a second special-function
+pass, the ``Affine`` shift/scale target, the midpoint-rule entropy
+quadrature, a derivative-free optimizer for the variance-components fit,
+the explicit n x n covariance, the fitted quadratic form, and a data file
+written one csv-module row at a time.
 
 Older routes are kept verbatim as references: the model fits in
 numpy-array arithmetic (``numpy_fit``), which the package's float-tuple
@@ -66,10 +67,9 @@ from qmatch.linmodel import (
     ProjectionDecomposition,
     _grid,
     _objective,
-    _prepare,
+    _prepare_stack,
     _random_fit,
     _response,
-    decompose,
 )
 from qmatch.translik import _GOLDEN, _REFINE_XTOL, ReducedProfileLoglik, _score, _sweep
 from qmatch.targetdist import LOG_2PI, _quantile_method
@@ -151,7 +151,7 @@ class Affine(TargetDistribution):
     def _lqd_at(self, p, z):
         # log |scale| plus the base's log Q' at the percentile its quantile
         # was taken at.
-        lqd = self.base.transform(p if self.scale > 0.0 else 1.0 - p)[1]
+        lqd = transform(self.base, p if self.scale > 0.0 else 1.0 - p)[1]
         return math.log(abs(self.scale)) + lqd
 
     @_cdf_method
@@ -167,6 +167,17 @@ class Affine(TargetDistribution):
 
     def label(self):
         return f"affine({self.shift:g}+{self.scale:g}*{self.base.label()})"
+
+
+def transform(dist: TargetDistribution, p):
+    """(Q(p), log Q'(p)) of ``dist`` from one call of its ``quantile``,
+    which checks p, and log Q' from ``_lqd_at`` at that Q(p), as the
+    likelihood takes them.  A scalar p gives two floats, an array two
+    arrays."""
+    z = dist.quantile(p)
+    arr = np.asarray(p, dtype=float)
+    lqd = dist._lqd_at(arr, np.asarray(z))
+    return z, float(lqd) if arr.ndim == 0 else lqd
 
 
 @_cdf_method
@@ -220,7 +231,7 @@ def entropy_quadrature(dist: TargetDistribution, n: int) -> EntropyQuadrature:
     if n < 10:
         raise DomainError("entropy quadrature needs n >= 10")
     p = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    quadrature = float(np.mean(dist.transform(p)[1]))
+    quadrature = float(np.mean(transform(dist, p)[1]))
     exact = dist.entropy()
     gap = None if exact is None else quadrature - exact
     return EntropyQuadrature(n=n, quadrature=quadrature, exact=exact, gap=gap)
@@ -248,11 +259,16 @@ def twice_midrank_percentiles(y) -> np.ndarray:
 
 
 def fit_random_numeric(z, design: DesignSpec) -> ModelFit:
-    """Same model as fit_random_balanced via a derivative-free optimizer.
+    """The random-effects fit that ``fit`` makes under the random model,
+    via a derivative-free optimizer in place of the active-set solver.
 
-    Kept as an independent route for cross-checking the active-set solver.
+    Kept as an independent route for cross-checking that solver; the
+    response is prepared, as ``fit`` prepares it, by a stack of one.
     """
-    dec, k = _prepare(z, design)
+    (state,) = _prepare_stack(_grid(z, design)[None], design)
+    if isinstance(state, Exception):
+        raise state
+    dec, k = state
     total = dec.s_row + dec.s_col + dec.s_err
     n = design.n
     scale = total / n
@@ -301,7 +317,7 @@ def quadratic_form(z, fit: ModelFit, design: DesignSpec) -> float:
     else:
         mu_hat = np.full(design.n, zbar)
     resid = np.asarray(z, dtype=float) - mu_hat
-    dec = decompose(resid, design)
+    dec = numpy_decompose(resid, design)
     if design.model == ModelKind.FIXED_EFFECTS:
         lam_r = lam_c = lam_e = fit.sigma2
     else:
@@ -343,7 +359,7 @@ def write_data_csv_rows(path, y, design: DesignSpec):
 
 
 # -- model fits in numpy-array arithmetic -------------------------------------
-# The package's decompose, scaled fit and interior Newton solver, as they
+# The package's decomposition, scaled fit and interior Newton solver, as they
 # were before the solver moved to Python floats and the decomposition to
 # in-place updates.  Only the names of the functions they call differ.
 
@@ -557,7 +573,7 @@ def two_point_golden_max(f, lo, mid, f_mid, hi):
 def data_order_reduced(y, dist: TargetDistribution, design: DesignSpec) -> ReducedProfileLoglik:
     """The reduced profile value with Q and log Q' evaluated, and the
     jacobian summed, in data order."""
-    z, lqd = dist.transform(data_order_percentiles(y))
+    z, lqd = transform(dist, data_order_percentiles(y))
     det_term = -0.5 * fit(z, design).log_det_sigma_hat
     jacobian = float(np.sum(lqd))
     return ReducedProfileLoglik(label=dist.label(), det_term=det_term,

@@ -31,8 +31,7 @@ from qmatch import (
     Uniform,
     boxcox_profile,
     correlation_report,
-    fit_fixed,
-    fit_random_balanced,
+    fit,
     loglik_ratio,
     lr_diagnostics_gaussian_uniform,
     profile_alpha,
@@ -84,7 +83,7 @@ def test_criterion_03_quadratic_form_identity():
         )
         for model in (ModelKind.FIXED_EFFECTS, ModelKind.RANDOM_EFFECTS):
             d = DesignSpec(r, c, model=model)
-            f = fit_fixed(z, d) if model == ModelKind.FIXED_EFFECTS else fit_random_balanced(z, d)
+            f = fit(z, d)
             assert quadratic_form(z, f, d) == pytest.approx(r * c, rel=1e-6)
 
 
@@ -101,7 +100,7 @@ def test_criterion_04_variance_component_oracle_equivalence():
             + rng.normal(size=80)
         )
         d = DesignSpec(10, 8, model=ModelKind.RANDOM_EFFECTS)
-        a = fit_random_balanced(z, d)
+        a = fit(z, d)
         b = fit_random_numeric(z, d)
         assert abs((-0.5 * a.log_det_sigma_hat) - (-0.5 * b.log_det_sigma_hat)) <= 1e-6
         sigma = dense_covariance(d, a.sigma2, a.sigma2_row, a.sigma2_col)

@@ -3,8 +3,9 @@
 Independent oracle routes used here: explicit least squares via lstsq for
 the fixed-effects fit, dense matrix assembly with slogdet for the
 eigenvalue form of log det, the derivative-free optimizer
-fit_random_numeric against the active-set solver fit_random_balanced, and
-the numpy-array fits numpy_fit, which every fit must equal bit for bit.
+fit_random_numeric against the active-set solver ``fit`` runs under the
+random model, and the numpy-array fits numpy_fit, which every fit must
+equal bit for bit.
 """
 
 import math
@@ -23,6 +24,7 @@ from oracles import (
     numpy_decompose,
     numpy_fit,
     quadratic_form,
+    transform,
 )
 from qmatch import (
     AlphaBeta,
@@ -34,18 +36,22 @@ from qmatch import (
     ModelKind,
     SimConfig,
     StudentT,
-    decompose,
     fit,
-    fit_fixed,
-    fit_random_balanced,
     simulate,
 )
 from qmatch import linmodel
-from qmatch.linmodel import _grid, _prepare
+from qmatch.linmodel import _grid, _prepare_stack, _solve
 
 
 def design(r, c, model=ModelKind.FIXED_EFFECTS):
     return DesignSpec(nrows=r, ncols=c, model=model)
+
+
+def decomposition(z, d):
+    """The decomposition of one response, unscaled and unchecked: the
+    package's routine on a stack of one."""
+    (dec,) = linmodel._decompose_stack(_grid(z, d)[None], d)
+    return dec
 
 
 def additive_lstsq_sigma2(z, r, c):
@@ -140,32 +146,33 @@ class TestDesignShape:
 class TestDecompose:
     def test_constant_vector(self):
         # 2.5 is dyadic so the projections are exactly zero in floats.
-        dec = decompose(np.full(12, 2.5), design(3, 4))
+        dec = decomposition(np.full(12, 2.5), design(3, 4))
         assert dec.s_row == dec.s_col == dec.s_err == 0.0
 
     def test_two_by_two_interaction(self):
         # Projection onto the interaction contrast (1,-1,-1,1)/2 gives
         # (1 - 2 - 3 + 5)/2 = 0.5, so the squared norm is 0.25.
-        dec = decompose(np.array([1.0, 2.0, 3.0, 5.0]), design(2, 2))
+        dec = decomposition(np.array([1.0, 2.0, 3.0, 5.0]), design(2, 2))
         assert dec.s_err == pytest.approx(0.25, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_orthogonal_decomposition(self, seed):
         z = np.random.default_rng(seed).normal(size=20)
-        dec = decompose(z, design(5, 4))
+        dec = decomposition(z, design(5, 4))
         total = float(np.sum((z - z.mean()) ** 2))
         assert dec.s_row + dec.s_col + dec.s_err == pytest.approx(total, rel=1e-10)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            decompose(np.ones(7), design(2, 3))
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_dimension_mismatch(self, model):
+        with pytest.raises(DomainError, match="^response length 7 does not match design size 6$"):
+            fit(np.ones(7), design(2, 3, model))
 
 
 def _stack_rows(rng, r, c):
     """Responses in data order that cover the stack's cases: ties, signed
     zeros, magnitudes far outside _SAFE_SCALE (k != 0), and the responses
-    ``_prepare`` refuses: constant, additive, infinite and NaN."""
+    preparation refuses: constant, additive, infinite and NaN."""
     z = rng.standard_normal(r * c)
     signed = z.copy()
     signed[::3] = -0.0
@@ -186,53 +193,59 @@ def _outcome(state):
 
 
 class TestStackedPreparation:
-    """``_prepare_stack`` prepares K responses stacked in grid order as
-    ``_prepare`` prepares each alone: the same sums bit for bit, the same
-    exponent, or the same typed error and message, with no warning."""
+    """``_prepare_stack`` prepares K responses stacked in grid order as it
+    prepares each alone, in a stack of one: the same sums bit for bit, the
+    same exponent, or the same typed error and message, with no warning.
+    The sums are those of the numpy-array decomposition, and ``fit``
+    solves a row's preparation or raises its error."""
 
     @pytest.mark.parametrize("r,c", [(2, 2), (2, 3), (3, 2), (10, 8), (50, 30), (7, 129), (129, 7)])
     def test_rows_match_the_single_preparation(self, rng, r, c):
         d = design(r, c)
         zs = _stack_rows(rng, r, c)
-        alone = []
-        for z in zs:
-            try:
-                alone.append(_outcome(_prepare(z, d)))
-            except DomainError as exc:
-                alone.append(_outcome(exc))
+        alone = [_outcome(state) for z in zs for state in _prepare_stack(_grid(z, d)[None], d)]
         # Columns past 128 make the pairwise row sums recurse.
         stack = np.stack([_grid(z, d) for z in zs])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stacked = linmodel._prepare_stack(stack, d)
+            stacked = _prepare_stack(stack, d)
         assert [_outcome(state) for state in stacked] == alone
         assert [type(state) for state in stacked[5:10]] == [
             DegenerateFitError, DegenerateFitError, DegenerateFitError, DomainError, DomainError]
         for z, state in zip(zs, stacked):
             if not isinstance(state, Exception):
                 dec, k = state
-                assert dec == numpy_decompose(np.ldexp(z, -k), d) == decompose(np.ldexp(z, -k), d)
+                scaled = np.ldexp(z, -k)
+                assert dec == numpy_decompose(scaled, d) == decomposition(scaled, d)
 
-    def test_a_row_is_its_own_stack(self, rng):
-        d = design(10, 8)
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_fit_solves_a_row_or_raises_its_error(self, rng, model):
+        d = design(10, 8, model)
         zs = _stack_rows(rng, 10, 8)
-        stacked = linmodel._prepare_stack(np.stack([_grid(z, d) for z in zs]), d)
+        stacked = _prepare_stack(np.stack([_grid(z, d) for z in zs]), d)
         for z, state in zip(zs, stacked):
-            (alone,) = linmodel._prepare_stack(_grid(z, d)[None], d)
-            assert _outcome(state) == _outcome(alone)
+            if isinstance(state, Exception):
+                with pytest.raises(type(state)) as info:
+                    fit(z, d)
+                assert _outcome(info.value) == _outcome(state)
+                continue
+            got, want = fit(z, d), _solve(d, *state)
+            for field in FIT_FIELDS:
+                assert (np.float64(getattr(got, field)).tobytes()
+                        == np.float64(getattr(want, field)).tobytes()), field
 
 
 class TestFitFixed:
     def test_two_by_two_sigma2(self):
         z = np.array([1.0, 2.0, 3.0, 5.0])
-        f = fit_fixed(z, design(2, 2))
+        f = fit(z, design(2, 2))
         assert f.sigma2 == pytest.approx(0.0625, abs=1e-14)
         assert f.sigma2 == pytest.approx(additive_lstsq_sigma2(z, 2, 2), rel=1e-12)
 
     def test_matches_lstsq_oracle(self, rng):
         for r, c in [(3, 3), (5, 4), (8, 6)]:
             z = rng.normal(size=r * c)
-            f = fit_fixed(z, design(r, c))
+            f = fit(z, design(r, c))
             assert f.sigma2 == pytest.approx(additive_lstsq_sigma2(z, r, c), rel=1e-10)
 
     def test_single_cell_perturbation(self, rng):
@@ -243,13 +256,13 @@ class TestFitFixed:
         cols = np.arange(r * c) // r
         z = rng.normal(size=r)[rows] + rng.normal(size=c)[cols]
         z[7] += 0.25
-        f = fit_fixed(z, design(r, c))
+        f = fit(z, design(r, c))
         assert f.sigma2 == pytest.approx(additive_lstsq_sigma2(z, r, c), rel=1e-9)
 
     def test_affine_equivariance(self, rng):
         z = rng.normal(size=30)
-        f = fit_fixed(z, design(5, 6))
-        g = fit_fixed(4.0 - 2.5 * z, design(5, 6))
+        f = fit(z, design(5, 6))
+        g = fit(4.0 - 2.5 * z, design(5, 6))
         assert g.sigma2 == pytest.approx(2.5**2 * f.sigma2, rel=1e-12)
         assert g.log_det_sigma_hat == pytest.approx(
             f.log_det_sigma_hat + 30 * math.log(2.5**2), rel=1e-12
@@ -257,7 +270,7 @@ class TestFitFixed:
 
     def test_log_det_and_core(self, rng):
         z = rng.normal(size=30)
-        f = fit_fixed(z, design(5, 6))
+        f = fit(z, design(5, 6))
         assert f.log_det_sigma_hat == pytest.approx(30 * math.log(f.sigma2), rel=1e-14)
 
     def test_perfectly_additive_is_degenerate(self):
@@ -265,15 +278,15 @@ class TestFitFixed:
         cols = np.arange(12) // 3
         z = np.array([1.0, 2.0, 4.0])[rows] + np.array([0.0, 1.0, 3.0, 6.0])[cols]
         with pytest.raises(DegenerateFitError):
-            fit_fixed(z, design(3, 4))
+            fit(z, design(3, 4))
 
     def test_objective_is_maximized(self, rng):
         # Perturbing sigma2 by +-1% never increases the Gaussian profile
         # log likelihood of the fixed model.
         z = rng.normal(size=42)
         d = design(7, 6)
-        f = fit_fixed(z, d)
-        dec = decompose(z, d)
+        f = fit(z, d)
+        dec = decomposition(z, d)
 
         def loglik(s2):
             return -0.5 * (42 * math.log(s2) + dec.s_err / s2)
@@ -302,16 +315,16 @@ class TestFitRandomBalanced:
             g = np.random.default_rng(seed)
             z = random_effects_data(g, 8, 7, sd_row=0.0, sd_col=1.0)
             d = design(8, 7, ModelKind.RANDOM_EFFECTS)
-            dec = decompose(z, d)
+            dec = decomposition(z, d)
             if dec.s_row / dec.d_row < dec.s_err / dec.d_err:
-                f = fit_random_balanced(z, d)
+                f = fit(z, d)
                 assert f.sigma2_row == 0.0
 
     def test_scale_equivariance(self, rng):
         z = random_effects_data(rng, 6, 5)
         d = design(6, 5, ModelKind.RANDOM_EFFECTS)
-        f = fit_random_balanced(z, d)
-        g = fit_random_balanced(3.0 * z, d)
+        f = fit(z, d)
+        g = fit(3.0 * z, d)
         assert g.sigma2 == pytest.approx(9.0 * f.sigma2, rel=1e-8)
         assert g.sigma2_row == pytest.approx(9.0 * f.sigma2_row, rel=1e-8, abs=1e-12)
         assert g.sigma2_col == pytest.approx(9.0 * f.sigma2_col, rel=1e-8, abs=1e-12)
@@ -325,7 +338,7 @@ class TestFitRandomBalanced:
             z = random_effects_data(g, 6, 5, sd_row=g.uniform(0, 2),
                                     sd_col=g.uniform(0, 2))
             d = design(6, 5, ModelKind.RANDOM_EFFECTS)
-            a = fit_random_balanced(z, d)
+            a = fit(z, d)
             b = fit_random_numeric(z, d)
             assert -0.5 * a.log_det_sigma_hat == pytest.approx(
                 -0.5 * b.log_det_sigma_hat, abs=1e-6)
@@ -342,7 +355,7 @@ class TestFitRandomBalanced:
         z = (300 * rng.normal(size=10)[k % 10] + rng.normal(size=8)[k // 10]
              + rng.normal(size=80))
         d = design(10, 8, ModelKind.RANDOM_EFFECTS)
-        a = fit_random_balanced(z, d)
+        a = fit(z, d)
         b = fit_random_numeric(z, d)
         assert -0.5 * a.log_det_sigma_hat == pytest.approx(
             -0.5 * b.log_det_sigma_hat, abs=1e-6)
@@ -354,8 +367,8 @@ class TestFitRandomBalanced:
                                     sd_row=rng.uniform(0, 1.5),
                                     sd_col=rng.uniform(0, 1.5))
             d = design(7, 6, ModelKind.RANDOM_EFFECTS)
-            f = fit_random_balanced(z, d)
-            dec = decompose(z, d)
+            f = fit(z, d)
+            dec = decomposition(z, d)
 
             def neg2ll(s2, s2r, s2c):
                 lam_r, lam_c, lam_e = s2 + 6 * s2r, s2 + 7 * s2c, s2
@@ -380,7 +393,7 @@ class TestFitRandomBalanced:
     def test_degenerate_data_rejected(self):
         d = design(3, 4, ModelKind.RANDOM_EFFECTS)
         with pytest.raises(DegenerateFitError):
-            fit_random_balanced(np.full(12, 2.0), d)
+            fit(np.full(12, 2.0), d)
         with pytest.raises(DegenerateFitError):
             fit_random_numeric(np.full(12, 2.0), d)
 
@@ -389,11 +402,11 @@ class TestFitRandomBalanced:
         # it must still be refused rather than fitted with dust variances.
         z = np.full(12, 8.06587636770843e-17)
         with pytest.raises(DegenerateFitError):
-            fit_fixed(z, design(3, 4))
+            fit(z, design(3, 4))
         z2 = np.full(12, 0.1)
         z2[5] = np.nextafter(0.1, 1.0)
         with pytest.raises(DegenerateFitError):
-            fit_fixed(z2, design(3, 4))
+            fit(z2, design(3, 4))
 
     def test_numeric_route_scale_equivariance(self, rng):
         z = random_effects_data(rng, 5, 4)
@@ -442,7 +455,7 @@ class TestLogDetAgainstDenseOracle:
     def test_eigen_form_matches_slogdet(self, r, c, rng):
         z = random_effects_data(rng, r, c)
         d = design(r, c, ModelKind.RANDOM_EFFECTS)
-        f = fit_random_balanced(z, d)
+        f = fit(z, d)
         sigma = dense_covariance(d, f.sigma2, f.sigma2_row, f.sigma2_col)
         sign, logdet = np.linalg.slogdet(sigma)
         assert sign > 0
@@ -451,7 +464,7 @@ class TestLogDetAgainstDenseOracle:
     def test_fixed_model_log_det_matches_dense(self, rng):
         z = rng.normal(size=20)
         d = design(4, 5)
-        f = fit_fixed(z, d)
+        f = fit(z, d)
         sign, logdet = np.linalg.slogdet(f.sigma2 * np.eye(20))
         assert f.log_det_sigma_hat == pytest.approx(logdet, rel=1e-12)
 
@@ -460,19 +473,19 @@ class TestQuadraticForm:
     def test_fixed_fit_equals_n(self, rng):
         z = rng.normal(size=35)
         d = design(7, 5)
-        f = fit_fixed(z, d)
+        f = fit(z, d)
         assert quadratic_form(z, f, d) == pytest.approx(35.0, rel=1e-6)
 
     def test_random_fit_equals_n(self, rng):
         z = random_effects_data(rng, 8, 6)
         d = design(8, 6, ModelKind.RANDOM_EFFECTS)
-        f = fit_random_balanced(z, d)
+        f = fit(z, d)
         assert quadratic_form(z, f, d) == pytest.approx(48.0, rel=1e-6)
 
     def test_doubling_the_variances_halves_the_form(self, rng):
         z = random_effects_data(rng, 6, 6)
         d = design(6, 6, ModelKind.RANDOM_EFFECTS)
-        f = fit_random_balanced(z, d)
+        f = fit(z, d)
         doubled = replace(f, sigma2=2 * f.sigma2, sigma2_row=2 * f.sigma2_row,
                           sigma2_col=2 * f.sigma2_col)
         assert quadratic_form(z, doubled, d) == pytest.approx(18.0, rel=1e-9)
@@ -480,7 +493,7 @@ class TestQuadraticForm:
     def test_zero_eigenvalue_rejected(self, rng):
         z = rng.normal(size=16)
         d = design(4, 4)
-        f = fit_fixed(z, d)
+        f = fit(z, d)
         with pytest.raises(DomainError):
             quadratic_form(z, replace(f, sigma2=0.0), d)
 
@@ -506,9 +519,9 @@ TARGETS = (Gaussian(), Logistic(), StudentT(0.15), AlphaBeta(-0.05, -0.05))
 
 
 def assert_bitwise_equal_fits(z, d):
-    """Every ModelFit field, and decompose's sums, equal the numpy-array
-    fit's bit for bit."""
-    assert decompose(z, d) == numpy_decompose(z, d)
+    """Every ModelFit field, and the decomposition's sums, equal the
+    numpy-array fit's bit for bit."""
+    assert decomposition(z, d) == numpy_decompose(z, d)
     got, want = fit(z, d), numpy_fit(z, d)
     for field in FIT_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
@@ -532,7 +545,7 @@ class TestBitIdenticalToNumpyFits:
                 out = simulate(SimConfig(effect_dist=effects, seed=seed))
                 p = data_order_percentiles(out.y)
                 for dist in TARGETS:
-                    z = dist.transform(p)[0]
+                    z = transform(dist, p)[0]
                     for model in ModelKind:
                         assert_bitwise_equal_fits(z, out.design.with_model(model))
                         cases += 1
@@ -546,7 +559,7 @@ class TestBitIdenticalToNumpyFits:
             out = simulate(SimConfig(nrows=1000, ncols=300, effect_dist=effects, seed=seed))
             p = data_order_percentiles(out.y)
             for dist in dists:
-                z = dist.transform(p)[0]
+                z = transform(dist, p)[0]
                 for model in ModelKind:
                     assert_bitwise_equal_fits(z, out.design.with_model(model))
                     cases += 1

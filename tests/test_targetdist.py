@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import special as sc
 
 from conftest import bench, fixed_design
-from oracles import Affine, log_quantile_derivative
+from oracles import Affine, log_quantile_derivative, transform
 from qmatch import (
     AlphaBeta,
     DomainError,
@@ -116,14 +116,14 @@ class TestQuantiles:
     def test_inv_nu_zero_is_the_gaussian_code_path(self):
         p = np.linspace(0.001, 0.999, 57)
         assert np.array_equal(StudentT(0.0).quantile(p), Gaussian().quantile(p))
-        assert np.array_equal(StudentT(0.0).transform(p)[1], Gaussian().transform(p)[1])
+        assert np.array_equal(transform(StudentT(0.0), p)[1], transform(Gaussian(), p)[1])
 
     def test_subnormal_inv_nu_is_the_gaussian_code_path(self):
         # At the smallest subnormal, nu = 1/inv_nu overflows to inf.
         p = np.linspace(0.001, 0.999, 57)
         t = StudentT(5e-324)
         assert np.array_equal(t.quantile(p), Gaussian().quantile(p))
-        assert np.array_equal(t.transform(p)[1], Gaussian().transform(p)[1])
+        assert np.array_equal(transform(t, p)[1], transform(Gaussian(), p)[1])
         assert t.entropy() == Gaussian().entropy()
 
     def test_alpha_beta_linear_case(self):
@@ -134,7 +134,7 @@ class TestQuantiles:
         p = np.linspace(0.001, 0.999, 57)
         ab = AlphaBeta(0.0, 0.0)
         assert np.array_equal(ab.quantile(p), Logistic().quantile(p))
-        assert np.array_equal(ab.transform(p)[1], Logistic().transform(p)[1])
+        assert np.array_equal(transform(ab, p)[1], transform(Logistic(), p)[1])
 
     def test_uniform_is_identity(self):
         p = np.linspace(0.01, 0.99, 23)
@@ -152,26 +152,26 @@ class TestQuantiles:
             with pytest.raises(DomainError):
                 dist.quantile(p)
             with pytest.raises(DomainError):
-                dist.transform(p)
+                transform(dist, p)
 
 
 class TestLogQuantileDerivative:
     def test_uniform_is_zero(self):
-        assert Uniform().transform(0.123)[1] == 0.0
+        assert transform(Uniform(), 0.123)[1] == 0.0
 
     def test_logistic_at_half(self):
-        assert abs(Logistic().transform(0.5)[1] - math.log(4.0)) < 1e-14
+        assert abs(transform(Logistic(), 0.5)[1] - math.log(4.0)) < 1e-14
 
     def test_gaussian_at_half(self):
         # -log phi(0) = log sqrt(2 pi)
         expect = 0.5 * math.log(2.0 * math.pi)
-        assert abs(Gaussian().transform(0.5)[1] - expect) < 1e-14
+        assert abs(transform(Gaussian(), 0.5)[1] - expect) < 1e-14
 
     def test_gaussian_at_09(self):
-        assert abs(Gaussian().transform(0.9)[1] - 1.740125740779581) < 1e-12
+        assert abs(transform(Gaussian(), 0.9)[1] - 1.740125740779581) < 1e-12
 
     def test_alpha_beta_closed_form(self):
-        got = AlphaBeta(0.3, 0.3).transform(0.2)[1]
+        got = transform(AlphaBeta(0.3, 0.3), 0.2)[1]
         assert abs(got - AB_LQD_03_02) < 1e-12
 
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
@@ -179,7 +179,7 @@ class TestLogQuantileDerivative:
         for p in np.linspace(0.01, 0.99, 25):
             h = 1e-7 * min(p, 1.0 - p)
             slope = (dist.quantile(p + h) - dist.quantile(p - h)) / (2.0 * h)
-            got = dist.transform(p)[1]
+            got = transform(dist, p)[1]
             assert got == pytest.approx(math.log(slope), rel=1e-5, abs=1e-7)
 
     @given(
@@ -191,14 +191,14 @@ class TestLogQuantileDerivative:
         dist = StudentT(inv_nu)
         h = 1e-7 * min(p, 1.0 - p)
         slope = (dist.quantile(p + h) - dist.quantile(p - h)) / (2.0 * h)
-        assert dist.transform(p)[1] == pytest.approx(math.log(slope), rel=1e-5)
+        assert transform(dist, p)[1] == pytest.approx(math.log(slope), rel=1e-5)
 
     def test_finite_at_extreme_percentiles(self):
         # Smallest percentile reachable for n up to 10^6.
         p_min = 1.0 / (2.0 * 10**6)
         for dist in ALL_KINDS:
-            assert np.isfinite(dist.transform(p_min)[1])
-            assert np.isfinite(dist.transform(1.0 - p_min)[1])
+            assert np.isfinite(transform(dist, p_min)[1])
+            assert np.isfinite(transform(dist, 1.0 - p_min)[1])
 
 
 TRANSFORM_KINDS = [
@@ -213,15 +213,16 @@ def _bits(x):
 
 
 class TestTransform:
-    """transform(p) is quantile(p) and log Q'(p) in one pass, bit for bit
-    the values of the separate quantile and closed-form log Q' routes."""
+    """The likelihood's pair, ``quantile(p)`` and ``_lqd_at`` at that Q(p)
+    (``oracles.transform``), is bit for bit the values of the separate
+    quantile and closed-form log Q' routes."""
 
     RANKITS = (2.0 * np.arange(1, 1501) - 1.0) / 3000.0
 
     @pytest.mark.parametrize("dist", TRANSFORM_KINDS, ids=lambda d: d.label())
     @pytest.mark.parametrize("p", [RANKITS, 0.3, 0.975], ids=["rankits", "0.3", "0.975"])
     def test_bit_identical_to_separate_routes(self, dist, p):
-        z, lqd = dist.transform(p)
+        z, lqd = transform(dist, p)
         assert np.array_equal(_bits(z), _bits(dist.quantile(p)))
         assert np.array_equal(_bits(lqd), _bits(log_quantile_derivative(dist, p)))
         if np.ndim(p) == 0:
@@ -233,7 +234,7 @@ class TestTransform:
     def test_domain_errors(self, dist):
         for p in [0.0, 1.0, float("nan"), np.array([0.5, 1.0])]:
             with pytest.raises(DomainError):
-                dist.transform(p)
+                transform(dist, p)
 
 
 def _rankits(n):
@@ -385,7 +386,7 @@ class TestGridMemo:
         dist.quantile(grid.p)
         (z, jacobian), = grid.store.values()
         assert not z.flags.writeable and type(jacobian) is float
-        assert float.hex(jacobian) == float.hex(float(np.sum(dist.transform(grid.p.copy())[1])))
+        assert float.hex(jacobian) == float.hex(float(np.sum(transform(dist, grid.p.copy())[1])))
 
     def test_a_correlation_report_holds_whole_entries(self, fresh_grid):
         grid = fresh_grid(self.N)
@@ -394,7 +395,7 @@ class TestGridMemo:
         p = _rankits(self.N)
         for dist in targets:
             z, jacobian = grid.store[dist]
-            assert float.hex(jacobian) == float.hex(float(np.sum(dist.transform(p)[1])))
+            assert float.hex(jacobian) == float.hex(float(np.sum(transform(dist, p)[1])))
 
     def test_a_second_ranking_creates_the_store(self, stdtrit_dfs, no_held_ranking):
         # One ranking of n alone is served by the states it keeps, and its
@@ -511,11 +512,11 @@ class TestGridMemo:
         # other's bits.
         grid = fresh_grid(self.N)
         p = grid.p
-        computed = [[_bits(v) for v in d.transform(p.copy())] for d in (plus, minus)]
+        computed = [[_bits(v) for v in transform(d, p.copy())] for d in (plus, minus)]
         for a, b in zip(*computed):
             assert np.array_equal(a, b)
         for d in (minus, plus):  # the second served from the first's entry
-            for got, want in zip(d.transform(p), computed[0]):
+            for got, want in zip(transform(d, p), computed[0]):
                 assert np.array_equal(_bits(got), want)
         assert len(grid.store) == 1
 
@@ -665,7 +666,7 @@ class TestFamilyMembers:
     ], ids=["rankits-1", "rankits-2", "rankits-1500", "ties"])
     @pytest.mark.parametrize("named, member", MEMBERS, ids=MEMBER_IDS)
     def test_bit_equal_to_the_family_member(self, named, member, p):
-        for got, want in zip(named.transform(p), member.transform(p)):
+        for got, want in zip(transform(named, p), transform(member, p)):
             assert np.array_equal(_bits(got), _bits(want))
         assert np.array_equal(_bits(named.entropy()), _bits(member.entropy()))
 
@@ -691,9 +692,9 @@ class TestFamilyContinuity:
         # sum log Q' on the n = 1500 rankit grid departs from its Gaussian
         # value by about 1.5e3 inv_nu, all the way down to inv_nu = 1e-15.
         rankits = (2.0 * np.arange(1, 1501) - 1.0) / 3000.0
-        gauss = np.sum(Gaussian().transform(rankits)[1])
+        gauss = np.sum(transform(Gaussian(), rankits)[1])
         for inv_nu in 10.0 ** -np.arange(5, 16):
-            gap = np.sum(StudentT(inv_nu).transform(rankits)[1]) - gauss
+            gap = np.sum(transform(StudentT(inv_nu), rankits)[1]) - gauss
             assert abs(gap) <= 2e3 * inv_nu + 1e-10, (inv_nu, gap)
 
     def test_alpha_family_approaches_logistic(self):
@@ -704,7 +705,7 @@ class TestFamilyContinuity:
         for a in [s * 10.0 ** -k for k in range(6, 16) for s in (1, -1)]:
             ab = AlphaBeta(a, a)
             gap_q = ab.quantile(p) - Logistic().quantile(p)
-            gap_lqd = ab.transform(p)[1] - Logistic().transform(p)[1]
+            gap_lqd = transform(ab, p)[1] - transform(Logistic(), p)[1]
             assert np.max(np.abs(gap_q)) <= 11.0 * abs(a) + 1e-14, a
             assert np.max(np.abs(gap_lqd)) <= 11.0 * abs(a) + 1e-14, a
 
@@ -735,16 +736,16 @@ class TestStudentTLogDensity:
     def test_cauchy_values(self):
         # Q is exactly 0 at p = 1/2 and exactly 1 at p = 3/4.
         assert StudentT(1.0).quantile(0.75) == 1.0
-        assert abs(-StudentT(1.0).transform(0.5)[1] - CAUCHY_LOGPDF_0) < 1e-14
-        assert abs(-StudentT(1.0).transform(0.75)[1] - CAUCHY_LOGPDF_1) < 1e-14
+        assert abs(-transform(StudentT(1.0), 0.5)[1] - CAUCHY_LOGPDF_0) < 1e-14
+        assert abs(-transform(StudentT(1.0), 0.75)[1] - CAUCHY_LOGPDF_1) < 1e-14
 
     def test_t5_against_oracle(self):
-        z, lqd = StudentT(0.2).transform(sc.stdtr(5, 1.5))
+        z, lqd = transform(StudentT(0.2), sc.stdtr(5, 1.5))
         assert abs(z - 1.5) < 1e-14
         assert abs(-lqd - T5_LOGPDF_15) < 1e-12
 
     def test_continuity_toward_gaussian(self):
-        z, lqd = StudentT(1e-8).transform(sc.ndtr(0.7))
+        z, lqd = transform(StudentT(1e-8), sc.ndtr(0.7))
         gauss = -0.5 * math.log(2.0 * math.pi) - 0.5 * z * z
         assert abs(-lqd - gauss) < 1e-6
 
@@ -754,8 +755,8 @@ class TestStudentTLogDensity:
         p = sc.ndtr(np.array([-3.0, -0.5, 0.0, 1.0, 8.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, got = StudentT(inv_nu).transform(p)
-            scalar = StudentT(inv_nu).transform(0.5)[1]
+            z, got = transform(StudentT(inv_nu), p)
+            scalar = transform(StudentT(inv_nu), 0.5)[1]
         assert np.array_equal(_bits(got), _bits(0.5 * targetdist.LOG_2PI + 0.5 * z * z))
         assert type(scalar) is float
         assert scalar == 0.5 * targetdist.LOG_2PI

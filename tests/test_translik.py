@@ -470,15 +470,27 @@ class TestHeldRanking:
             assert _hex(_reduced(pc, t, d)) == _hex(_reduced(fresh, t, d))
         assert calls == [StudentT(xs[0]), StudentT(xs[-1]), StudentT(xs[-1])]
 
-    def test_a_degenerate_transform_is_not_kept(self):
+    def test_a_degenerate_transform_keeps_its_error(self, monkeypatch, no_held_ranking):
         # The uniform transform of this response, its percentiles, is
         # exactly additive in row and column, so each evaluation raises.
+        # The ranking keeps the error, with no traceback to pin a frame,
+        # and each evaluation, under either model, raises a fresh copy.
         rows, cols = np.arange(20) % 5, np.arange(20) // 5
         pc = percentiles(rows * 1000.0 + cols)
-        for _ in range(2):
-            with pytest.raises(DegenerateFitError):
-                _reduced(pc, Uniform(), DesignSpec(5, 4))
-        assert pc._states == {}
+        calls = []
+        quantile = Uniform.quantile
+        monkeypatch.setattr(Uniform, "quantile", lambda t, p: calls.append(t) or quantile(t, p))
+        raised = []
+        for model in ("fixed", "random"):
+            with pytest.raises(DegenerateFitError) as info:
+                _reduced(pc, Uniform(), DesignSpec(5, 4, model))
+            raised.append(info.value)
+        (kept,) = pc._states.values()
+        assert type(kept) is DegenerateFitError and kept.__traceback__ is None
+        assert [(type(e), str(e)) for e in raised] == [(DegenerateFitError, str(kept))] * 2
+        assert str(kept).startswith("no interaction variation left")
+        assert raised[0] is not raised[1] and kept not in raised
+        assert calls == [Uniform()]
 
     def test_concurrent_sweeps_on_one_ranking(self, cold):
         out = bench(2, "cauchy")
@@ -812,13 +824,28 @@ class TestStackedSweep:
         design = out.design.with_model(model)
         self._assert_point_by_point(no_held_ranking, family, out.y, design, refine=refine)
 
-    def test_a_grid_past_the_state_limit(self, no_held_ranking):
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        """A list that grows by the target of each transform."""
+        calls = []
+        z_and_jacobian = translik._z_and_jacobian
+        monkeypatch.setattr(translik, "_z_and_jacobian",
+                            lambda dist, p: calls.append(dist) or z_and_jacobian(dist, p))
+        return calls
+
+    def test_a_grid_past_the_state_limit(self, no_held_ranking, transforms):
         out = bench(0)
         grid = np.linspace(-1.0, 1.0, 401)
         assert grid.size > translik._STATES_MAX
         self._assert_point_by_point(no_held_ranking, "alpha", out.y, fixed_design(out), grid,
                                     refine=True)
         assert len(percentiles(out.y)._states) == translik._STATES_MAX
+        # Each point, kept on the ranking or not, is transformed once.
+        no_held_ranking()
+        del transforms[:]
+        profile_alpha(out.y, fixed_design(out), grid=grid, refine=True)
+        assert len(transforms) == len(set(transforms)) > grid.size
+        assert set(transforms) >= {AlphaBeta(a, a) for a in grid.tolist()}
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_tied_design_with_a_failing_point(self, no_held_ranking, model):
@@ -833,12 +860,45 @@ class TestStackedSweep:
                                   "variation left after transformation; the likelihood is "
                                   "unbounded",)
 
+    def test_a_failing_point_is_transformed_once(self, no_held_ranking, transforms):
+        # The tied 2x3 response above: alpha = 1 fails under both models.
+        # The ranking keeps its error with the other points' states, so the
+        # fixed sweep transforms each of the 201 points once and the random
+        # sweep after it none.
+        pc = percentiles(np.array([1.0, 3.0, 2.0, 4.0, 2.0, 4.0]))
+        warned = []
+        for model, count in (("fixed", 201), ("random", 0)):
+            curve = profile_alpha(pc, DesignSpec(2, 3, model))
+            assert len(transforms) == count
+            warned.append(curve.warnings)
+            del transforms[:]
+        assert warned[0] == warned[1] and len(warned[0]) == 1
+        assert isinstance(pc._states[(AlphaBeta(1.0, 1.0), 2, 3)], DegenerateFitError)
+
     @pytest.mark.parametrize("family", ["t", "alpha"])
     def test_one_target_a_stack(self, no_held_ranking, monkeypatch, family):
         monkeypatch.setattr(translik, "_STACK_BYTES", 1)
         out = bench(1)
         self._assert_point_by_point(no_held_ranking, family, out.y, random_design(out),
                                     refine=True)
+
+
+class TestDesignSize:
+    """A ranking of n points on a design of another size is refused before
+    anything is kept on it, evaluated or swept."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_rejected(self, no_held_ranking, model):
+        out = bench(0)
+        pc = percentiles(out.y)
+        d = DesignSpec(30, 49, model)
+        message = "^response length 1500 does not match design size 1470$"
+        for data in (out.y, pc):
+            with pytest.raises(DomainError, match=message):
+                reduced_profile_loglik(data, StudentT(0.3), d)
+            with pytest.raises(DomainError, match=message):
+                profile_student_t(data, d)
+        assert pc._states == {}
 
 
 class TestSweepFailures:
