@@ -48,7 +48,11 @@ one entry in the grid's own store, with no digest of p taken.  The store
 keeps what it has and stops storing when full, and it dies with the grid.
 A sample with ties, an n above 8000, or a caller's own array gets its
 quantile computed and not held.  Every ``quantile`` returns a fresh array,
-stored or not.
+stored or not.  The range check on p is skipped only for the grid object
+that has a store, which lies inside (0, 1) by construction: a profile
+sweep of t or alpha-beta targets on a warm grid reads each of its points
+from the store with no pass over p.  Box-Cox transforms the data values and
+takes no quantile.
 """
 
 from __future__ import annotations
@@ -80,15 +84,17 @@ def _quantile_method(method):
     array, checked to lie strictly inside (0, 1), and a scalar argument
     gets a float back.  On a shared rankit grid that has a store the result
     is served from it as a fresh copy, or computed and stored there with its
-    jacobian while the store has room."""
+    jacobian while the store has room.  That grid, (2i - 1)/(2n), lies
+    inside (0, 1) by construction and is read-only, so it is not checked;
+    any other array is, a copy of the grid included."""
 
     @functools.wraps(method)
     def quantile(self, p):
         arr = np.asarray(p, dtype=float)
-        # A NaN makes the min and the max NaN, and fails both comparisons.
-        if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
-            raise DomainError("probabilities must lie strictly inside (0, 1)")
         store = _store(arr)
+        # A NaN makes the min and the max NaN, and fails both comparisons.
+        if store is None and arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
+            raise DomainError("probabilities must lie strictly inside (0, 1)")
         entry = store.get(self) if store is not None else None
         if entry is not None:
             return entry[0].copy()

@@ -29,23 +29,32 @@ data order.
 An evaluation is a transform and a model solve.  The transform, z = Q(p)
 put in data order, its jacobian and its decomposition (``linmodel``'s
 preparation), depends on the ranking, the target and the grid's shape but
-not on the model, so the ranking keeps what it gave (``_reduced``): a
-target evaluated again on one ranking, under either model, runs only the
-solve, or raises again the error its preparation raised.  A t or
-alpha-beta sweep prepares the targets at its grid points before its loop
-(``_fill_states``), stacked in fewer than 256 KiB of transformed values
-(21 targets at 1500 points) and decomposed together by
-``linmodel._prepare_stack``, with the bits each would get alone; its loop
-and its refinement then evaluate as before.
+not on the model, so the ranking keeps what it gave: a target evaluated
+again on one ranking, under either model, runs only the solve, or raises
+again the error its preparation raised.  ``_reduced`` gives a rank-based
+point's two terms, det_term and jacobian_term, at every grid point,
+refinement point and comparator; only a caller that reports a point builds
+its label and its ``ReducedProfileLoglik``.
+
+A profile sweep of any family is one batch over its grid: it builds each
+grid point's member once and prepares all of them before its loop, stacked
+in fewer than 256 KiB of transformed values (21 targets at 1500 points) and
+decomposed together by ``linmodel._prepare_stack``, with the bits each
+would get alone (``_prepare_stacks``).  A t or alpha-beta sweep keeps the
+states on the ranking (``_fill_states``), and a Box-Cox sweep, whose
+shifted log-response is put into grid order once, holds them itself
+(``_boxcox``).  Its loop then runs each point's model solve, and a
+refinement point is prepared alone.
 
 Each profiled family, by its ``--family`` name (``t``, ``alpha``,
 ``boxcox``), has one table row in ``_FAMILIES`` and one evaluator,
 ``family_evaluator``: the function from the family's parameter to the
-reduced value of its member there.  A profile sweeps it over the family's
-grid, and every comparator ``qmatch profile`` reports is one of its values
-at a fixed member (the Gaussian is t at inv_nu = 0, the logistic is
-alpha-beta at alpha = 0, the identity is Box-Cox at g = 1).  So a
-comparator equals the curve's row at that point bit for bit.
+reduced value of its member there.  A profile sweeps the same terms over
+the family's grid (``_family_terms``), and every comparator ``qmatch
+profile`` reports is one of its values at a fixed member (the Gaussian is
+t at inv_nu = 0, the logistic is alpha-beta at alpha = 0, the identity is
+Box-Cox at g = 1).  So a comparator equals the curve's row at that point
+bit for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError, NumericError
-from .linmodel import DesignSpec, _grid, _prepare_stack, _solve, fit
+from .linmodel import DesignSpec, _grid, _prepare_stack, _response, _solve, fit
 from .percentile import PercentileVector, percentiles
 from .targetdist import (
     AlphaBeta,
@@ -116,11 +125,10 @@ class CorrelationReport:
     correlations: np.ndarray
 
 
-def _score(label, log_det, jacobian) -> ReducedProfileLoglik:
-    """The reduced profile value of a transformed response whose fit has
-    log det Sigma_hat ``log_det`` and whose change of variables contributes
-    ``jacobian``."""
-    det_term = -0.5 * log_det
+def _score(label, terms) -> ReducedProfileLoglik:
+    """The reduced profile value, reported under ``label``, of a point whose
+    terms are ``terms``: ``(det_term, jacobian_term)``."""
+    det_term, jacobian = terms
     return ReducedProfileLoglik(
         label=label,
         det_term=det_term,
@@ -156,6 +164,10 @@ def _keep(states, key, state, jacobian):
 
 
 def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec):
+    """The reduced terms ``(det_term, jacobian_term)`` of the target ``dist``
+    on the ranking ``pc``: -1/2 log det Sigma_hat of the design's fit and
+    sum log Q'(p).  Every rank-based value, at a grid point, a refinement
+    point or a comparator, is read from here."""
     # Everything before the model's solve depends only on the ranking, the
     # target and the grid's shape: z, the jacobian and the decomposition,
     # or the error the preparation raised, which each evaluation raises
@@ -169,21 +181,39 @@ def _reduced(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec)
     key = dist, design.nrows, design.ncols
     state = pc._states.get(key)
     if state is None:
+        # A ranking of another size than the design's is refused before
+        # any transform, with the size error a response of its length gets.
+        _response(pc.p_sorted, design)
         z, jacobian = _z_and_jacobian(dist, pc.p_sorted)
         z = pc.unsort(z)  # the sorted z is freed before the grid's copy
-        # _grid raises the size error before anything is kept.
         (state,) = _prepare_stack(_grid(z, design)[None], design)
         state = _keep(pc._states, key, state, jacobian)
     if isinstance(state, Exception):
         raise type(state)(*state.args)
     dec, k, jacobian = state
-    return _score(dist.label(), _solve(design, dec, k).log_det_sigma_hat, jacobian)
+    return -0.5 * _solve(design, dec, k).log_det_sigma_hat, jacobian
 
 
 # Bytes of transformed values a sweep's preparation stacks at once, fewer
 # than 256 KiB: 21 targets at 1500 points, and from 16384 points one target
 # at a time, so a large response is never stacked.
 _STACK_BYTES = 256 << 10
+
+
+def _prepare_stacks(items, fill, design: DesignSpec) -> list:
+    """The preparation (``linmodel._prepare_stack``) of each item's
+    response, which ``fill(row, item)`` writes in grid order into the item's
+    row of a stack of fewer than ``_STACK_BYTES`` of values: each has the
+    bits it would get alone."""
+    rows = max(1, (_STACK_BYTES - 1) // (8 * design.n))
+    states = []
+    for start in range(0, len(items), rows):
+        chunk = items[start:start + rows]
+        stack = np.empty((len(chunk), design.nrows, design.ncols))
+        for row, item in zip(stack, chunk):
+            fill(row, item)
+        states += _prepare_stack(stack, design)
+    return states
 
 
 def _fill_states(pc: PercentileVector, dists, design: DesignSpec):
@@ -201,39 +231,44 @@ def _fill_states(pc: PercentileVector, dists, design: DesignSpec):
     states, shape = pc._states, (design.nrows, design.ncols)
     todo = [d for d in dict.fromkeys(dists) if (d, *shape) not in states]
     del todo[max(_STATES_MAX - len(states), 0):]
+    if not todo:
+        return  # each target has its state, or the ranking has no room
     # Grid cell (r, c) holds data position c * nrows + r, whose value is
     # the sorted one at its rank.
     rank = np.empty(pc.n, dtype=np.intp)
     rank[pc.order] = np.arange(pc.n)
-    index = rank.reshape(design.ncols, design.nrows).T.ravel()
-    rows = max(1, (_STACK_BYTES - 1) // (8 * pc.n))
-    for start in range(0, len(todo), rows):
-        chunk = todo[start:start + rows]
-        g = np.empty((len(chunk), *shape))
-        jacobians = []
-        for row, dist in zip(g.reshape(len(chunk), -1), chunk):
-            z, jacobian = _z_and_jacobian(dist, pc.p_sorted)
-            np.take(z, index, out=row)
-            jacobians.append(jacobian)
-        for dist, state, jacobian in zip(chunk, _prepare_stack(g, design), jacobians):
-            _keep(states, (dist, *shape), state, jacobian)
+    index = np.ascontiguousarray(rank.reshape(design.ncols, design.nrows).T)
+    jacobians = []
+
+    def fill(row, dist):
+        z, jacobian = _z_and_jacobian(dist, pc.p_sorted)
+        np.take(z, index, out=row)
+        jacobians.append(jacobian)
+
+    for dist, state, jacobian in zip(todo, _prepare_stacks(todo, fill, design), jacobians):
+        _keep(states, (dist, *shape), state, jacobian)
+
+
+def _report(pc: PercentileVector, dist: TargetDistribution, design: DesignSpec):
+    """``_reduced``'s terms of ``dist`` on ``pc`` as the value it reports."""
+    return _score(dist.label(), _reduced(pc, dist, design))
 
 
 def reduced_profile_loglik(y, dist: TargetDistribution, design: DesignSpec) -> ReducedProfileLoglik:
-    return _reduced(percentiles(y), dist, design)
+    return _report(percentiles(y), dist, design)
 
 
 def loglik_ratio(y, dist_a: TargetDistribution, dist_b: TargetDistribution,
                  design: DesignSpec) -> float:
     """Log-likelihood ratio of target a over target b (positive favors a)."""
     pc = percentiles(y)
-    return _reduced(pc, dist_a, design).value - _reduced(pc, dist_b, design).value
+    return _report(pc, dist_a, design).value - _report(pc, dist_b, design).value
 
 
 def lr_diagnostics_gaussian_uniform(y, design: DesignSpec) -> GaussianUniformDiagnostics:
     pc = percentiles(y)
     return gaussian_uniform_diagnostics(
-        _reduced(pc, Gaussian(), design), _reduced(pc, Uniform(), design), pc.n
+        _report(pc, Gaussian(), design), _report(pc, Uniform(), design), pc.n
     )
 
 
@@ -289,8 +324,10 @@ def _golden_max(f, lo, mid, f_mid, hi):
     return best_x, best_f
 
 
-def _sweep(family, grid, evaluate, refine):
-    """Evaluate every grid point, then refine an interior argmax if asked.
+def _sweep(family, grid, at, evaluate, refine):
+    """Evaluate every grid point, point i by ``at(i)``, then refine an
+    interior argmax by ``evaluate(x)`` if asked.  Both give a point's terms
+    ``(det_term, jacobian_term)``.
 
     A grid point whose fit fails, or whose value is not finite, is a failed
     point: NaN in the curve and a warning naming it.  ``grid`` is a float
@@ -300,15 +337,16 @@ def _sweep(family, grid, evaluate, refine):
     dets = np.full(grid.size, np.nan)
     jacs = np.full(grid.size, np.nan)
     warnings = []
-    for i, param in enumerate(grid):
+    for i, param in enumerate(grid.tolist()):
         try:
-            r = evaluate(float(param))
-            if not math.isfinite(r.value):
-                raise NumericError(f"value is {r.value}")
+            det, jac = at(i)
+            value = det + jac
+            if not math.isfinite(value):
+                raise NumericError(f"value is {value}")
         except (DegenerateFitError, NumericError) as exc:
             warnings.append(f"{family} grid point {param:g} failed: {exc}")
             continue
-        values[i], dets[i], jacs[i] = r.value, r.det_term, r.jacobian_term
+        values[i], dets[i], jacs[i] = value, det, jac
     ok = np.isfinite(values)
     if ok.sum() < 0.8 * grid.size:
         raise NumericError(
@@ -322,7 +360,8 @@ def _sweep(family, grid, evaluate, refine):
 
         def value_at(t):
             tried.append(t)
-            return evaluate(t).value
+            det, jac = evaluate(t)
+            return det + jac
 
         try:
             # _golden_max moves off the grid argmax only to a higher value.
@@ -374,28 +413,44 @@ def family_grid(family, grid=None):
     return np.asarray(grid, dtype=float)
 
 
+def _family_terms(family, data, design: DesignSpec, points=()):
+    """``family``'s terms on ``data`` as ``(at, evaluate)``: ``at(i)`` is
+    the terms ``(det_term, jacobian_term)`` of its member at ``points[i]``,
+    and ``evaluate(x)`` those of its member at any x.
+
+    The members at ``points`` are built once and prepared in stacks
+    (``_prepare_stacks``) before ``at`` is first called: a rank-based
+    family's are kept on the ranking of ``data`` (``_fill_states``), which
+    ``_reduced`` then reads, and Box-Cox's are held by ``at`` (``_boxcox``).
+    """
+    if family == "boxcox":
+        return _boxcox(data, design, points)
+    pc, member = percentiles(data), _MEMBERS[family]
+    members = [member(x) for x in points]
+    _fill_states(pc, members, design)
+    return (lambda i: _reduced(pc, members[i], design),
+            lambda x: _reduced(pc, member(x), design))
+
+
 def family_evaluator(family, data, design: DesignSpec):
     """The function x -> ``ReducedProfileLoglik`` of the member at x of
     ``family``, a ``--family`` name: t at inv_nu = x and alpha-beta at
     alpha = beta = x on the ranking of ``data``, and Box-Cox at exponent x
-    on the raw response ``data`` (see ``_boxcox_evaluator``).  Every swept
-    point and every comparator ``qmatch profile`` reports is one of its
-    values."""
+    on the raw response ``data`` (see ``_boxcox``).  Every swept point and
+    every comparator ``qmatch profile`` reports is one of its values."""
+    _, terms = _family_terms(family, data, design)
     if family == "boxcox":
-        return _boxcox_evaluator(data, design)
-    pc, member = percentiles(data), _MEMBERS[family]
-    return lambda x: _reduced(pc, member(x), design)
+        return lambda g: _score("boxcox", terms(g))
+    return lambda x: _score(_MEMBERS[family](x).label(), terms(x))
 
 
 def _profile(family, data, design, grid, refine) -> ProfileCurve:
-    """``family``'s evaluator swept over its checked grid; the grid is
-    checked before the data are read.  A rank-based sweep first prepares
-    its grid's targets on the ranking (``_fill_states``)."""
+    """``family``'s terms swept over its checked grid, whose members are
+    prepared before the sweep's loop (``_family_terms``); the grid is
+    checked before the data are read."""
     grid = family_grid(family, grid)
-    if family in _MEMBERS:
-        data = percentiles(data)
-        _fill_states(data, map(_MEMBERS[family], grid.tolist()), design)
-    return _sweep(_FAMILIES[family][0], grid, family_evaluator(family, data, design), refine)
+    at, evaluate = _family_terms(family, data, design, grid.tolist())
+    return _sweep(_FAMILIES[family][0], grid, at, evaluate, refine)
 
 
 def profile_student_t(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
@@ -408,9 +463,11 @@ def profile_alpha(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurv
     return _profile("alpha", y, design, grid, refine)
 
 
-def _boxcox_evaluator(y, design: DesignSpec):
-    """Box-Cox's reduced profile value as a function of the exponent g,
-    on the raw (positive) response, for any real g.
+def _boxcox(y, design: DesignSpec, points=()):
+    """Box-Cox's terms on the raw (positive) response ``y``, for any real
+    exponent g, as ``(at, evaluate)`` (see ``_family_terms``): the members
+    at ``points`` are prepared in stacks, and any other is fitted alone,
+    by ``fit``, a stack of one.
 
     For exponent g the response is transformed to (y^g - 1)/g (log y at
     g = 0), the model is fitted, and the profile value is
@@ -431,19 +488,32 @@ def _boxcox_evaluator(y, design: DesignSpec):
     log_y = np.log(y)
     lo, hi = float(log_y.min()), float(log_y.max())
     slog = float(np.sum(log_y))
-    n = log_y.size
-    shifted = {c: log_y - c for c in (lo, hi)}  # power_limb never writes them
+    # log y - c in grid order, taken once for each c; power_limb acts
+    # elementwise and never writes it.  _grid raises the size error.
+    shifted = {c: _grid(log_y - c, design) for c in (lo, hi)}
 
-    def evaluate(g):
+    def transformed(g):
+        return power_limb(g, shifted[hi if g > 0.0 else lo])
+
+    def terms(g, fitted):
         c = hi if g > 0.0 else lo
-        log_det = fit(power_limb(g, shifted[c]), design).log_det_sigma_hat + 2.0 * n * g * c
-        return _score("boxcox", log_det, (g - 1.0) * slog)
+        log_det = fitted.log_det_sigma_hat + 2.0 * design.n * g * c
+        return -0.5 * log_det, (g - 1.0) * slog
 
-    return evaluate
+    states = _prepare_stacks(points, lambda row, g: np.copyto(row, transformed(g)), design)
+
+    def at(i):
+        if isinstance(states[i], Exception):
+            raise states[i]
+        return terms(points[i], _solve(design, *states[i]))
+
+    # Transposed, a response in grid order lists it column-major, in the
+    # data order ``fit`` reads.
+    return at, lambda g: terms(g, fit(transformed(g).T.ravel(), design))
 
 
 def boxcox_profile(y, design: DesignSpec, grid=None, refine=False) -> ProfileCurve:
-    """Power-transformation profile: ``_boxcox_evaluator`` swept over g."""
+    """Power-transformation profile: Box-Cox (``_boxcox``) swept over g."""
     return _profile("boxcox", y, design, grid, refine)
 
 

@@ -24,7 +24,8 @@ each full-length temporary on its own: the run-length percentiles for
 every sample (``run_length_percentiles``), the targets' Q and log Q'
 (``expression_transform``, ``expression_power_limb``,
 ``expression_student_t_log_density``) and the Box-Cox profile that shifted
-log y for every fit (``per_fit_shift_boxcox_profile``).
+log y for every fit (``per_fit_shift_boxcox_profile``); and the sweep that
+evaluated each grid point on its own (``point_by_point_sweep``).
 
 Importing this module gives every target class a ``cdf`` method for the
 round-trip checks: the closed form where one exists, NotImplementedError
@@ -71,7 +72,7 @@ from qmatch.linmodel import (
     _random_fit,
     _response,
 )
-from qmatch.translik import _GOLDEN, _REFINE_XTOL, ReducedProfileLoglik, _score, _sweep
+from qmatch.translik import _GOLDEN, _REFINE_XTOL, ReducedProfileLoglik, _sweep
 from qmatch.targetdist import LOG_2PI, _quantile_method
 
 
@@ -698,6 +699,28 @@ def per_fit_shift_boxcox_profile(y, design: DesignSpec, grid, refine=False):
         c = hi if g > 0.0 else lo
         log_det = (fit(expression_power_limb(g, log_y - c), design).log_det_sigma_hat
                    + 2.0 * n * g * c)
-        return _score(f"boxcox(g={g:g})", log_det, (g - 1.0) * slog)
+        return -0.5 * log_det, (g - 1.0) * slog
 
-    return _sweep("boxcox", grid, evaluate, refine)
+    return point_by_point_sweep("boxcox", grid, evaluate, refine)
+
+
+# -- one point at a time -------------------------------------------------------
+# The package prepares a sweep's grid points together before its loop; these
+# evaluate each point on its own.
+
+
+def point_by_point_sweep(family, grid, evaluate, refine):
+    """The package's sweep of ``grid`` with each grid point evaluated on its
+    own, when the loop reaches it, by ``evaluate(x)``, the function that
+    also gives its refinement points' terms ``(det_term, jacobian_term)``."""
+    grid = np.asarray(grid, dtype=float)
+    return _sweep(family, grid, lambda i: evaluate(float(grid[i])), evaluate, refine)
+
+
+def terms_of(evaluate):
+    """``evaluate``, a function to a ``ReducedProfileLoglik``, as one to its
+    terms ``(det_term, jacobian_term)``."""
+    def terms(x):
+        r = evaluate(x)
+        return r.det_term, r.jacobian_term
+    return terms

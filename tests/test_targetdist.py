@@ -377,6 +377,22 @@ class TestGridMemo:
             assert len(stdtrit_dfs) == 2 * cold
         assert grid.store == {}
 
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, 1.0])
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
+    def test_a_copy_of_the_grid_is_checked(self, dist, bad, fresh_grid):
+        # Only the shared grid object, in range by construction, skips the
+        # range check; a copy of it holding a point outside (0, 1) raises.
+        grid = fresh_grid(self.N)
+        message = r"^probabilities must lie strictly inside \(0, 1\)$"
+        for k in (0, self.N // 2, self.N - 1):
+            p = grid.p.copy()
+            p[k] = bad
+            with pytest.raises(DomainError, match=message):
+                dist.quantile(p)
+        assert grid.store == {}
+        dist.quantile(grid.p)
+        assert list(grid.store) == [dist]
+
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=ALL_KIND_IDS)
     def test_a_quantile_alone_holds_the_whole_entry(self, dist, fresh_grid):
         # The first quantile on the shared grid stores z and its jacobian
@@ -531,17 +547,21 @@ class TestGridMemo:
         # being transformed, whether the sweep prepares it before its loop
         # or at the point it evaluates.
         current, evaluated, points = [None], set(), []
-        evaluator, z_and_jacobian = translik.family_evaluator, translik._z_and_jacobian
+        family_terms, z_and_jacobian = translik._family_terms, translik._z_and_jacobian
         field = translik._FAMILIES[family][1]
 
-        def recording_evaluator(*args):
-            evaluate = evaluator(*args)
+        def recording_terms(family, data, design, grid=()):
+            at, evaluate = family_terms(family, data, design, grid)
 
-            def at(x):
+            def recorded_at(i):
+                points.append(grid[i])
+                return at(i)
+
+            def recorded_evaluate(x):
                 points.append(x)
                 return evaluate(x)
 
-            return at
+            return recorded_at, recorded_evaluate
 
         def recording_z_and_jacobian(dist, p):
             current[0] = getattr(dist, field)
@@ -562,7 +582,7 @@ class TestGridMemo:
 
                 return recorded
 
-        monkeypatch.setattr(translik, "family_evaluator", recording_evaluator)
+        monkeypatch.setattr(translik, "_family_terms", recording_terms)
         monkeypatch.setattr(translik, "_z_and_jacobian", recording_z_and_jacobian)
         monkeypatch.setattr(targetdist, "sc", Recording(sc))
         monkeypatch.setattr(targetdist, "np", Recording(np, {"log", "log1p", "multiply"}))

@@ -26,6 +26,8 @@ from oracles import (
     data_order_percentiles,
     data_order_reduced,
     entropy_quadrature,
+    point_by_point_sweep,
+    terms_of,
     two_point_golden_max,
 )
 from qmatch import (
@@ -52,13 +54,7 @@ from qmatch import (
     simulate,
 )
 from qmatch import translik
-from qmatch.translik import (
-    ReducedProfileLoglik,
-    _golden_max,
-    _reduced,
-    _sweep,
-    family_evaluator,
-)
+from qmatch.translik import _golden_max, _reduced, family_evaluator
 
 GAUSS_ENTROPY = 0.5 * (1.0 + math.log(2.0 * math.pi))
 
@@ -467,7 +463,8 @@ class TestHeldRanking:
         quantile = StudentT.quantile
         monkeypatch.setattr(StudentT, "quantile", lambda t, p: calls.append(t) or quantile(t, p))
         for t in (StudentT(xs[0]), StudentT(xs[-1])):
-            assert _hex(_reduced(pc, t, d)) == _hex(_reduced(fresh, t, d))
+            assert (_hex(reduced_profile_loglik(pc, t, d))
+                    == _hex(reduced_profile_loglik(fresh, t, d)))
         assert calls == [StudentT(xs[0]), StudentT(xs[-1]), StudentT(xs[-1])]
 
     def test_a_degenerate_transform_keeps_its_error(self, monkeypatch, no_held_ranking):
@@ -717,10 +714,9 @@ class TestRefinement:
         def evaluate(x):
             if x not in grid:
                 raise error(f"no fit at {x!r}")
-            v = -((x - 0.6) ** 2)
-            return ReducedProfileLoglik("toy", v, 0.0, v)
+            return -((x - 0.6) ** 2), 0.0
 
-        curve = _sweep("toy", grid, evaluate, refine=True)
+        curve = point_by_point_sweep("toy", grid, evaluate, refine=True)
         assert curve.argmax_param == 0.5
         assert curve.argmax_value == -((0.5 - 0.6) ** 2)
         assert np.all(np.isfinite(curve.values))
@@ -737,10 +733,9 @@ class TestRefinement:
 
         def evaluate(x):
             calls.append(x)
-            v = -((x - 0.6) ** 2)
-            return ReducedProfileLoglik("toy", v, 0.0, v)
+            return -((x - 0.6) ** 2), 0.0
 
-        curve = _sweep("toy", grid, evaluate, refine=True)
+        curve = point_by_point_sweep("toy", grid, evaluate, refine=True)
         assert curve.argmax_value > -((0.5 - 0.6) ** 2)
         assert calls.count(0.5) == 1
 
@@ -781,7 +776,7 @@ class TestGoldenSectionReuse:
                 continue
             pc = percentiles(out.y)
             x, v = two_point_golden_max(
-                lambda t: _reduced(pc, target(t), d).value,
+                lambda t: reduced_profile_loglik(pc, target(t), d).value,
                 float(curve.grid[i - 1]), float(curve.grid[i]), float(curve.values[i]),
                 float(curve.grid[i + 1]),
             )
@@ -798,40 +793,67 @@ def _curve_bits(curve):
             float.hex(curve.argmax_param), float.hex(curve.argmax_value), curve.warnings)
 
 
+PROFILES = {"t": profile_student_t, "alpha": profile_alpha, "boxcox": boxcox_profile}
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """A list that grows by the target of each transform."""
+    calls = []
+    z_and_jacobian = translik._z_and_jacobian
+    monkeypatch.setattr(translik, "_z_and_jacobian",
+                        lambda dist, p: calls.append(dist) or z_and_jacobian(dist, p))
+    return calls
+
+
 class TestStackedSweep:
-    """A rank-based sweep prepares its grid's targets as stacks before its
-    loop.  Every curve keeps the bits of evaluating each point alone,
-    through ``family_evaluator`` on a fresh ranking: values, det and
-    jacobian terms, argmax and warnings."""
+    """A sweep prepares its grid's members as stacks before its loop.
+    Every curve keeps the bits of evaluating each point alone, through
+    ``family_evaluator`` (on a fresh ranking for t and alpha-beta): values,
+    det and jacobian terms, argmax and warnings."""
 
     def _assert_point_by_point(self, no_held_ranking, family, y, design, grid=None,
                                refine=False):
-        profile = profile_student_t if family == "t" else profile_alpha
         no_held_ranking()
-        stacked = profile(y, design, grid=grid, refine=refine)
-        assert len(percentiles(y)._states) <= translik._STATES_MAX
+        stacked = PROFILES[family](y, design, grid=grid, refine=refine)
+        if family != "boxcox":
+            assert len(percentiles(y)._states) <= translik._STATES_MAX
         no_held_ranking()
-        alone = _sweep(translik._FAMILIES[family][0], translik.family_grid(family, grid),
-                       family_evaluator(family, y, design), refine)
+        alone = point_by_point_sweep(translik._FAMILIES[family][0],
+                                     translik.family_grid(family, grid),
+                                     terms_of(family_evaluator(family, y, design)), refine)
         assert _curve_bits(stacked) == _curve_bits(alone)
         return stacked
 
     @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refined"])
     @pytest.mark.parametrize("model", list(ModelKind))
-    @pytest.mark.parametrize("family", ["t", "alpha"])
+    @pytest.mark.parametrize("family", ["t", "alpha", "boxcox"])
     def test_paper_scale(self, no_held_ranking, family, model, refine):
-        out = bench(2, "cauchy")
+        if family == "boxcox":
+            out = simulate(SimConfig(seed=2, intercept=20.0))
+        else:
+            out = bench(2, "cauchy")
         design = out.design.with_model(model)
-        self._assert_point_by_point(no_held_ranking, family, out.y, design, refine=refine)
+        curve = self._assert_point_by_point(no_held_ranking, family, out.y, design, refine=refine)
+        if refine:
+            assert curve.argmax_param not in curve.grid  # refined off the grid
 
-    @pytest.fixture
-    def transforms(self, monkeypatch):
-        """A list that grows by the target of each transform."""
-        calls = []
-        z_and_jacobian = translik._z_and_jacobian
-        monkeypatch.setattr(translik, "_z_and_jacobian",
-                            lambda dist, p: calls.append(dist) or z_and_jacobian(dist, p))
-        return calls
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refined"])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_boxcox_failing_points(self, no_held_ranking, model, refine, rng):
+        # exp of an exactly additive surface fails at g = 0 only, in its
+        # preparation; at g = 1e305 the value is NaN with no exception.
+        rows, cols = np.arange(20) % 5, np.arange(20) // 5
+        y = np.exp(rng.normal(size=5)[rows] + rng.normal(size=4)[cols])
+        curve = self._assert_point_by_point(no_held_ranking, "boxcox", y,
+                                            DesignSpec(5, 4, model), refine=refine)
+        assert len(curve.warnings) == 1
+        assert curve.warnings[0].startswith("boxcox grid point 0 failed: no interaction")
+        out = simulate(SimConfig(seed=0, intercept=20.0))
+        curve = self._assert_point_by_point(no_held_ranking, "boxcox", out.y,
+                                            out.design.with_model(model),
+                                            [0.5, 1, 2, 3, 1e305], refine)
+        assert curve.warnings[-1] == "boxcox grid point 1e+305 failed: value is nan"
 
     def test_a_grid_past_the_state_limit(self, no_held_ranking, transforms):
         out = bench(0)
@@ -875,20 +897,21 @@ class TestStackedSweep:
         assert warned[0] == warned[1] and len(warned[0]) == 1
         assert isinstance(pc._states[(AlphaBeta(1.0, 1.0), 2, 3)], DegenerateFitError)
 
-    @pytest.mark.parametrize("family", ["t", "alpha"])
+    @pytest.mark.parametrize("family", ["t", "alpha", "boxcox"])
     def test_one_target_a_stack(self, no_held_ranking, monkeypatch, family):
         monkeypatch.setattr(translik, "_STACK_BYTES", 1)
-        out = bench(1)
+        out = simulate(SimConfig(seed=1, intercept=20.0)) if family == "boxcox" else bench(1)
         self._assert_point_by_point(no_held_ranking, family, out.y, random_design(out),
                                     refine=True)
 
 
 class TestDesignSize:
-    """A ranking of n points on a design of another size is refused before
-    anything is kept on it, evaluated or swept."""
+    """A response of n points on a design of another size is refused before
+    any transform, and before anything is kept on its ranking, evaluated or
+    swept."""
 
     @pytest.mark.parametrize("model", list(ModelKind))
-    def test_rejected(self, no_held_ranking, model):
+    def test_rejected(self, no_held_ranking, transforms, model):
         out = bench(0)
         pc = percentiles(out.y)
         d = DesignSpec(30, 49, model)
@@ -896,9 +919,13 @@ class TestDesignSize:
         for data in (out.y, pc):
             with pytest.raises(DomainError, match=message):
                 reduced_profile_loglik(data, StudentT(0.3), d)
-            with pytest.raises(DomainError, match=message):
-                profile_student_t(data, d)
+            for profile in (profile_student_t, profile_alpha):
+                with pytest.raises(DomainError, match=message):
+                    profile(data, d)
+        with pytest.raises(DomainError, match=message):
+            boxcox_profile(np.exp(out.y), d)
         assert pc._states == {}
+        assert transforms == []
 
 
 class TestSweepFailures:
@@ -927,10 +954,9 @@ class TestSweepFailures:
         # No exception, but a value that is not a number: a failed point
         # all the same, with a warning naming it.
         def evaluate(x):
-            v = bad if x == 0.5 else -((x - 0.6) ** 2)
-            return ReducedProfileLoglik("toy", v, 0.0, v)
+            return bad if x == 0.5 else -((x - 0.6) ** 2), 0.0
 
-        curve = _sweep("toy", np.arange(5) * 0.25, evaluate, refine=False)
+        curve = point_by_point_sweep("toy", np.arange(5) * 0.25, evaluate, refine=False)
         assert np.isnan(curve.values[2]) and np.isnan(curve.det_terms[2])
         assert curve.warnings == (f"toy grid point 0.5 failed: value is {bad}",)
         assert curve.argmax_param == 0.75
@@ -951,10 +977,13 @@ class TestNonFiniteGrid:
         (profile_student_t, "inv_nu"), (profile_alpha, "alpha"), (boxcox_profile, "g"),
     ])
     def test_rejected_before_any_fit(self, monkeypatch, profile, field, bad):
-        def unfit(z, design):
+        # A sweep prepares its grid points as stacks and fits a single
+        # point by ``fit``: neither may run.
+        def unfit(*args):
             raise AssertionError("fitted")
 
         monkeypatch.setattr("qmatch.translik.fit", unfit)
+        monkeypatch.setattr("qmatch.translik._prepare_stack", unfit)
         out = simulate(SimConfig(seed=0, intercept=20.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
