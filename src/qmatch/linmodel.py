@@ -186,7 +186,9 @@ class ModelFit:
 
 def _response(z, design: DesignSpec) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    if z.shape != (design.n,):
+    if z.ndim != 1:
+        raise DomainError(f"response of shape {z.shape} is not a vector of design size {design.n}")
+    if z.size != design.n:
         raise DomainError(f"response length {z.size} does not match design size {design.n}")
     return z
 

@@ -29,11 +29,12 @@ in every number.  A ranking keeps each target's model-free fit state, or
 the error preparing it raised (``translik._keep``), so a response swept
 under both models is transformed and decomposed once per target.
 
-A tie-free sample of at most 8000 points shares the one rankit grid of its
-n, a ``_Grid`` that every ranking of that n holds.  When a second ranking
-picks the grid up, it gains a store of each target's transform on it,
-which ``targetdist`` writes and reads; the store lives as long as the
-grid, that is, as long as some ranking of its n.
+Every tie-free sample of size n shares the one rankit grid of its n, a
+``_Grid`` that every tie-free ranking of that n holds.  When a second
+ranking picks the grid up, it gains a store of each target's transform on
+it, which ``targetdist`` writes and reads, bounded only by its own budget
+(``targetdist._MEMO_BUDGET``); the store lives as long as the grid, that
+is, as long as some ranking of its n.
 """
 
 from __future__ import annotations
@@ -46,12 +47,7 @@ import numpy as np
 from .errors import DomainError
 
 # The shared rankit grids, by n, each held weakly: a grid lives as long as
-# some ranking holds it.  A grid is shared only up to _SHARED_GRID_MAX_N
-# points: its store then keeps at least 65 targets' transforms (see
-# ``targetdist._MEMO_BUDGET``), so a refined sweep (51 grid points and
-# about 10 refinement points) keeps its own; a larger n gets a fresh grid
-# with each ranking.
-_SHARED_GRID_MAX_N = 8000
+# some ranking holds it.
 
 
 @dataclass(eq=False)
@@ -100,15 +96,15 @@ def percentiles(y) -> PercentileVector:
     fresh ranking would give the same percentiles.
 
     A tie-free sample, which the sorted values show by having no equal
-    neighbours, gets the rankit grid (2i - 1)/(2n).  Up to 8000 points
-    that grid is one shared, read-only array per n (writing into its
-    ``p_sorted`` raises), alive while some ranking holds it, by which
-    ``targetdist`` recognizes a tie-free sample's percentiles without
-    reading them; the second ranking of n gives it a store of the targets'
-    transforms.  A larger n gets a fresh array.  A sample with ties keeps
-    the run-length construction in a fresh array, since each tie run
-    shares one midrank that the grid does not give.  Both paths form each
-    p as the same exact odd integer over 2n.
+    neighbours, gets the rankit grid (2i - 1)/(2n): at any n one shared,
+    read-only array per n (writing into its ``p_sorted`` raises), alive
+    while some ranking holds it, by which ``targetdist`` recognizes a
+    tie-free sample's percentiles without reading them.  The first ranking
+    of n makes the grid, and the second gives it a store of the targets'
+    transforms.  A sample with ties keeps the run-length construction in a
+    fresh array, since each tie run shares one midrank that the grid does
+    not give.  Both paths form each p as the same exact odd integer over
+    2n.
     """
     global _held
     if isinstance(y, PercentileVector):
@@ -147,18 +143,15 @@ def percentiles(y) -> PercentileVector:
         # store twice, and what the loser held is computed again.
         grid = _grids.get(n)
         if grid is None:
-            p_sorted = np.arange(1.0, 2.0 * n, 2.0)
-            p_sorted /= 2.0 * n
-            if n <= _SHARED_GRID_MAX_N:
-                p_sorted.flags.writeable = False
-                grid = _grids.setdefault(n, _Grid(p_sorted))
-                p_sorted = grid.p
-        else:
+            p = np.arange(1.0, 2.0 * n, 2.0)
+            p /= 2.0 * n
+            p.flags.writeable = False
+            grid = _grids.setdefault(n, _Grid(p))
+        elif grid.store is None:
             # A second ranking of n: from now on its grid keeps the
             # targets' transforms.
-            if grid.store is None:
-                grid.store = {}
-            p_sorted = grid.p
+            grid.store = {}
+        p_sorted = grid.p
     else:
         grid = None
         starts = np.flatnonzero(np.concatenate(([True], new_run)))

@@ -40,19 +40,19 @@ is itself odd bit for bit at such points, so Q keeps the bits of one
 Every target's quantile on a tie-free sample's percentiles is remembered
 once two rankings share them.  Such a sample of size n has the rankit grid
 (2i - 1)/(2n) as its percentiles whatever its values, and ``percentiles``
-hands out one shared, read-only grid per n of at most 8000 points, alive
-while a ranking holds it.  So z = Q(p) and the jacobian sum log Q'(p)
-depend only on (target, n): once a second ranking has picked the grid up,
-the first ``quantile`` on that grid object computes both and keeps them as
-one entry in the grid's own store, with no digest of p taken.  The store
-keeps what it has and stops storing when full, and it dies with the grid.
-A sample with ties, an n above 8000, or a caller's own array gets its
-quantile computed and not held.  Every ``quantile`` returns a fresh array,
-stored or not.  The range check on p is skipped only for the grid object
-that has a store, which lies inside (0, 1) by construction: a profile
-sweep of t or alpha-beta targets on a warm grid reads each of its points
-from the store with no pass over p.  Box-Cox transforms the data values and
-takes no quantile.
+hands out one shared, read-only grid per n, at any n, alive while a
+ranking holds it.  So z = Q(p) and the jacobian sum log Q'(p) depend only
+on (target, n): once a second ranking has picked the grid up, the first
+``quantile`` on that grid object computes both and keeps them as one entry
+in the grid's own store, with no digest of p taken.  The store's budget
+(``_MEMO_BUDGET // p.nbytes`` entries) is its only bound: it keeps what it
+has and stops storing when full, and it dies with the grid.  A sample with
+ties or a caller's own array gets its quantile computed and not held.
+Every ``quantile`` returns a fresh array, stored or not.  The range check
+on p is skipped only for the grid object that has a store, which lies
+inside (0, 1) by construction: a profile sweep of t or alpha-beta targets
+on a warm grid reads each of its points from the store with no pass over
+p.  Box-Cox transforms the data values and takes no quantile.
 """
 
 from __future__ import annotations
@@ -164,16 +164,18 @@ def _paired_stdtrit(df, p):
 # Bytes of z a grid's store may hold, 8 per point: 4 MiB keeps 349 targets
 # at the paper's 50x30, where one study operation (16 seeds in one process)
 # cycles through about 310: 51 t and 201 alpha grid points, refinement
-# points and correlation targets.  A full store keeps what it has and
+# points and correlation targets.  It is a store's only bound: one target
+# at 300000 points, none above 524288.  A full store keeps what it has and
 # stores no more: an LRU would evict, on a cyclic sweep, the entry asked
 # for next.
 _MEMO_BUDGET = 4 << 20
 
 
 def _store(p):
-    """The store of the shared rankit grid that p is, or None: ties, n
-    above 8000 points, a caller's own array even with the grid's values,
-    or a grid no second ranking has picked up."""
+    """The store of the shared rankit grid that p is, or None: ties, a
+    caller's own array even with the grid's values, or a grid no second
+    ranking has picked up.  Every tie-free ranking of n holds its n's grid,
+    at any n; the store's budget alone bounds what it keeps."""
     grid = _grids.get(p.size)
     return grid.store if grid is not None and grid.p is p else None
 

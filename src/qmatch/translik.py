@@ -482,14 +482,14 @@ def _boxcox(y, design: DesignSpec, points=()):
     and 2 n g c is added back to log det Sigma_hat.  As g (log y - c) <= 0,
     no power overflows at large |g|, and expm1 keeps g near 0 accurate.
     """
-    y = np.asarray(y, dtype=float)
+    y = _response(y, design)  # the size error, before any reduction
     if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
         raise DomainError("power-transformation profile requires strictly positive data")
     log_y = np.log(y)
     lo, hi = float(log_y.min()), float(log_y.max())
     slog = float(np.sum(log_y))
     # log y - c in grid order, taken once for each c; power_limb acts
-    # elementwise and never writes it.  _grid raises the size error.
+    # elementwise and never writes it.
     shifted = {c: _grid(log_y - c, design) for c in (lo, hi)}
 
     def transformed(g):

@@ -168,6 +168,12 @@ class TestDecompose:
         with pytest.raises(DomainError, match="^response length 7 does not match design size 6$"):
             fit(np.ones(7), design(2, 3, model))
 
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_a_response_that_is_not_a_vector_is_named_by_its_shape(self, model):
+        with pytest.raises(DomainError,
+                           match=r"^response of shape \(2, 2\) is not a vector of design size 4$"):
+            fit(np.arange(4.0).reshape(2, 2), design(2, 2, model))
+
 
 def _stack_rows(rng, r, c):
     """Responses in data order that cover the stack's cases: ties, signed

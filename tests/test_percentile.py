@@ -221,9 +221,9 @@ class TestQuantileMatch:
 
 
 class TestSharedGrid:
-    """A tie-free sample of up to 8000 points gets the one shared, read-only
-    rankit grid of its size; ties and larger samples get a fresh array,
-    read-only like every ranking's."""
+    """A tie-free sample of any size gets the one shared, read-only rankit
+    grid of its size; ties get a fresh array, read-only like every
+    ranking's."""
 
     def test_one_read_only_grid_per_size(self, rng):
         a, b = percentiles(rng.normal(size=1500)), percentiles(rng.normal(size=1500))
@@ -232,13 +232,17 @@ class TestSharedGrid:
             a.p_sorted[0] = 0.5
         assert np.array_equal(a.p_sorted, np.arange(1.0, 3000.0, 2.0) / 3000.0)
 
-    @pytest.mark.parametrize("y", [[1.0, 1.0, 2.0], list(range(8001))], ids=["ties", "8001"])
-    def test_ties_and_large_samples_get_fresh_arrays(self, y, no_held_ranking):
-        # Each ranking has its own, read-only like every ranking's.
+    @pytest.mark.parametrize("y, shared", [([1.0, 1.0, 2.0], False), (list(range(8001)), True)],
+                             ids=["ties", "8001"])
+    def test_ties_get_fresh_arrays_and_tie_free_samples_of_any_size_the_grid(
+            self, y, shared, no_held_ranking):
+        # Each ranking of ties has its own array; every ranking of a
+        # tie-free sample has its size's grid.  Both are read-only, like
+        # every ranking's.
         a = percentiles(y)
         no_held_ranking()
         b = percentiles(y)
-        assert a.p_sorted is not b.p_sorted
+        assert (a.p_sorted is b.p_sorted) is shared
         assert not a.p_sorted.flags.writeable and not b.p_sorted.flags.writeable
 
 

@@ -24,6 +24,7 @@ from conftest import bench, fixed_design
 from oracles import Affine, log_quantile_derivative, transform
 from qmatch import (
     AlphaBeta,
+    DesignSpec,
     DomainError,
     Gaussian,
     Logistic,
@@ -210,6 +211,11 @@ TRANSFORM_KINDS = [
 
 def _bits(x):
     return np.atleast_1d(np.asarray(x, dtype=float)).view(np.int64)
+
+
+def _hex(r):
+    """The bits of a reduced value's three terms."""
+    return [float.hex(v) for v in (r.value, r.det_term, r.jacobian_term)]
 
 
 class TestTransform:
@@ -489,17 +495,64 @@ class TestGridMemo:
         assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / targets[-1].inv_nu, grid.p)))
 
     @pytest.mark.parametrize("n", [8001, 300000])
-    def test_a_grid_over_the_entry_limit_is_neither_shared_nor_held(self, n, no_held_ranking):
-        # No _Grid is made above 8000 points: the held ranking's p is its
-        # own and read-only, and the next ranking gets another.
+    def test_a_large_grid_is_shared_and_its_store_kept_within_budget(self, n, no_held_ranking):
+        # Every tie-free ranking of n holds its n's one read-only grid, at
+        # any n: the next ranking picks up the held ranking's p and gives
+        # the grid its store, bounded by the budget alone (65 targets at
+        # 8001 points, 1 at 300000).
         pc = percentiles(np.arange(float(n)))
         p = pc.p_sorted
-        assert not p.flags.writeable and n not in percentile._grids and pc._grid is None
+        assert not p.flags.writeable and percentile._grids[n] is pc._grid and pc._grid.p is p
+        assert pc._grid.store is None
         no_held_ranking()
-        assert p is not percentiles(np.arange(float(n))).p_sorted
+        assert p is percentiles(np.arange(float(n))).p_sorted and pc._grid.store == {}
         z = StudentT(0.15).quantile(p)
-        assert n not in percentile._grids
+        assert list(pc._grid.store) == [StudentT(0.15)]
+        assert targetdist._MEMO_BUDGET // p.nbytes == (65 if n == 8001 else 1)
         assert np.array_equal(_bits(z), _bits(sc.stdtrit(1.0 / 0.15, p)))
+
+    def test_rankings_of_8001_points_share_one_grid_and_its_bounded_store(self, no_held_ranking):
+        # Two tie-free rankings of 8001 points share one grid, and the
+        # second gives it a store that keeps _MEMO_BUDGET // p.nbytes
+        # targets.  A sample's values are cold on its first ranking (no
+        # store) and warm on a later one, served from the entries the
+        # second ranking stored, with the same bits.
+        n, design = 8001, DesignSpec(63, 127)
+        y = np.random.default_rng(7).normal(size=n)
+        first = percentiles(y)
+        grid = first._grid
+        targets = [AlphaBeta(a, a) for a in np.linspace(-0.9, 0.9, 70)]
+
+        def values(pc):
+            return [_hex(translik.reduced_profile_loglik(pc, t, design)) for t in targets[:3]]
+
+        cold = values(first)
+        assert grid.store is None
+        second = percentiles(np.random.default_rng(8).normal(size=n))
+        assert second._grid is grid and second.p_sorted is first.p_sorted is grid.p
+        assert grid.store == {}
+        values(second)
+        assert list(grid.store) == targets[:3]
+        warm = percentiles(y)
+        assert warm is not first and warm._grid is grid
+        assert values(warm) == cold
+        fits = targetdist._MEMO_BUDGET // grid.p.nbytes
+        assert fits == 65
+        for t in targets:
+            z = t.quantile(grid.p)
+            assert np.array_equal(_bits(z), _bits(t.quantile(grid.p.copy())))
+        assert list(grid.store) == targets[:fits]
+
+    def test_a_budget_below_one_entry_stores_nothing(self, fresh_grid, monkeypatch):
+        # A store keeps no entry where one z exceeds the budget, as from
+        # 524289 points at the real budget; the quantile is computed each
+        # time with the same bits.
+        grid, t = fresh_grid(8001), StudentT(0.15)
+        monkeypatch.setattr(targetdist, "_MEMO_BUDGET", grid.p.nbytes - 1)
+        want = _bits(sc.stdtrit(1.0 / 0.15, grid.p))
+        for _ in range(2):
+            assert np.array_equal(_bits(t.quantile(grid.p)), want)
+        assert grid.store == {}
 
     def test_the_largest_held_result(self, fresh_grid):
         grid = fresh_grid(8000)

@@ -53,7 +53,7 @@ from qmatch import (
     reduced_profile_loglik,
     simulate,
 )
-from qmatch import translik
+from qmatch import percentile, translik
 from qmatch.translik import _golden_max, _reduced, family_evaluator
 
 GAUSS_ENTROPY = 0.5 * (1.0 + math.log(2.0 * math.pi))
@@ -343,11 +343,12 @@ class TestHeldRanking:
 
     @pytest.fixture
     def cold(self, no_held_ranking, fresh_grid):
-        """Calls ``fn()`` with no ranking held and a fresh grid of 1500
-        points, the size of every sample here that has a shared grid."""
+        """Calls ``fn()`` with no ranking held and fresh grids of 1500 and
+        8100 points, the sizes of the tie-free samples here."""
         def call(fn):
             no_held_ranking()
             fresh_grid(1500)
+            fresh_grid(8100)
             return fn()
 
         return call
@@ -384,10 +385,11 @@ class TestHeldRanking:
         self._warm_equals_cold(
             cold, out, lambda d: [reduced_profile_loglik(out.y, dist, d) for dist in COMPARATORS])
 
-    def test_a_ranking_over_8000_points_is_held(self, cold):
+    def test_a_large_ranking_is_held_and_shares_its_grid(self, cold):
         out = simulate(SimConfig(nrows=100, ncols=81, seed=4))
         pc = percentiles(out.y)
-        assert percentiles(out.y.copy()) is pc and pc._grid is None
+        assert percentiles(out.y.copy()) is pc and pc._grid.p is pc.p_sorted
+        assert percentile._grids[8100] is pc._grid
         assert not pc.order.flags.writeable and not pc.p_sorted.flags.writeable
         # The raw response is served the held ranking and the states it keeps.
         self._warm_equals_cold(
@@ -806,6 +808,17 @@ def transforms(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def no_fit(monkeypatch):
+    """Fails the test at any fit: a sweep prepares its grid points as
+    stacks (``_prepare_stack``) and fits a single point by ``fit``."""
+    def unfit(*args):
+        raise AssertionError("fitted")
+
+    monkeypatch.setattr(translik, "fit", unfit)
+    monkeypatch.setattr(translik, "_prepare_stack", unfit)
+
+
 class TestStackedSweep:
     """A sweep prepares its grid's members as stacks before its loop.
     Every curve keeps the bits of evaluating each point alone, through
@@ -907,11 +920,11 @@ class TestStackedSweep:
 
 class TestDesignSize:
     """A response of n points on a design of another size is refused before
-    any transform, and before anything is kept on its ranking, evaluated or
-    swept."""
+    any transform, and before anything is kept on its ranking, evaluated,
+    swept or fitted."""
 
     @pytest.mark.parametrize("model", list(ModelKind))
-    def test_rejected(self, no_held_ranking, transforms, model):
+    def test_rejected(self, no_held_ranking, transforms, no_fit, model):
         out = bench(0)
         pc = percentiles(out.y)
         d = DesignSpec(30, 49, model)
@@ -924,8 +937,19 @@ class TestDesignSize:
                     profile(data, d)
         with pytest.raises(DomainError, match=message):
             boxcox_profile(np.exp(out.y), d)
+        # Box-Cox checks an empty response's size before it reduces it.
+        empty = "^response length 0 does not match design size 4$"
+        with pytest.raises(DomainError, match=empty):
+            boxcox_profile(np.array([]), DesignSpec(2, 2, model))
+        with pytest.raises(DomainError, match=empty):
+            family_evaluator("boxcox", np.array([]), DesignSpec(2, 2, model))
         assert pc._states == {}
         assert transforms == []
+
+    def test_a_response_that_is_not_a_vector_is_named_by_its_shape(self, no_fit):
+        with pytest.raises(DomainError,
+                           match=r"^response of shape \(2, 2\) is not a vector of design size 4$"):
+            boxcox_profile(np.arange(1.0, 5.0).reshape(2, 2), DesignSpec(2, 2))
 
 
 class TestSweepFailures:
@@ -976,14 +1000,7 @@ class TestNonFiniteGrid:
     @pytest.mark.parametrize("profile, field", [
         (profile_student_t, "inv_nu"), (profile_alpha, "alpha"), (boxcox_profile, "g"),
     ])
-    def test_rejected_before_any_fit(self, monkeypatch, profile, field, bad):
-        # A sweep prepares its grid points as stacks and fits a single
-        # point by ``fit``: neither may run.
-        def unfit(*args):
-            raise AssertionError("fitted")
-
-        monkeypatch.setattr("qmatch.translik.fit", unfit)
-        monkeypatch.setattr("qmatch.translik._prepare_stack", unfit)
+    def test_rejected_before_any_fit(self, no_fit, profile, field, bad):
         out = simulate(SimConfig(seed=0, intercept=20.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -993,11 +1010,7 @@ class TestNonFiniteGrid:
 
 class TestEmptyGrid:
     @pytest.mark.parametrize("profile", [profile_student_t, profile_alpha, boxcox_profile])
-    def test_rejected_before_any_fit(self, monkeypatch, profile):
-        def unfit(z, design):
-            raise AssertionError("fitted")
-
-        monkeypatch.setattr("qmatch.translik.fit", unfit)
+    def test_rejected_before_any_fit(self, no_fit, profile):
         out = simulate(SimConfig(seed=0, intercept=20.0))
         with pytest.raises(DomainError, match="^parameter grid must be nonempty$"):
             profile(out.y, fixed_design(out), grid=[])
@@ -1006,11 +1019,7 @@ class TestEmptyGrid:
 class TestGridShape:
     @pytest.mark.parametrize("grid", [[[0.1, 0.2]], 0.3], ids=["2-d", "0-d"])
     @pytest.mark.parametrize("profile", [profile_student_t, profile_alpha, boxcox_profile])
-    def test_rejected_before_any_fit(self, monkeypatch, profile, grid):
-        def unfit(z, design):
-            raise AssertionError("fitted")
-
-        monkeypatch.setattr("qmatch.translik.fit", unfit)
+    def test_rejected_before_any_fit(self, no_fit, profile, grid):
         out = simulate(SimConfig(seed=0, intercept=20.0))
         with pytest.raises(DomainError, match="^parameter grid must be one-dimensional$"):
             profile(out.y, fixed_design(out), grid=grid)
