@@ -62,7 +62,12 @@ its iteration limit.  The answer is the same either way.
 
 The solver's arithmetic is on Python floats, operation for operation what
 numpy float64 vectors would do, so its fits are bit-identical to a numpy
-version's (the tests keep one as a reference).
+version's (the tests keep one as a reference).  Each Newton step calls
+the LAPACK gesv gufunc behind ``np.linalg.solve`` directly: the step has
+``np.linalg.solve``'s bits without its wrapper's checks and conversions,
+which at 3x3 cost more than the solve.  Where ``np.linalg.solve`` raises
+for a singular Hessian, the gufunc gives a NaN step, and the search takes
+the gradient step instead.
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
+# The gufunc that np.linalg.solve calls for one right-hand side: loop
+# "dd->d" on float64 arrays, LAPACK dgesv.
+from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from .errors import DegenerateFitError, DomainError
 
@@ -315,45 +323,59 @@ def _fixed_fit(design, dec, k) -> ModelFit:
     return _model_fit(design, k, design.n * math.log(sigma2), sigma2)
 
 
-def _objective(lam, dec: ProjectionDecomposition):
+def _objective(lam, sums):
     lam_r, lam_c, lam_e = lam
+    s_row, s_col, s_err, d_row, d_col, d_err = sums
     return (
         math.log(lam_r + lam_c - lam_e)
-        + dec.d_row * math.log(lam_r) + dec.s_row / lam_r
-        + dec.d_col * math.log(lam_c) + dec.s_col / lam_c
-        + dec.d_err * math.log(lam_e) + dec.s_err / lam_e
+        + d_row * math.log(lam_r) + s_row / lam_r
+        + d_col * math.log(lam_c) + s_col / lam_c
+        + d_err * math.log(lam_e) + s_err / lam_e
     )
 
 
-def _gradient(lam, dec: ProjectionDecomposition):
+def _gradient(lam, sums):
     lam_r, lam_c, lam_e = lam
+    s_row, s_col, s_err, d_row, d_col, d_err = sums
     lam0 = lam_r + lam_c - lam_e
     return (
-        1.0 / lam0 + dec.d_row / lam_r - dec.s_row / lam_r**2,
-        1.0 / lam0 + dec.d_col / lam_c - dec.s_col / lam_c**2,
-        -1.0 / lam0 + dec.d_err / lam_e - dec.s_err / lam_e**2,
+        1.0 / lam0 + d_row / lam_r - s_row / lam_r**2,
+        1.0 / lam0 + d_col / lam_c - s_col / lam_c**2,
+        -1.0 / lam0 + d_err / lam_e - s_err / lam_e**2,
     )
 
 
-def _hessian(lam, dec: ProjectionDecomposition):
+def _hessian(lam, sums, out):
+    """Write the Hessian of F at lam into out, a flat view of a 3x3 array."""
     lam_r, lam_c, lam_e = lam
+    s_row, s_col, s_err, d_row, d_col, d_err = sums
     lam0 = lam_r + lam_c - lam_e
     a = 1.0 / lam0**2
-    return (
-        (-a + (-dec.d_row / lam_r**2 + 2.0 * dec.s_row / lam_r**3), -a, a),
-        (-a, -a + (-dec.d_col / lam_c**2 + 2.0 * dec.s_col / lam_c**3), a),
-        (a, a, -a + (-dec.d_err / lam_e**2 + 2.0 * dec.s_err / lam_e**3)),
-    )
+    out[0] = -a + (-d_row / lam_r**2 + 2.0 * s_row / lam_r**3)
+    out[4] = -a + (-d_col / lam_c**2 + 2.0 * s_col / lam_c**3)
+    out[8] = -a + (-d_err / lam_e**2 + 2.0 * s_err / lam_e**3)
+    out[1] = out[3] = -a
+    out[2] = out[5] = out[6] = out[7] = a
 
 
-def _interior_newton(dec: ProjectionDecomposition):
-    """Stationary point of F strictly inside the cone, or None.
+def _interior_newton(sums):
+    """Stationary point of F strictly inside the cone and F there, or None,
+    for the sums ``(s_row, s_col, s_err, d_row, d_col, d_err)``.
 
     Damped Newton from the separable start lam_k = S_k/d_k (projected into
     the cone).  Iterates are kept strictly feasible; if the unconstrained
     stationary point lies outside the cone the search stalls on the
     boundary and is rejected here, which is fine because the boundary
     subproblems are enumerated separately.
+
+    Each Newton step calls ``_gesv``, the LAPACK gesv gufunc behind
+    ``np.linalg.solve``, on a Hessian and right-hand side written into
+    arrays made once per search: its bits are ``np.linalg.solve``'s,
+    without that wrapper, which costs more than the 3x3 solve.  Where
+    ``np.linalg.solve`` raises ``LinAlgError`` (an exactly singular
+    Hessian), the gufunc returns NaN, quietly under the search's one
+    ``np.errstate``; a step that is not finite is replaced by the gradient
+    step.
 
     Once the gradient is small the objective is flat to machine precision,
     so the line search switches from requiring an objective decrease to
@@ -365,82 +387,82 @@ def _interior_newton(dec: ProjectionDecomposition):
     later iteration would take that same step, and the final gradient
     check would fail, so the search gives up at once.
     """
-    lam_e0 = dec.s_err / dec.d_err
-    lam = (
-        max(dec.s_row / dec.d_row, lam_e0),
-        max(dec.s_col / dec.d_col, lam_e0),
-        lam_e0,
-    )
-    f0 = _objective(lam, dec)
-    for _ in range(_NEWTON_MAX_ITER):
-        g = _gradient(lam, dec)
-        g_inf = max(map(abs, g))
-        if g_inf < _NEWTON_TOL:
-            return lam
-        minus_g = (-g[0], -g[1], -g[2])
-        try:
-            step = np.linalg.solve(_hessian(lam, dec), minus_g).tolist()
-        except np.linalg.LinAlgError:
-            step = minus_g
-        if not all(map(math.isfinite, step)):
-            step = minus_g
-        t = 1.0
-        for _ in range(60):
-            cand = (lam[0] + t * step[0], lam[1] + t * step[1], lam[2] + t * step[2])
-            lam0 = cand[0] + cand[1] - cand[2]
-            if cand[2] > 0 and cand[0] >= cand[2] and cand[1] >= cand[2] and lam0 > 0:
-                f_cand = _objective(cand, dec)
-                if f_cand <= f0 or (
-                    g_inf < 1e-6
-                    and max(map(abs, _gradient(cand, dec))) < g_inf
-                ):
-                    break
-            t *= 0.5
-        else:
-            return None
-        if cand == lam:
-            return None
-        lam, f0 = cand, f_cand
-    return lam if max(map(abs, _gradient(lam, dec))) < _NEWTON_TOL else None
+    s_row, s_col, s_err, d_row, d_col, d_err = sums
+    lam_e0 = s_err / d_err
+    lam = (max(s_row / d_row, lam_e0), max(s_col / d_col, lam_e0), lam_e0)
+    f0 = _objective(lam, sums)
+    hessian, rhs = np.empty((3, 3)), np.empty(3)
+    # Flat views that write one entry at the cost of a Python float store.
+    h, b = memoryview(hessian.reshape(9)), memoryview(rhs)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
+            g = _gradient(lam, sums)
+            g_inf = max(map(abs, g))
+            if g_inf < _NEWTON_TOL:
+                return lam, f0
+            b[0], b[1], b[2] = minus_g = -g[0], -g[1], -g[2]
+            _hessian(lam, sums, h)
+            step = _gesv(hessian, rhs).tolist()
+            if not all(map(math.isfinite, step)):
+                step = minus_g
+            t = 1.0
+            for _ in range(60):
+                cand = (lam[0] + t * step[0], lam[1] + t * step[1], lam[2] + t * step[2])
+                lam0 = cand[0] + cand[1] - cand[2]
+                if cand[2] > 0 and cand[0] >= cand[2] and cand[1] >= cand[2] and lam0 > 0:
+                    f_cand = _objective(cand, sums)
+                    if f_cand <= f0 or (
+                        g_inf < 1e-6
+                        and max(map(abs, _gradient(cand, sums))) < g_inf
+                    ):
+                        break
+                t *= 0.5
+            else:
+                return None
+            if cand == lam:
+                return None
+            lam, f0 = cand, f_cand
+    return (lam, f0) if max(map(abs, _gradient(lam, sums))) < _NEWTON_TOL else None
 
 
 def _solve_eigenvalues(dec: ProjectionDecomposition):
     """Minimize F over the cone by enumerating the four active sets.
 
     Works on scale-standardized sums of squares so the Newton gradient
-    tolerance means the same thing for any data scale.
+    tolerance means the same thing for any data scale.  Each candidate's
+    F is evaluated once; the first of the smallest wins.
     """
     total = dec.s_row + dec.s_col + dec.s_err
     n = dec.d_row + dec.d_col + dec.d_err + 1
     scale = total / n
-    sdec = ProjectionDecomposition(
-        s_row=dec.s_row / scale, s_col=dec.s_col / scale, s_err=dec.s_err / scale,
-        d_row=dec.d_row, d_col=dec.d_col, d_err=dec.d_err,
-    )
-    r = dec.d_row + 1
-    c = dec.d_col + 1
+    sums = (dec.s_row / scale, dec.s_col / scale, dec.s_err / scale,
+            dec.d_row, dec.d_col, dec.d_err)
+    s_row, s_col, s_err, d_row, d_col, d_err = sums
+    r = d_row + 1
+    c = d_col + 1
 
     candidates = []
     # Both variance components at zero: every eigenvalue equal.
-    lam = (sdec.s_row + sdec.s_col + sdec.s_err) / n
+    lam = (s_row + s_col + s_err) / n
     candidates.append((lam, lam, lam))
     # sigma2_row = 0: lam_R pinned to lam_E.
-    lam_c = sdec.s_col / c
-    lam_e = (sdec.s_row + sdec.s_err) / (sdec.d_row + sdec.d_err)
+    lam_c = s_col / c
+    lam_e = (s_row + s_err) / (d_row + d_err)
     if lam_c >= lam_e > 0.0:
         candidates.append((lam_e, lam_c, lam_e))
     # sigma2_col = 0: lam_C pinned to lam_E.
-    lam_r = sdec.s_row / r
-    lam_e = (sdec.s_col + sdec.s_err) / (sdec.d_col + sdec.d_err)
+    lam_r = s_row / r
+    lam_e = (s_col + s_err) / (d_col + d_err)
     if lam_r >= lam_e > 0.0:
         candidates.append((lam_r, lam_e, lam_e))
-    # Interior stationary point.
-    interior = _interior_newton(sdec)
+    scored = [(lam, _objective(lam, sums)) for lam in candidates]
+    # Interior stationary point, with the F of Newton's last accepted step.
+    interior = _interior_newton(sums)
     if interior is not None:
-        candidates.append(interior)
+        scored.append(interior)
 
-    best = min(candidates, key=lambda lam: _objective(lam, sdec))
-    return tuple(v * scale for v in best)
+    lam_r, lam_c, lam_e = min(scored, key=operator.itemgetter(1))[0]
+    return lam_r * scale, lam_c * scale, lam_e * scale
 
 
 def _random_fit(design, dec, k, lam=None) -> ModelFit:

@@ -162,12 +162,15 @@ def _paired_stdtrit(df, p):
 
 
 # Bytes of z a grid's store may hold, 8 per point: 4 MiB keeps 349 targets
-# at the paper's 50x30, where one study operation (16 seeds in one process)
-# cycles through about 310: 51 t and 201 alpha grid points, refinement
-# points and correlation targets.  It is a store's only bound: one target
-# at 300000 points, none above 524288.  A full store keeps what it has and
-# stores no more: an LRU would evict, on a cyclic sweep, the entry asked
-# for next.
+# at the paper's 50x30.  A warm cycle of the study benchmark (16 seeds in
+# one process) asks that grid for 528 distinct targets: 313 alpha-beta and
+# 212 t grid and refinement points, and the Gaussian, uniform and logistic.
+# Its full store misses 129 t quantile calls per cycle (at 105 refinement
+# points), about a sixth of the cycle's time; a larger budget would serve
+# only a process that repeats its seeds.  It is a store's only bound: one
+# target at 300000 points, none above 524288.  A full store keeps what it
+# has and stores no more: an LRU would evict, on a cyclic sweep, the entry
+# asked for next.
 _MEMO_BUDGET = 4 << 20
 
 

@@ -67,7 +67,6 @@ from qmatch.linmodel import (
     _SAFE_SCALE,
     ProjectionDecomposition,
     _grid,
-    _objective,
     _prepare_stack,
     _random_fit,
     _response,
@@ -282,7 +281,7 @@ def fit_random_numeric(z, design: DesignSpec) -> ModelFit:
     def neg2ll(x):
         s2, s2r, s2c = x
         lam = np.array([s2 + c * s2r, s2 + r * s2c, s2])
-        return _objective(lam, sdec)
+        return numpy_objective(lam, sdec)
 
     x0 = np.array([
         sdec.s_err / sdec.d_err,

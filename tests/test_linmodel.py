@@ -8,6 +8,7 @@ random model, and the numpy-array fits numpy_fit, which every fit must
 equal bit for bit.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     data_order_percentiles,
     dense_covariance,
@@ -537,6 +539,17 @@ def assert_bitwise_equal_fits(z, d):
             assert np.float64(a).tobytes() == np.float64(b).tobytes(), (field, a, b)
 
 
+def paper_matrix():
+    """The responses of 16 seeds x 2 effects x 4 targets at 50 x 30, each
+    with its design."""
+    for effects in ("gaussian", "cauchy"):
+        for seed in range(16):
+            out = simulate(SimConfig(effect_dist=effects, seed=seed))
+            p = data_order_percentiles(out.y)
+            for dist in TARGETS:
+                yield transform(dist, p)[0], out.design
+
+
 class TestBitIdenticalToNumpyFits:
     """The float-tuple Newton solver, the in-place decomposition and the
     min/max scale check reproduce the numpy-array fits exactly.  At
@@ -546,15 +559,10 @@ class TestBitIdenticalToNumpyFits:
     def test_paper_scale_matrix(self):
         # 16 seeds x 2 effects x 4 targets x 2 models = 256 fits.
         cases = 0
-        for effects in ("gaussian", "cauchy"):
-            for seed in range(16):
-                out = simulate(SimConfig(effect_dist=effects, seed=seed))
-                p = data_order_percentiles(out.y)
-                for dist in TARGETS:
-                    z = transform(dist, p)[0]
-                    for model in ModelKind:
-                        assert_bitwise_equal_fits(z, out.design.with_model(model))
-                        cases += 1
+        for z, d in paper_matrix():
+            for model in ModelKind:
+                assert_bitwise_equal_fits(z, d.with_model(model))
+                cases += 1
         assert cases == 256
 
     def test_large_grid_matrix(self):
@@ -604,13 +612,87 @@ class TestBitIdenticalToNumpyFits:
         z = np.random.default_rng(2).normal(size=1500)
         d = design(50, 30, ModelKind.RANDOM_EFFECTS)
         assert_bitwise_equal_fits(z, d)
-        calls = []
-        gradient = linmodel._gradient
+        steps = []
+        gesv = linmodel._gesv
 
-        def counted(lam, dec):
-            calls.append(lam)
-            return gradient(lam, dec)
+        def counted(hessian, rhs):
+            steps.append(rhs.tolist())
+            return gesv(hessian, rhs)
 
-        monkeypatch.setattr(linmodel, "_gradient", counted)
+        monkeypatch.setattr(linmodel, "_gesv", counted)
         fit(z, d)
-        assert 1 <= len(calls) <= 2
+        assert 1 <= len(steps) <= 2
+
+
+class TestNewtonStep:
+    """Each Newton step calls the gesv gufunc behind ``np.linalg.solve``
+    directly; its bits are that function's, and a singular Hessian's NaN
+    step becomes the gradient step, as the oracle's ``LinAlgError`` does."""
+
+    def test_equals_numpy_solve_on_paper_hessians(self, monkeypatch):
+        systems = []
+        gesv = linmodel._gesv
+
+        def recorded(hessian, rhs):
+            step = gesv(hessian, rhs)
+            systems.append((hessian.copy(), rhs.copy(), step.copy()))
+            return step
+
+        monkeypatch.setattr(linmodel, "_gesv", recorded)
+        for z, d in paper_matrix():
+            fit(z, d.with_model(ModelKind.RANDOM_EFFECTS))
+        assert len(systems) > 128
+        for hessian, rhs, step in systems:
+            assert step.tobytes() == np.linalg.solve(hessian, rhs).tobytes()
+
+    @pytest.mark.parametrize("log_cond", [0.0, 4.0, 8.0, 12.0, 15.0])
+    def test_equals_numpy_solve_on_random_systems(self, rng, log_cond):
+        # Q1 diag(1 .. 10**-log_cond) Q2 with random orthogonal Q1 and Q2.
+        for _ in range(200):
+            q1, q2 = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+            hessian = (q1 * np.logspace(0.0, -log_cond, 3)) @ q2
+            rhs = rng.normal(size=3)
+            assert (linmodel._gesv(hessian, rhs).tobytes()
+                    == np.linalg.solve(hessian, rhs).tobytes())
+
+    @pytest.mark.parametrize("err", [{}, {"all": "raise"}], ids=["default", "raise"])
+    def test_singular_hessian_takes_the_gradient_step(self, monkeypatch, err):
+        # The first Hessian of each search is zero in the package and in the
+        # oracle: the package's step comes back NaN, and the oracle's
+        # np.linalg.solve raises LinAlgError.  Both take the gradient step,
+        # so the fits agree bit for bit, and the solve lets no warning out
+        # and leaves the caller's error state as it was.
+        steps, first = [], {}
+        gesv = linmodel._gesv
+
+        def recorded(hessian, rhs):
+            steps.append(gesv(hessian, rhs))
+            return steps[-1]
+
+        def zero_into(lam, sums, out):
+            for i in range(9):
+                out[i] = 0.0
+
+        def zero_first(name, hessian, zero):
+            def patched(*args):
+                return (zero if first.pop(name, False) else hessian)(*args)
+            return patched
+
+        monkeypatch.setattr(linmodel, "_gesv", recorded)
+        monkeypatch.setattr(linmodel, "_hessian",
+                            zero_first("package", linmodel._hessian, zero_into))
+        monkeypatch.setattr(oracles, "numpy_hessian", zero_first(
+            "oracle", oracles.numpy_hessian, lambda lam, dec: np.zeros((3, 3))))
+        for z, d in itertools.islice(paper_matrix(), 8):
+            first.update(package=True, oracle=True)
+            steps.clear()
+            with np.errstate(**err):
+                before = np.geterr()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    assert_bitwise_equal_fits(z, d.with_model(ModelKind.RANDOM_EFFECTS))
+                assert np.geterr() == before
+            assert caught == []
+            assert first == {}
+            assert np.isnan(steps[0]).all() and len(steps) > 1
+
